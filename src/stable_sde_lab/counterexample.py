@@ -51,7 +51,7 @@ HEAD_FIT_DECADE = 10  # head coefficient fitted on grid points with s <= 10*s_1
 
 
 class SamplerIntegrityError(RuntimeError):
-    """The grid driver produced a non-positive value at a positive time."""
+    """The grid driver produced a non-positive or NaN value at a positive time."""
 
 
 @dataclass(frozen=True)
@@ -142,6 +142,48 @@ def _fit_head_coefficient(times: np.ndarray, partial: np.ndarray, beta: float) -
     return float(np.dot(rs, gs) / denom)
 
 
+def _clock_values(
+    alpha: float, beta: float, grid: GridPath
+) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """Grid steps, singular clock values B(s_k), head coefficient and head value.
+
+    Raises what the full construction raises: ValueError on bad parameters or
+    on a clock that is not finite and strictly increasing (which ``Clock``
+    would reject), SamplerIntegrityError on a non-positive or NaN driver.
+    """
+    if not (0.0 < alpha < 1.0):
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    if not (0.0 < beta < 1.0):
+        raise ValueError(f"beta must lie in (0, 1), got {beta}")
+    times, z = grid.times, grid.values
+    if times.size < 101:
+        raise ValueError("grid too coarse for the head fit, need m >= 100 steps")
+    # Also rejects NaN, which GridPath's monotonicity check lets through and
+    # which the sampler emits (0 * inf) at extreme alpha.
+    if not np.all(z[1:] > 0.0):
+        raise SamplerIntegrityError(
+            "driver hit a non-positive or NaN value at a positive grid time"
+        )
+    ds = np.diff(times)
+    # Left-endpoint integrand over [s_i, s_{i+1}], i >= 1; the i = 0 term is
+    # the singular head, replaced by the fitted correction.  The exponents
+    # are fused (z**(-alpha*beta) rather than (z**beta)**(-alpha)): one pass
+    # instead of two, within 1 ulp of the registry's eval_pow.
+    values = np.empty(times.size)
+    values[:2] = 0.0
+    partial = values[2:]
+    np.power(z[1:-1], -alpha * beta, out=partial)
+    partial *= ds[1:]
+    np.cumsum(partial, out=partial)
+    head_coeff = _fit_head_coefficient(times, values, beta)
+    head_value = head_coeff * times[1] ** (1.0 - beta)
+    values += head_value
+    values[0] = 0.0
+    if not (math.isfinite(values[-1]) and np.all(values[1:] > values[:-1])):
+        raise ValueError("singular clock must be finite and strictly increasing")
+    return ds, values, head_coeff, head_value
+
+
 def derive_run(alpha: float, beta: float, grid: GridPath) -> CounterexampleRun:
     """Build the singular clock and derived processes from an existing grid path.
 
@@ -150,32 +192,12 @@ def derive_run(alpha: float, beta: float, grid: GridPath) -> CounterexampleRun:
     noise uses the matching left-endpoint sums of Z**(-beta) increments with
     a right-endpoint proxy for its own (negligible) head term.
     """
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    if not (0.0 < beta < 1.0):
-        raise ValueError(f"beta must lie in (0, 1), got {beta}")
-    if grid.times.size < 101:
-        raise ValueError("grid too coarse for the head fit, need m >= 100 steps")
-    z = grid.values
-    if np.any(z[1:] <= 0.0):
-        raise SamplerIntegrityError(
-            "driver hit a non-positive value at a positive grid time"
-        )
-    ds = np.diff(grid.times)
-    # Left-endpoint integrand over [s_i, s_{i+1}], i >= 1; the i = 0 term is
-    # the singular head, replaced by the fitted correction.  The exponents
-    # are fused (z**(-alpha*beta) rather than (z**beta)**(-alpha)): one pass
-    # instead of two, within 1 ulp of the registry's eval_pow.
-    interior = z[1:-1] ** (-alpha * beta)
-    partial = np.concatenate(([0.0, 0.0], np.cumsum(interior * ds[1:])))
-    head_coeff = _fit_head_coefficient(grid.times, partial, beta)
-    head_value = head_coeff * grid.times[1] ** (1.0 - beta)
-    clock_values = partial + head_value
-    clock_values[0] = 0.0
+    ds, clock_values, head_coeff, head_value = _clock_values(alpha, beta, grid)
     slopes = np.diff(clock_values) / ds
     clock = Clock(breakpoints=grid.times, slopes=slopes, values=clock_values)
     # Recovered noise: left-endpoint sums of Z**(-beta) * dZ from s_1 on;
     # head proxy Z(s_1)**(1-beta) / (1-beta) (the smooth-path closed form).
+    z = grid.values
     dz = np.diff(z)
     noise_head = z[1] ** (1.0 - beta) / (1.0 - beta)
     noise_inc = z[1:-1] ** (-beta) * dz[1:]
@@ -192,6 +214,47 @@ def derive_run(alpha: float, beta: float, grid: GridPath) -> CounterexampleRun:
     )
 
 
+def _clock_total(alpha: float, beta: float, grid: GridPath) -> float:
+    """B(T) of derive_run(alpha, beta, grid), bit for bit, without the full run."""
+    return float(_clock_values(alpha, beta, grid)[1][-1])
+
+
+def _recovered_noise(alpha: float, beta: float, grid: GridPath, t: float) -> float | None:
+    """V_t of derive_run(alpha, beta, grid), bit for bit; None if B(T) <= t.
+
+    Inverts the clock on its values as ``invert_clock`` does and sums the
+    recovered-noise increments only up to the inverted grid index; the
+    partial cumulative sum is sequential, so it ends on the same bits.
+    """
+    ds, values, _, _ = _clock_values(alpha, beta, grid)
+    if not t < values[-1]:
+        return None
+    if t < 0.0:
+        raise ValueError(f"t must be >= 0, got {t}")
+    times, z = grid.times, grid.values
+    i = int(np.searchsorted(values, t, side="right")) - 1
+    if values[i] == t:
+        g = times[i]
+    else:
+        g = times[i] + (t - values[i]) / ((values[i + 1] - values[i]) / ds[i])
+    idx = int(np.searchsorted(times, g, side="right")) - 1
+    noise_head = z[1] ** (1.0 - beta) / (1.0 - beta)
+    if idx < 2:
+        return float(noise_head) if idx == 1 else 0.0
+    noise_inc = z[1:idx] ** (-beta) * (z[2 : idx + 1] - z[1:idx])
+    return float(noise_head + np.cumsum(noise_inc)[-1])
+
+
+def _sample_run_grid(
+    alpha: float, beta: float, horizon: float, m: int, rng: np.random.Generator
+) -> GridPath:
+    """The grid path of one run, sampled after the run's parameter checks."""
+    PowerPhi(beta)  # reject beta outside (0, 1) before any sampling
+    if m < 100:
+        raise ValueError(f"grid too coarse for the head fit, need m >= 100, got {m}")
+    return sample_grid_path(StableParams.default(alpha), horizon, m, rng)
+
+
 def run_counterexample(
     alpha: float,
     beta: float,
@@ -200,12 +263,7 @@ def run_counterexample(
     rng: np.random.Generator,
 ) -> CounterexampleRun:
     """Simulate one run of the construction on an m-step grid over [0, horizon]."""
-    PowerPhi(beta)  # reject beta outside (0, 1) before any sampling
-    if m < 100:
-        raise ValueError(f"grid too coarse for the head fit, need m >= 100, got {m}")
-    params = StableParams.default(alpha)
-    grid = sample_grid_path(params, horizon, m, rng)
-    return derive_run(alpha, beta, grid)
+    return derive_run(alpha, beta, _sample_run_grid(alpha, beta, horizon, m, rng))
 
 
 def scaling_law_check(
@@ -235,13 +293,13 @@ def scaling_law_check(
     parent1, parent2 = rng.spawn(2)
     b1 = np.array(
         [
-            run_counterexample(alpha, beta, t1, m1, g).clock_total
+            _clock_total(alpha, beta, _sample_run_grid(alpha, beta, t1, m1, g))
             for g in parent1.spawn(n)
         ]
     )
     b2 = np.array(
         [
-            run_counterexample(alpha, beta, t2, m2, g).clock_total
+            _clock_total(alpha, beta, _sample_run_grid(alpha, beta, t2, m2, g))
             for g in parent2.spawn(n)
         ]
     )
@@ -297,7 +355,10 @@ def divergence_check(
         m = min(int(round(m_per_unit * t)), m_cap)
         m = max(m, 100)
         totals = np.array(
-            [run_counterexample(alpha, beta, t, m, g).clock_total for g in parent.spawn(n)]
+            [
+                _clock_total(alpha, beta, _sample_run_grid(alpha, beta, t, m, g))
+                for g in parent.spawn(n)
+            ]
         )
         p = float(np.mean(totals <= threshold))
         probs.append(p)
@@ -338,9 +399,9 @@ def driver_law_check(
     run_parent, exact_parent = rng.spawn(2)
     recovered = []
     for g in run_parent.spawn(n):
-        run = run_counterexample(alpha, beta, horizon, m, g)
-        if run.covers(t_eval):
-            recovered.append(run.recovered_noise_at(t_eval))
+        v = _recovered_noise(alpha, beta, _sample_run_grid(alpha, beta, horizon, m, g), t_eval)
+        if v is not None:
+            recovered.append(v)
     coverage = len(recovered) / n
     exact = sample_exact_increment(params, t_eval, exact_parent, size=n)
     if len(recovered) < 2:
@@ -382,6 +443,7 @@ class NonUniquenessReport:
     coverage: float
     replay_residual: float  # max relative gap between the two solution constructions
     n: int
+    replay_worst_replicate: int  # spawned-stream index of the run with that gap
 
 
 def nonuniqueness_demo(
@@ -406,6 +468,7 @@ def nonuniqueness_demo(
     m = int(round(m_per_unit * horizon))
     zero_residual = 0.0
     replay_residual = 0.0
+    replay_worst = 0
     covered = 0
     positive = 0
     streams = rng.spawn(n)
@@ -415,9 +478,9 @@ def nonuniqueness_demo(
         # Zero path: increments phi(0) * dV vanish term by term.
         zero_residual = max(zero_residual, float(np.max(np.abs(phi.eval(0.0) * noise_inc))))
         if rep < replay_runs:
-            replay_residual = max(
-                replay_residual, _replay_relative_residual(run, beta, noise_inc)
-            )
+            residual = _replay_relative_residual(run, beta, noise_inc)
+            if residual > replay_residual:
+                replay_residual, replay_worst = residual, rep
         if run.covers(t_eval):
             covered += 1
             if run.solution_at(t_eval) > 0.0:
@@ -430,6 +493,7 @@ def nonuniqueness_demo(
         coverage=coverage,
         replay_residual=replay_residual,
         n=n,
+        replay_worst_replicate=replay_worst,
     )
 
 
@@ -454,9 +518,9 @@ def head_refinement_check(
     for i in range(n):
         fine_grid = sample_grid_path(params, horizon, 2 * m, streams[i])
         coarse_grid = GridPath(times=fine_grid.times[::2], values=fine_grid.values[::2])
-        fine = derive_run(alpha, beta, fine_grid)
-        coarse = derive_run(alpha, beta, coarse_grid)
-        if abs(fine.clock_total - coarse.clock_total) < coarse.head_value:
+        fine_total = _clock_total(alpha, beta, fine_grid)
+        _, coarse_values, _, coarse_head = _clock_values(alpha, beta, coarse_grid)
+        if abs(fine_total - float(coarse_values[-1])) < coarse_head:
             within += 1
     return within / n
 
@@ -466,11 +530,13 @@ def _replay_relative_residual(
 ) -> float:
     # Event-wise solve seeded at the first positive state; a start at exactly
     # 0 can never leave 0, which is the non-uniqueness being demonstrated.
-    z = run.grid.values
-    x = float(z[1])
+    # memoryview indexing yields Python floats without a numpy scalar per read.
+    z = memoryview(run.grid.values)
+    inc = memoryview(noise_inc)
+    x = z[1]
     worst = 0.0
-    for k in range(1, noise_inc.size):
-        x = x + (x**beta) * float(noise_inc[k])
-        target = float(z[k + 1])
+    for k in range(1, len(inc)):
+        x = x + (x**beta) * inc[k]
+        target = z[k + 1]
         worst = max(worst, abs(x - target) / target)
     return worst

@@ -260,13 +260,23 @@ def _standard_stable(alpha: float, size: int, rng: np.random.Generator) -> np.nd
     # under/overflow near the endpoints of (0, pi).
     u = rng.uniform(0.0, np.pi, size)
     np.clip(u, 1e-300, np.nextafter(np.pi, 0.0), out=u)
-    w = np.maximum(rng.standard_exponential(size), np.finfo(float).tiny)
-    log_a = (
-        np.log(np.sin((1.0 - alpha) * u))
-        + (alpha / (1.0 - alpha)) * np.log(np.sin(alpha * u))
-        - (1.0 / (1.0 - alpha)) * np.log(np.sin(u))
-    )
-    return np.exp(((1.0 - alpha) / alpha) * (log_a - np.log(w)))
+    w = rng.standard_exponential(size)
+    np.maximum(w, np.finfo(float).tiny, out=w)
+    # log A(u), then S, term by term in the order of the formula above and
+    # into two buffers: the same operations in the same order give every
+    # draw the bits of the one-expression form, without its temporaries.
+    log_a = np.multiply(1.0 - alpha, u)
+    np.log(np.sin(log_a, out=log_a), out=log_a)
+    term = np.multiply(alpha, u)
+    np.log(np.sin(term, out=term), out=term)
+    term *= alpha / (1.0 - alpha)
+    log_a += term
+    np.log(np.sin(u, out=term), out=term)
+    term *= 1.0 / (1.0 - alpha)
+    log_a -= term
+    log_a -= np.log(w, out=w)
+    log_a *= (1.0 - alpha) / alpha
+    return np.exp(log_a, out=log_a)
 
 
 def sample_exact_increment(
@@ -278,7 +288,8 @@ def sample_exact_increment(
     if size is not None and size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
     scale = (dt ** (1.0 / params.alpha)) * params.unit_time_scale
-    out = scale * _standard_stable(params.alpha, 1 if size is None else size, rng)
+    out = _standard_stable(params.alpha, 1 if size is None else size, rng)
+    out *= scale
     return out if size is not None else float(out[0])
 
 
@@ -293,7 +304,9 @@ def sample_grid_path(
     dt = horizon / m
     inc = sample_exact_increment(params, dt, rng, size=m)
     times = np.linspace(0.0, horizon, m + 1)
-    values = np.concatenate(([0.0], np.cumsum(inc)))
+    values = np.empty(m + 1)
+    values[0] = 0.0
+    np.cumsum(inc, out=values[1:])
     return GridPath(times=times, values=values)
 
 

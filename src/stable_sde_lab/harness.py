@@ -117,6 +117,16 @@ class ExperimentConfig:
             raise ConfigError("grid_m must be >= 100")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
+        if self.experiment != "counterexample":
+            try:
+                phi = self.phi_object()
+            except ValueError as exc:
+                raise ConfigError(f"phi = {self.phi!r}: {exc}") from exc
+            if not phi.assumption_ok:
+                raise ConfigError(
+                    f"phi = {self.phi!r} violates the admissibility assumptions "
+                    f"(continuous, non-decreasing, positive) of {self.experiment}"
+                )
 
     def phi_object(self) -> MonotonePhi:
         return parse_phi(self.phi)
@@ -198,6 +208,13 @@ def parse_config_text(text: str) -> ExperimentConfig:
     experiment = raw.pop("experiment")
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {experiment!r}")
+    if experiment == "counterexample":
+        unused = [key for key in ("phi", "cutoffs", "x0") if key in raw]
+        if unused:
+            raise ConfigError(
+                f"counterexample does not use {', '.join(unused)}: it runs "
+                "phi = power(beta) from x0 = 0 on exact grid increments"
+            )
     merged: dict = dict(_EXPERIMENT_DEFAULTS.get(experiment, {}))
     for key, value in raw.items():
         field_name = _KEY_TO_FIELD[key]
@@ -610,6 +627,9 @@ def _run_counterexample_experiment(cfg: ExperimentConfig, out: Path):
             1e-9,
             demo.replay_residual <= 1e-9,
             "invariant",
+            f"replicate {demo.replay_worst_replicate} of stream "
+            f"'counterexample-nonuniqueness' (stream seed "
+            f"{derive_seed(cfg.seed, 0, 'counterexample-nonuniqueness')})",
         ),
     ]
     return rows, (str(report_csv),)

@@ -1,8 +1,10 @@
 """Acceptance gate: every criterion at its stated tolerance, one line each.
 
-These are the slow, full-scale checks; the per-module test files carry the
-fast unit coverage.  Run with ``pytest tests/test_acceptance.py -v -s`` to
-see the per-criterion lines as they complete.
+These are the full-scale checks; the per-module test files carry the fast
+unit coverage.  The four slowest (c04, c07, c08, c09) carry the ``slow``
+marker, so ``pytest -m "not slow"`` gives a quick loop without them.  Run
+with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
+lines as they complete.
 """
 
 import math
@@ -111,6 +113,7 @@ def test_c03_driver_fidelity():
     assert trunc_ok
 
 
+@pytest.mark.slow
 def test_c04_weak_agreement_across_seeds():
     from stable_sde_lab.harness import _timechange_marginal
 
@@ -206,6 +209,7 @@ def test_c06_pathwise_coupling_decay():
     assert decay < 0.1
 
 
+@pytest.mark.slow
 def test_c07_counterexample_scaling_across_seeds():
     passes = 0
     p_values = []
@@ -227,6 +231,7 @@ def test_c07_counterexample_scaling_across_seeds():
     assert passes >= 9
 
 
+@pytest.mark.slow
 def test_c08_nonuniqueness():
     rep = nonuniqueness_demo(
         0.5,
@@ -247,6 +252,7 @@ def test_c08_nonuniqueness():
     assert rep.positive_fraction >= 0.99
 
 
+@pytest.mark.slow
 def test_c09_recovered_driver_law_across_seeds():
     passes = 0
     coverages = []

@@ -1,5 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stable_sde_lab import (
     BEYOND_HORIZON,
@@ -14,8 +18,14 @@ from stable_sde_lab import (
     sample_exact_increment,
     scaling_law_check,
 )
-from stable_sde_lab.counterexample import derive_run, head_refinement_check
-from stable_sde_lab.driver import GridPath
+from stable_sde_lab.counterexample import (
+    _clock_total,
+    _recovered_noise,
+    _replay_relative_residual,
+    derive_run,
+    head_refinement_check,
+)
+from stable_sde_lab.driver import GridPath, sample_grid_path
 from stable_sde_lab.timechange import clock_eval
 
 
@@ -189,6 +199,17 @@ class TestNonUniqueness:
         assert rep.coverage > 0.8
         assert rep.replay_residual <= 1e-9
 
+    def test_names_the_worst_replay_replicate(self):
+        rng = np.random.default_rng(15)
+        rep = nonuniqueness_demo(0.5, 0.5, 4.0, 40, rng, m_per_unit=500)
+        streams = np.random.default_rng(15).spawn(40)
+        residuals = []
+        for g in streams[:16]:
+            run = run_counterexample(0.5, 0.5, 4.0, 2000, g)
+            residuals.append(_replay_relative_residual(run, 0.5, np.diff(run.noise_values)))
+        assert rep.replay_residual == max(residuals) > 0.0
+        assert rep.replay_worst_replicate == residuals.index(max(residuals))
+
     def test_beta_one_rejected(self):
         with pytest.raises(ValueError):
             nonuniqueness_demo(0.5, 1.0, 4.0, 100, np.random.default_rng(0))
@@ -223,3 +244,77 @@ class TestReplicateIndependence:
         )
         assert r1.statistic == r2.statistic
         assert r1.p_value == r2.p_value
+
+
+def _bits(x) -> bytes | None:
+    return None if x is None else struct.pack("<d", x)
+
+
+def _outcome(fn):
+    """The value fn returns, or the type of the exception it raises."""
+    try:
+        return fn()
+    except (ValueError, SamplerIntegrityError) as exc:
+        return type(exc)
+
+
+unit_open = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+
+
+class TestLeanPaths:
+    """The clock-total and driver-law paths against the full derive_run path."""
+
+    @given(
+        alpha=unit_open,
+        beta=unit_open,
+        horizon=st.floats(min_value=0.05, max_value=8.0),
+        m=st.integers(min_value=100, max_value=3000),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        t=st.floats(min_value=0.0, max_value=5.0),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_bit_equal_to_full_run(self, alpha, beta, horizon, m, seed, t):
+        def grid():
+            return sample_grid_path(
+                StableParams.default(alpha), horizon, m, np.random.default_rng(seed)
+            )
+
+        with np.errstate(all="ignore"):
+            full = _outcome(
+                lambda: run_counterexample(alpha, beta, horizon, m, np.random.default_rng(seed))
+            )
+            total = _outcome(lambda: _clock_total(alpha, beta, grid()))
+            noise = _outcome(lambda: _recovered_noise(alpha, beta, grid(), t))
+        if isinstance(full, type):
+            assert total is full and noise is full
+            return
+        assert _bits(total) == _bits(full.clock_total)
+        expected = full.recovered_noise_at(t) if full.covers(t) else None
+        assert _bits(noise) == _bits(expected)
+
+    @given(
+        m=st.integers(min_value=100, max_value=2000),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        position=st.floats(min_value=0.0, max_value=1.0),
+        corruption=st.sampled_from(["zero-first", "nan", "inf"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_corrupted_grids_raise_the_same_type(self, m, seed, position, corruption):
+        grid = sample_grid_path(StableParams.default(0.5), 1.0, m, np.random.default_rng(seed))
+        inc = np.diff(grid.values)
+        if corruption == "zero-first":
+            inc[0] = 0.0
+            expected = SamplerIntegrityError
+        elif corruption == "nan":
+            inc[int(position * (m - 1))] = np.nan
+            expected = SamplerIntegrityError
+        else:
+            # The clock's left-endpoint sums never read the last grid value,
+            # so the infinite step lands on one of the first m - 1.
+            inc[int(position * (m - 2))] = np.inf
+            expected = ValueError
+        with np.errstate(all="ignore"):
+            bad = GridPath(times=grid.times, values=np.concatenate(([0.0], np.cumsum(inc))))
+            assert _outcome(lambda: derive_run(0.5, 0.5, bad)) is expected
+            assert _outcome(lambda: _clock_total(0.5, 0.5, bad)) is expected
+            assert _outcome(lambda: _recovered_noise(0.5, 0.5, bad, 0.5)) is expected

@@ -18,6 +18,7 @@ from stable_sde_lab import (
     sample_truncated_path,
     thin_path,
 )
+from stable_sde_lab.driver import _standard_stable
 from stable_sde_lab.stats import SampleSet, ks_two_sample
 
 
@@ -282,6 +283,42 @@ class TestExactIncrement:
         assert isinstance(value, float) and value > 0.0
         with pytest.raises(ValueError):
             sample_exact_increment(params, 0.0, np.random.default_rng(0))
+
+
+def _reference_standard_stable(alpha: float, size: int, rng: np.random.Generator):
+    # The sampler as one expression, before it was evaluated into buffers.
+    u = rng.uniform(0.0, np.pi, size)
+    np.clip(u, 1e-300, np.nextafter(np.pi, 0.0), out=u)
+    w = np.maximum(rng.standard_exponential(size), np.finfo(float).tiny)
+    log_a = (
+        np.log(np.sin((1.0 - alpha) * u))
+        + (alpha / (1.0 - alpha)) * np.log(np.sin(alpha * u))
+        - (1.0 / (1.0 - alpha)) * np.log(np.sin(u))
+    )
+    return np.exp(((1.0 - alpha) / alpha) * (log_a - np.log(w)))
+
+
+class TestInPlaceSampler:
+    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.7, 0.9])
+    @given(
+        size=st.integers(min_value=1, max_value=5000),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        dt=st.floats(min_value=1e-6, max_value=10.0),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_bit_equal_to_reference_expression(self, alpha, size, seed, dt):
+        params = StableParams.default(alpha)
+        scale = (dt ** (1.0 / alpha)) * params.unit_time_scale
+        horizon = dt * size
+        with np.errstate(over="ignore"):
+            ref = _reference_standard_stable(alpha, size, np.random.default_rng(seed))
+            got = _standard_stable(alpha, size, np.random.default_rng(seed))
+            inc = sample_exact_increment(params, dt, np.random.default_rng(seed), size=size)
+            grid = sample_grid_path(params, horizon, size, np.random.default_rng(seed))
+            grid_inc = ((horizon / size) ** (1.0 / alpha)) * params.unit_time_scale * ref
+        assert got.tobytes() == ref.tobytes()
+        assert inc.tobytes() == (scale * ref).tobytes()
+        assert grid.values.tobytes() == np.concatenate(([0.0], np.cumsum(grid_inc))).tobytes()
 
 
 class TestTruncatedLaplace:

@@ -171,6 +171,9 @@ class TestExperiments:
             "ce",
         )
         assert result.exit_code == EXIT_PASS
+        replay = next(r for r in result.rows if r.name == "sde-replay-relative-residual")
+        assert replay.detail.startswith("replicate ")
+        assert "of stream 'counterexample-nonuniqueness' (stream seed " in replay.detail
         report = tmp_path / "ce" / "counterexample_report.csv"
         header = report.read_text().splitlines()[0]
         assert header == "check,statistic,p_value,coverage,n,alpha,beta,grid_m,seed"
@@ -238,3 +241,31 @@ class TestCLI:
         a = (out_a / "weak_agree_samples.csv").read_bytes()
         b = (out_b / "weak_agree_samples.csv").read_bytes()
         assert a != b
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # A coefficient that vanishes at 0 breaks the truncation solve.
+            "experiment = weak-agree\nphi = power(0.5)\nreplicates = 10\n",
+            "experiment = strong-construct\nphi = shifted-arctan(2)\n",
+            "experiment = ladder-monotone\nphi = cubic(1)\n",
+            "experiment = uniqueness-couple\nphi = constant(-1)\n",
+            # The counterexample runs power(beta) from 0 and has no cutoffs.
+            "experiment = counterexample\nphi = power(0.5)\n",
+            "experiment = counterexample\ncutoffs = 0.1\n",
+            "experiment = counterexample\nx0 = 1\n",
+        ],
+    )
+    def test_inadmissible_config_exits_3(self, tmp_path, text):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text + f"out = {tmp_path / 'never'}\n")
+        assert cli_main(["run", "--config", str(cfg)]) == EXIT_CONFIG
+        assert not (tmp_path / "never").exists()
+
+    def test_counterexample_accepts_threads(self, tmp_path):
+        cfg = tmp_path / "ce.cfg"
+        cfg.write_text(
+            "experiment = counterexample\nreplicates = 1000\ngrid_m = 400\n"
+            f"T = 4.0\nseed = 5\nthreads = 1\nout = {tmp_path / 'ce'}\n"
+        )
+        assert cli_main(["run", "--config", str(cfg)]) == EXIT_PASS
