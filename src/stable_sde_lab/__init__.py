@@ -12,7 +12,6 @@ from .driver import (
     StableParams,
     laplace_exponent,
     levy_tail_mass,
-    path_value,
     sample_exact_increment,
     sample_grid_path,
     sample_truncated_path,
@@ -46,6 +45,7 @@ from .truncation import (
     coupled_pair_distance,
     ladder_violations,
     monotone_limit_estimate,
+    solve_ladders,
     solve_truncated,
     sup_gap,
 )

@@ -25,7 +25,6 @@ __all__ = [
     "thin_path",
     "sample_exact_increment",
     "sample_grid_path",
-    "path_value",
 ]
 
 
@@ -83,11 +82,12 @@ class JumpPath:
         if times.shape != sizes.shape or times.ndim != 1:
             raise ValueError("times and sizes must be 1-d arrays of equal length")
         if times.size:
-            if times[0] <= 0.0 or times[-1] > self.horizon:
+            # Written over the condition that must hold, so NaN fails each.
+            if not (times[0] > 0.0 and times[-1] <= self.horizon):
                 raise ValueError("event times must lie in (0, horizon]")
-            if np.any(np.diff(times) <= 0.0):
+            if not np.all(np.diff(times) > 0.0):
                 raise ValueError("event times must be strictly increasing")
-            if np.any(sizes <= 0.0):
+            if not np.all(sizes > 0.0):
                 raise ValueError("jump sizes must be strictly positive")
             if self.cutoff > 0.0 and np.any(sizes < self.cutoff):
                 raise ValueError("jump sizes must be >= cutoff")
@@ -308,8 +308,3 @@ def sample_grid_path(
     values[0] = 0.0
     np.cumsum(inc, out=values[1:])
     return GridPath(times=times, values=values)
-
-
-def path_value(path: JumpPath, t: float) -> float:
-    """Cadlag evaluation of a jump path at time t in [0, horizon]."""
-    return path.value_at(t)

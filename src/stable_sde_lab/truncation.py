@@ -20,6 +20,7 @@ __all__ = [
     "SolutionPath",
     "Ladder",
     "solve_truncated",
+    "solve_ladders",
     "build_ladder",
     "ladder_violations",
     "monotone_limit_estimate",
@@ -152,6 +153,96 @@ def solve_truncated(
         post_values=post,
         guard_hits=guard_hits,
     )
+
+
+def solve_ladders(
+    phi: MonotonePhi,
+    x0: float,
+    sizes: np.ndarray,
+    offsets: np.ndarray,
+    cutoffs: list[float] | tuple[float, ...],
+    overflow_guard: float = DEFAULT_OVERFLOW_GUARD,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every ladder level of a block of base paths, in one event loop.
+
+    Path j's jump sizes, in time order, are ``sizes[offsets[j]:offsets[j+1]]``.
+    The state of all paths at all levels is one ``(n_paths, n_levels)``
+    array, advanced by event rank: at rank k each path with more than k
+    jumps reads its k-th jump dz, and level l takes it where
+    ``dz >= cutoffs[l]``, the thinning of ``thin_path``.  Each level applies
+    the arithmetic of ``solve_truncated``, so the result equals
+    ``build_ladder`` on the same paths bit for bit.
+
+    Returns the final states ``(n, L)``, the overflow-guard hits ``(n, L)``
+    and the ``ladder_violations`` count of each path ``(n,)``: after each
+    rank, a level that took the jump and is below the next coarser level.
+    A coarser level's events are a subset of the finer one's, so these are
+    exactly the comparisons at the union of event times.
+
+    A non-finite phi where a level takes a jump raises FloatingPointError
+    with the path's index in its ``path`` attribute.
+    """
+    if not phi.assumption_ok:
+        raise ValueError(
+            f"{phi.describe()} violates the admissibility assumptions; "
+            "degenerate coefficients are only accepted by the counterexample lab"
+        )
+    cuts = np.asarray(cutoffs, dtype=float)
+    if cuts.ndim != 1 or not cuts.size or not np.all(cuts > 0.0):
+        raise ValueError("cutoffs must be positive")
+    if np.any(np.diff(cuts) >= 0.0):
+        raise ValueError("cutoffs must be strictly decreasing")
+    sizes = np.asarray(sizes, dtype=float)
+    offsets = np.asarray(offsets, dtype=np.intp)
+    lengths = np.diff(offsets)
+    if offsets[0] != 0 or offsets[-1] != sizes.size or np.any(lengths < 0):
+        raise ValueError("offsets must rise from 0 to len(sizes)")
+    if not np.all(sizes > 0.0):  # NaN included: thinning would drop it silently
+        raise ValueError("jump sizes must be strictly positive")
+    n, levels = lengths.size, cuts.size
+
+    # Longest paths first, so the paths alive at rank k are a prefix.
+    order = np.argsort(-lengths, kind="stable")
+    lengths = lengths[order]
+    first = offsets[:-1][order]
+    max_len = int(lengths[0]) if n else 0
+    alive = n - np.searchsorted(lengths[::-1], np.arange(max_len), side="right")
+
+    x = np.full((n, levels), float(x0))
+    guard_hits = np.zeros((n, levels), dtype=np.int64)
+    below = np.zeros((n, levels - 1), dtype=np.int64)
+    with np.errstate(over="ignore"):  # an overflow is clamped by the guard
+        for k in range(max_len):
+            m = alive[k]
+            xs = x[:m]
+            dz = sizes[first[:m] + k][:, None]
+            hit = dz >= cuts
+            speed = phi.eval(xs)
+            if not math.isfinite(speed.sum()):  # one non-finite entry suffices
+                # A level that skips this jump may sit where phi is not finite.
+                bad = hit & ~np.isfinite(speed)
+                rows = np.flatnonzero(bad.any(axis=1))
+                if rows.size:
+                    i = rows[np.argmin(order[rows])]  # the first path in input order
+                    level = np.flatnonzero(bad[i])[0]
+                    err = FloatingPointError(
+                        f"phi evaluated non-finite at state {float(xs[i, level])!r} "
+                        f"(path {order[i]}, event {k}, level {level})"
+                    )
+                    err.path = int(order[i])
+                    raise err
+            new = speed * dz
+            new += xs
+            if not new.max() <= overflow_guard:  # NaN, too, takes the exact branch
+                over = hit & (new > overflow_guard)
+                guard_hits[:m] += over
+                np.copyto(new, overflow_guard, where=over)
+            np.copyto(xs, new, where=hit)
+            finer_below = xs[:, 1:] < xs[:, :-1]
+            if finer_below.any():
+                below[:m] += hit[:, 1:] & finer_below
+    inverse = np.argsort(order)
+    return x[inverse], guard_hits[inverse], below.sum(axis=1)[inverse]
 
 
 def build_ladder(

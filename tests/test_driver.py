@@ -12,7 +12,6 @@ from stable_sde_lab import (
     StableParams,
     laplace_exponent,
     levy_tail_mass,
-    path_value,
     sample_exact_increment,
     sample_grid_path,
     sample_truncated_path,
@@ -139,14 +138,14 @@ class TestTruncatedPath:
 class TestPathValue:
     def test_empty_path(self):
         path = JumpPath(horizon=1.0, times=np.array([]), sizes=np.array([]), cutoff=0.5)
-        assert path_value(path, 0.7) == 0.0
+        assert path.value_at(0.7) == 0.0
 
     def test_cadlag_convention(self):
         path = JumpPath(
             horizon=1.0, times=np.array([0.5]), sizes=np.array([2.0]), cutoff=0.5
         )
-        assert path_value(path, 0.49) == 0.0
-        assert path_value(path, 0.5) == 2.0
+        assert path.value_at(0.49) == 0.0
+        assert path.value_at(0.5) == 2.0
 
     def test_sum_of_sizes(self):
         path = JumpPath(
@@ -155,14 +154,14 @@ class TestPathValue:
             sizes=np.array([1.0, 0.5]),
             cutoff=0.25,
         )
-        assert path_value(path, 1.0) == 1.5
+        assert path.value_at(1.0) == 1.5
 
     def test_rejects_out_of_range(self):
         path = JumpPath(horizon=1.0, times=np.array([]), sizes=np.array([]), cutoff=0.5)
         with pytest.raises(ValueError):
-            path_value(path, 1.5)
+            path.value_at(1.5)
         with pytest.raises(ValueError):
-            path_value(path, -0.1)
+            path.value_at(-0.1)
 
 
 class TestThinning:
@@ -417,4 +416,20 @@ class TestJumpPathValidation:
                 times=np.array([1.5]),
                 sizes=np.array([1.0]),
                 cutoff=0.5,
+            )
+
+    @pytest.mark.parametrize(
+        "times, sizes, cutoff",
+        [
+            ([math.nan, 0.5], [1.0, 1.0], 0.5),
+            ([0.2, math.nan, 0.7], [1.0, 1.0, 1.0], 0.5),
+            ([0.2, math.nan], [1.0, 1.0], 0.5),
+            ([0.2, 0.7], [1.0, math.nan], 0.5),
+            ([0.2], [math.nan], 0.0),
+        ],
+    )
+    def test_rejects_nan(self, times, sizes, cutoff):
+        with pytest.raises(ValueError):
+            JumpPath(
+                horizon=1.0, times=np.array(times), sizes=np.array(sizes), cutoff=cutoff
             )

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from stable_sde_lab import StableParams, sample_truncated_path, solve_truncated
 from stable_sde_lab.cli import main as cli_main
 from stable_sde_lab.harness import (
+    _BLOCK,
     EXIT_CONFIG,
     EXIT_INVARIANT,
     EXIT_PASS,
@@ -58,7 +60,7 @@ class TestConfigParsing:
     def test_overrides_and_comments(self):
         text = """
         # comparison experiment
-        experiment = weak-agree
+        experiment = ladder-monotone
         alpha = 0.3
         phi = constant(2)
         cutoffs = 0.01, 0.001
@@ -95,6 +97,14 @@ class TestConfigParsing:
             parse_config_text("experiment = weak-agree\ncutoffs = 0.001, 0.01\n")
         with pytest.raises(ConfigError):
             parse_config_text("experiment = weak-agree\nreplicates = zero\n")
+
+    def test_weak_agree_takes_one_cutoff(self):
+        assert parse_config_text("experiment = weak-agree\n").cutoffs == (0.001,)
+        assert parse_config_text(
+            "experiment = weak-agree\ncutoffs = 0.01\n"
+        ).cutoffs == (0.01,)
+        with pytest.raises(ConfigError, match="one cutoff"):
+            parse_config_text("experiment = weak-agree\ncutoffs = 0.01, 0.001\n")
 
     def test_transposed_exponents_cannot_slip_through(self):
         # beta is only meaningful for the counterexample; a stray beta key is
@@ -206,6 +216,40 @@ class TestExperiments:
         )
         assert serial.rows == threaded.rows
 
+    @pytest.mark.parametrize("experiment", ["ladder-monotone", "weak-agree"])
+    def test_block_boundaries(self, tmp_path, experiment):
+        # Two full replicate blocks and a partial one, solved serially and
+        # by two threads.
+        text = f"experiment = {experiment}\nreplicates = {2 * _BLOCK + 7}\nseed = 6\n"
+        serial = _run(text + "threads = 1\n", tmp_path, "serial")
+        threaded = _run(text + "threads = 2\n", tmp_path, "threaded")
+        assert serial.exit_code == EXIT_PASS
+        assert serial.rows == threaded.rows
+        assert len(serial.artifacts) == len(threaded.artifacts)
+        for fa, fb in zip(serial.artifacts, threaded.artifacts):
+            assert open(fa, "rb").read() == open(fb, "rb").read()
+
+    def test_weak_agree_truncation_side_equals_scalar_solve(self, tmp_path):
+        n = 2 * _BLOCK + 7
+        cfg = parse_config_text(f"experiment = weak-agree\nreplicates = {n}\nseed = 6\n")
+        run_experiment(cfg, out_dir=str(tmp_path))
+        samples = np.loadtxt(tmp_path / "weak_agree_samples.csv", delimiter=",", skiprows=1)
+        params = StableParams.default(cfg.alpha)
+        phi = cfg.phi_object()
+        for r in range(n):
+            rng = replicate_rng(cfg.seed, r, "weak-agree-truncation")
+            path = sample_truncated_path(params, cfg.horizon, cfg.cutoffs[0], rng)
+            assert samples[r, 1] == solve_truncated(phi, cfg.x0, path).final
+
+    def test_nonfinite_phi_names_replicate_and_seed(self, tmp_path):
+        # phi(10) = 1 + 1e308 * 10 overflows at the first jump of any replicate.
+        text = "experiment = ladder-monotone\nphi = soft-ramp(1,1e308)\nx0 = 10\nseed = 3\n"
+        with np.errstate(over="ignore"), pytest.raises(FloatingPointError) as info:
+            _run(text, tmp_path, "nonfinite")
+        assert str(info.value).startswith(
+            f"replicate 0 (seed {derive_seed(3, 0, 'ladder-driver')}): "
+        )
+
 
 class TestCLI:
     def test_run_round_trip(self, tmp_path):
@@ -250,6 +294,8 @@ class TestCLI:
             "experiment = strong-construct\nphi = shifted-arctan(2)\n",
             "experiment = ladder-monotone\nphi = cubic(1)\n",
             "experiment = uniqueness-couple\nphi = constant(-1)\n",
+            # weak-agree would run only one of these cutoffs.
+            "experiment = weak-agree\ncutoffs = 0.01, 0.001\nreplicates = 10\n",
             # The counterexample runs power(beta) from 0 and has no cutoffs.
             "experiment = counterexample\nphi = power(0.5)\n",
             "experiment = counterexample\ncutoffs = 0.1\n",

@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stable_sde_lab import (
     ConstantPhi,
     JumpPath,
+    MonotonePhi,
+    PiecewiseLinearPhi,
     PowerPhi,
     ShiftedArctanPhi,
     SoftRampPhi,
@@ -15,10 +19,12 @@ from stable_sde_lab import (
     ladder_violations,
     monotone_limit_estimate,
     sample_truncated_path,
+    solve_ladders,
     solve_truncated,
     sup_gap,
     thin_path,
 )
+from stable_sde_lab.phi import ValidationReport
 
 ARCTAN = ShiftedArctanPhi(2.0, 2.0 / math.pi)
 
@@ -198,3 +204,156 @@ class TestSolutionCSV:
         assert lines[0] == "t,x_pre,x_post"
         t, pre, post = map(float, lines[1].split(","))
         assert (t, pre, post) == (0.5, 1.0, 3.0)
+
+
+class DecreasingPhi(MonotonePhi):
+    """3 - arctan(x): positive but decreasing, so ladders do cross.
+
+    It claims admissibility so that both solvers accept it: the kernel's
+    violation counts must equal the reference's when they are not zero.
+    """
+
+    def validate(self) -> ValidationReport:
+        return ValidationReport(True, True, True)
+
+    def eval(self, x):
+        x = np.asarray(x, dtype=float)
+        out = 3.0 - np.arctan(x)
+        return float(out) if out.ndim == 0 else out
+
+    def describe(self) -> str:
+        return "3 - arctan(x)"
+
+
+def _scalar_ladders(phi, x0, params, cutoffs, seed, n_paths):
+    """build_ladder on path j's stream, read the way the kernel reports it."""
+    ladders = [
+        build_ladder(phi, x0, params, 1.0, cutoffs, np.random.default_rng([seed, j]))
+        for j in range(n_paths)
+    ]
+    shape = (n_paths, len(cutoffs))
+    final = [sol.final for lad in ladders for sol in lad.solutions]
+    guard = [sol.guard_hits for lad in ladders for sol in lad.solutions]
+    violations = [ladder_violations(lad) for lad in ladders]
+    return (
+        np.array(final, dtype=float).reshape(shape),
+        np.array(guard, dtype=np.int64).reshape(shape),
+        np.array(violations, dtype=np.int64),
+    )
+
+
+def _kernel_ladders(phi, x0, params, cutoffs, seed, n_paths):
+    """solve_ladders on the same paths, sampled from the same streams."""
+    rngs = [np.random.default_rng([seed, j]) for j in range(n_paths)]
+    sizes = [sample_truncated_path(params, 1.0, cutoffs[-1], rng).sizes for rng in rngs]
+    offsets = np.cumsum([0] + [s.size for s in sizes])
+    return solve_ladders(phi, x0, np.concatenate([np.empty(0)] + sizes), offsets, cutoffs)
+
+
+def _outcome(solver, *args):
+    """The solver's result, or the type of the exception it raised."""
+    try:
+        with np.errstate(over="ignore"):
+            return solver(*args)
+    except (FloatingPointError, ValueError) as exc:
+        return type(exc)
+
+
+def _assert_same_outcome(got, want):
+    if isinstance(want, type) or isinstance(got, type):
+        assert got is want
+        return
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
+@st.composite
+def _phis(draw):
+    """The four admissible families, plus the decreasing test coefficient."""
+    positive = st.floats(0.05, 5.0)
+    slope = st.floats(0.0, 5.0)
+    kind = draw(st.sampled_from(["constant", "arctan", "ramp", "linear", "decreasing"]))
+    if kind == "constant":
+        return ConstantPhi(draw(positive))
+    if kind == "arctan":
+        return ShiftedArctanPhi(draw(positive), draw(slope))
+    if kind == "ramp":
+        # A huge slope makes phi overflow: both solvers must raise.
+        return SoftRampPhi(draw(positive), draw(st.sampled_from([0.0, 1.0, 3.0, 1e308])))
+    if kind == "linear":
+        knots = st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=4, unique=True)
+        xs = sorted(draw(knots))
+        rises = st.lists(st.floats(0.0, 2.0), min_size=len(xs) - 1, max_size=len(xs) - 1)
+        ys = np.cumsum([draw(positive)] + draw(rises))
+        return PiecewiseLinearPhi(tuple(xs), tuple(ys.tolist()))
+    return DecreasingPhi()
+
+
+class TestSolveLadders:
+    @settings(deadline=None, max_examples=150)
+    @given(
+        phi=_phis(),
+        alpha=st.floats(0.05, 0.95),
+        cutoffs=st.lists(st.floats(2e-3, 1.0), min_size=1, max_size=5, unique=True),
+        x0=st.one_of(st.floats(-10.0, 10.0), st.just(1e298)),
+        n_paths=st.integers(0, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_scalar_reference(self, phi, alpha, cutoffs, x0, n_paths, seed):
+        cutoffs = sorted(cutoffs, reverse=True)
+        args = (phi, x0, StableParams.default(alpha), cutoffs, seed, n_paths)
+        got, want = _outcome(_kernel_ladders, *args), _outcome(_scalar_ladders, *args)
+        _assert_same_outcome(got, want)
+
+    @pytest.mark.parametrize(
+        "phi, x0",
+        [(DecreasingPhi(), 0.0), (SoftRampPhi(1.0, 1.0), 1e298)],
+        ids=["decreasing", "guard"],
+    )
+    def test_equals_reference_where_counts_are_not_zero(self, phi, x0):
+        # Admissible phi never crosses, so equal violation counts would be
+        # vacuous; these two make the counts and the guard hits non-zero.
+        args = (phi, x0, StableParams.default(0.6), [0.1, 0.03, 0.01, 0.003], 17, 60)
+        got = _kernel_ladders(*args)
+        _assert_same_outcome(got, _scalar_ladders(*args))
+        if x0 == 0.0:
+            assert got[2].sum() > 0
+        else:
+            assert got[1].sum() > 0
+
+    def test_empty_and_unequal_paths(self):
+        # Path 1 has no jumps and path 2 is the longest: the kernel reorders
+        # paths by length and must hand the results back in input order.
+        paths = [make_path([0.1, 0.2], [0.5, 0.05]), make_path([], [], cutoff=0.05),
+                 make_path([0.1, 0.3, 0.6], [0.05, 0.7, 0.2])]
+        cutoffs = [0.1, 0.05]
+        final, guard, violations = solve_ladders(
+            ARCTAN, 1.0, np.concatenate([p.sizes for p in paths]), [0, 2, 2, 5], cutoffs
+        )
+        for j, path in enumerate(paths):
+            sols = [solve_truncated(ARCTAN, 1.0, thin_path(path, e)) for e in cutoffs]
+            assert final[j].tolist() == [sol.final for sol in sols]
+        assert not guard.any() and not violations.any()
+
+    def test_rejects_what_the_reference_rejects(self):
+        with pytest.raises(ValueError):
+            solve_ladders(PowerPhi(0.5), 0.0, [1.0], [0, 1], [0.1])
+        with pytest.raises(ValueError):
+            solve_ladders(ARCTAN, 0.0, [1.0], [0, 1], [0.01, 0.1])
+        with pytest.raises(ValueError):
+            solve_ladders(ARCTAN, 0.0, [1.0], [0, 1], [0.1, 0.0])
+        with pytest.raises(ValueError):
+            solve_ladders(ARCTAN, 0.0, [1.0, math.nan], [0, 2], [0.1])
+        with pytest.raises(ValueError):
+            solve_ladders(ARCTAN, 0.0, [1.0, 2.0], [0, 1], [0.1])
+
+    def test_nonfinite_phi_names_the_first_path(self):
+        # phi(10) overflows.  Path 0 skips its only jump at this cutoff, path
+        # 1 has none; paths 2 and 3 take their first jumps, and the kernel
+        # visits the longer path 3 first.
+        phi = SoftRampPhi(1.0, 1e308)
+        sizes = [1e-3, 1.0, 5.0, 1.0, 1.0]
+        with np.errstate(over="ignore"), pytest.raises(FloatingPointError) as info:
+            solve_ladders(phi, 10.0, sizes, [0, 1, 1, 2, 5], [0.5])
+        assert info.value.path == 2
