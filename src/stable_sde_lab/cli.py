@@ -8,6 +8,7 @@ from dataclasses import replace
 
 from .harness import (
     EXIT_CONFIG,
+    EXIT_PASS,
     ConfigError,
     ExperimentResult,
     load_config,
@@ -25,7 +26,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", required=True, help="flat key=value config file")
     run.add_argument("--seed", type=int, default=None, help="override the master seed")
     run.add_argument("--out", default=None, help="override the output directory")
-    run.add_argument("--threads", type=int, default=None, help="replicate-parallel workers")
     return parser
 
 
@@ -42,15 +42,16 @@ def _print_result(result: ExperimentResult) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
+        return EXIT_CONFIG if exc.code else EXIT_PASS
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
         if args.out is not None:
             cfg = replace(cfg, out=args.out)
-        if args.threads is not None:
-            cfg = replace(cfg, threads=args.threads)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

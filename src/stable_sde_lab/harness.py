@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import statistics
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -91,7 +90,6 @@ class ExperimentConfig:
     replicates: int = 1000
     seed: int = 0
     out: str = "out"
-    threads: int = 1
     ks_p_threshold: float = 0.01
     couple_decay_max: float = 0.1
     min_coverage: float = 0.8
@@ -115,8 +113,6 @@ class ExperimentConfig:
             raise ConfigError("replicates must be >= 1")
         if self.grid_m < 100:
             raise ConfigError("grid_m must be >= 100")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
         if self.experiment == "weak-agree" and len(self.cutoffs) > 1:
             raise ConfigError(
                 f"weak-agree compares the two constructions at one cutoff; "
@@ -185,7 +181,6 @@ _KEY_TO_FIELD = {
     "replicates": "replicates",
     "seed": "seed",
     "out": "out",
-    "threads": "threads",
     "ks_p_threshold": "ks_p_threshold",
     "couple_decay_max": "couple_decay_max",
     "min_coverage": "min_coverage",
@@ -203,7 +198,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: expected key = value, got {line!r}")
         key, _, value = stripped.partition("=")
         key = key.strip()
-        if key not in _KEY_TO_FIELD:
+        if key not in _KEY_TO_FIELD and key != "threads":
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
         if key in raw:
             raise ConfigError(f"line {lineno}: duplicate config key {key!r}")
@@ -213,6 +208,9 @@ def parse_config_text(text: str) -> ExperimentConfig:
     experiment = raw.pop("experiment")
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {experiment!r}")
+    # Replicates run in one thread; threads = 1 is accepted for existing configs.
+    if "threads" in raw and _convert("threads", raw.pop("threads"), "threads") != 1:
+        raise ConfigError("replicates run in one thread: threads must be 1")
     if experiment == "counterexample":
         unused = [key for key in ("phi", "cutoffs", "x0") if key in raw]
         if unused:
@@ -288,13 +286,6 @@ def _write_summary(out_dir: Path, rows: tuple[SummaryRow, ...]) -> str:
     return str(path)
 
 
-def _parallel_map(fn, indices, threads: int) -> list:
-    if threads <= 1:
-        return [fn(i) for i in indices]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, indices))
-
-
 # Replicates per solve_ladders call.  The kernel's cost per event rank is
 # mostly fixed numpy overhead, so larger blocks run faster.  But a block's
 # jump sizes are held twice while they are joined into one array, 16 bytes a
@@ -332,7 +323,7 @@ def _solve_replicate_ladders(
                 f"replicate {r} (seed {derive_seed(cfg.seed, r, tag)}): {exc}"
             ) from exc
 
-    blocks = _parallel_map(block, range(0, cfg.replicates, _BLOCK), cfg.threads)
+    blocks = [block(start) for start in range(0, cfg.replicates, _BLOCK)]
     return tuple(np.concatenate(parts) for parts in zip(*blocks))
 
 
@@ -497,7 +488,7 @@ def _run_weak_agree(cfg: ExperimentConfig, out: Path):
             phi, cfg.x0, params, eps, cfg.horizon, rng, 2.0 * cfg.horizon
         )
 
-    xs_time = np.array(_parallel_map(timechange, range(cfg.replicates), cfg.threads))
+    xs_time = np.array([timechange(r) for r in range(cfg.replicates)])
     ks = ks_two_sample(
         SampleSet(xs_trunc, "truncation"), SampleSet(xs_time, "timechange")
     )
@@ -541,9 +532,7 @@ def _run_uniqueness_couple(cfg: ExperimentConfig, out: Path):
             gaps.append(sup_gap(fine, coarse))
         return gaps
 
-    all_gaps = np.array(
-        _parallel_map(one, range(cfg.replicates), cfg.threads)
-    )  # (replicates, levels)
+    all_gaps = np.array([one(r) for r in range(cfg.replicates)])  # (replicates, levels)
     medians = [float(statistics.median(all_gaps[:, j])) for j in range(len(ladder))]
     non_increasing = all(b <= a for a, b in zip(medians, medians[1:]))
     decay = medians[-1] / medians[0] if medians[0] > 0.0 else math.inf

@@ -16,7 +16,6 @@ import numpy as np
 
 __all__ = [
     "SingularClockError",
-    "ValidationReport",
     "MonotonePhi",
     "ConstantPhi",
     "ShiftedArctanPhi",
@@ -31,30 +30,13 @@ class SingularClockError(ValueError):
     """phi evaluated to 0 under a negative exponent: the clock integrand blew up."""
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Which of the three admissibility clauses hold on all of R."""
-
-    continuous: bool
-    non_decreasing: bool
-    positive: bool
-
-    @property
-    def assumption_ok(self) -> bool:
-        return self.continuous and self.non_decreasing and self.positive
-
-
 class MonotonePhi:
     """Base for registered coefficient functions."""
 
     family: str = "abstract"
-
-    @property
-    def assumption_ok(self) -> bool:
-        return self.validate().assumption_ok
-
-    def validate(self) -> ValidationReport:
-        raise NotImplementedError
+    # Continuous, non-decreasing and positive on all of R: the assumptions
+    # under which the truncation and time-change constructions apply.
+    assumption_ok: bool = True
 
     def eval(self, x):
         raise NotImplementedError
@@ -88,9 +70,6 @@ class ConstantPhi(MonotonePhi):
         if not (self.a > 0.0 and math.isfinite(self.a)):
             raise ValueError(f"constant level must be positive, got {self.a}")
 
-    def validate(self) -> ValidationReport:
-        return ValidationReport(True, True, True)
-
     def eval(self, x):
         x = np.asarray(x, dtype=float)
         out = np.full_like(x, self.a)
@@ -114,9 +93,6 @@ class ShiftedArctanPhi(MonotonePhi):
         if not (self.b >= 0.0 and math.isfinite(self.b)):
             raise ValueError(f"slope b must be >= 0, got {self.b}")
 
-    def validate(self) -> ValidationReport:
-        return ValidationReport(True, True, True)
-
     def eval(self, x):
         x = np.asarray(x, dtype=float)
         out = self.a + self.b * (np.arctan(x) + np.pi / 2.0)
@@ -139,9 +115,6 @@ class SoftRampPhi(MonotonePhi):
             raise ValueError(f"offset a must be positive, got {self.a}")
         if not (self.b >= 0.0 and math.isfinite(self.b)):
             raise ValueError(f"slope b must be >= 0, got {self.b}")
-
-    def validate(self) -> ValidationReport:
-        return ValidationReport(True, True, True)
 
     def eval(self, x):
         x = np.asarray(x, dtype=float)
@@ -178,9 +151,6 @@ class PiecewiseLinearPhi(MonotonePhi):
         if not all(math.isfinite(v) for v in (*xs, *ys)):
             raise ValueError("knots must be finite")
 
-    def validate(self) -> ValidationReport:
-        return ValidationReport(True, True, True)
-
     def eval(self, x):
         x = np.asarray(x, dtype=float)
         out = np.interp(x, self.xs, self.ys)  # np.interp clamps at the outer knots
@@ -201,13 +171,11 @@ class PowerPhi(MonotonePhi):
 
     beta: float
     family = "power"
+    assumption_ok = False  # vanishes at 0, so positivity fails
 
     def __post_init__(self) -> None:
         if not (0.0 < self.beta < 1.0):
             raise ValueError(f"power exponent must lie in (0, 1), got {self.beta}")
-
-    def validate(self) -> ValidationReport:
-        return ValidationReport(continuous=True, non_decreasing=True, positive=False)
 
     def eval(self, x):
         x = np.asarray(x, dtype=float)
@@ -233,28 +201,23 @@ def parse_phi(spec: str) -> MonotonePhi:
         raise ValueError(f"cannot parse phi spec {spec!r}")
     family, raw_args = m.group(1), m.group(2)
     args = [a.strip() for a in raw_args.split(",")] if raw_args.strip() else []
-    try:
-        if family == "constant":
-            (a,) = map(float, args)
-            return ConstantPhi(a)
-        if family == "shifted-arctan":
-            a, b = map(float, args)
-            return ShiftedArctanPhi(a, b)
-        if family == "soft-ramp":
-            a, b = map(float, args)
-            return SoftRampPhi(a, b)
-        if family == "power":
-            (beta,) = map(float, args)
-            return PowerPhi(beta)
-        if family == "piecewise-linear":
-            xs, ys = [], []
-            for pair in args:
-                xs_str, ys_str = pair.split(":")
-                xs.append(float(xs_str))
-                ys.append(float(ys_str))
-            return PiecewiseLinearPhi(tuple(xs), tuple(ys))
-    except ValueError:
-        raise
-    except Exception as exc:  # malformed arity / separators
-        raise ValueError(f"malformed arguments in phi spec {spec!r}") from exc
+    if family == "constant":
+        (a,) = map(float, args)
+        return ConstantPhi(a)
+    if family == "shifted-arctan":
+        a, b = map(float, args)
+        return ShiftedArctanPhi(a, b)
+    if family == "soft-ramp":
+        a, b = map(float, args)
+        return SoftRampPhi(a, b)
+    if family == "power":
+        (beta,) = map(float, args)
+        return PowerPhi(beta)
+    if family == "piecewise-linear":
+        xs, ys = [], []
+        for pair in args:
+            xs_str, ys_str = pair.split(":")
+            xs.append(float(xs_str))
+            ys.append(float(ys_str))
+        return PiecewiseLinearPhi(tuple(xs), tuple(ys))
     raise ValueError(f"unknown phi family {family!r}")

@@ -85,6 +85,13 @@ def _segment_clock(breakpoints: np.ndarray, slopes: np.ndarray) -> Clock:
     return Clock(breakpoints=breakpoints, slopes=slopes, values=values)
 
 
+def _breakpoints(times: np.ndarray, horizon: float) -> np.ndarray:
+    """0, the event times, and the horizon unless the last event sits on it."""
+    if times.size and times[-1] == horizon:
+        return np.concatenate(([0.0], times))
+    return np.concatenate(([0.0], times, [horizon]))
+
+
 def build_clock(phi: MonotonePhi, x: float, driver: JumpPath, alpha: float) -> Clock:
     """Clock on the driver timeline with integrand phi(x + W_s)**(-alpha).
 
@@ -100,11 +107,7 @@ def build_clock(phi: MonotonePhi, x: float, driver: JumpPath, alpha: float) -> C
         )
     if not (driver.cutoff > 0.0):
         raise ValueError("clock construction requires a finite-activity driver")
-    times = driver.times
-    if times.size and times[-1] == driver.horizon:
-        breakpoints = np.concatenate(([0.0], times))
-    else:
-        breakpoints = np.concatenate(([0.0], times, [driver.horizon]))
+    breakpoints = _breakpoints(driver.times, driver.horizon)
     # State on [u_i, u_{i+1}) is the cadlag value at u_i.
     states = x + np.concatenate(([0.0], driver.cumulative_sizes))[: breakpoints.size - 1]
     slopes = phi.eval_pow(states, -alpha)
@@ -115,11 +118,7 @@ def build_forward_clock(phi: MonotonePhi, solution: SolutionPath, alpha: float) 
     """Clock on the solution timeline with integrand phi(X_s)**(+alpha)."""
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    times = solution.times
-    if times.size and times[-1] == solution.horizon:
-        breakpoints = np.concatenate(([0.0], times))
-    else:
-        breakpoints = np.concatenate(([0.0], times, [solution.horizon]))
+    breakpoints = _breakpoints(solution.times, solution.horizon)
     states = solution.states[: breakpoints.size - 1]
     slopes = phi.eval_pow(states, alpha)
     return _segment_clock(breakpoints, np.atleast_1d(slopes))

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from stable_sde_lab import StableParams, sample_truncated_path, solve_truncated
+from stable_sde_lab import (
+    StableParams,
+    ladder_violations,
+    sample_truncated_path,
+    solve_truncated,
+)
 from stable_sde_lab.cli import main as cli_main
 from stable_sde_lab.harness import (
     _BLOCK,
@@ -12,7 +17,9 @@ from stable_sde_lab.harness import (
     ConfigError,
     ExperimentConfig,
     SummaryRow,
+    _build_replicate_ladder,
     _exit_code,
+    _solve_replicate_ladders,
     parse_config_text,
     run_experiment,
 )
@@ -105,6 +112,13 @@ class TestConfigParsing:
         ).cutoffs == (0.01,)
         with pytest.raises(ConfigError, match="one cutoff"):
             parse_config_text("experiment = weak-agree\ncutoffs = 0.01, 0.001\n")
+
+    def test_threads_must_be_one(self):
+        # Replicates run in one thread; existing configs may still say so.
+        assert parse_config_text("experiment = weak-agree\nthreads = 1\n")
+        for value in ("2", "0"):
+            with pytest.raises(ConfigError, match="one thread"):
+                parse_config_text(f"experiment = weak-agree\nthreads = {value}\n")
 
     def test_transposed_exponents_cannot_slip_through(self):
         # beta is only meaningful for the counterexample; a stray beta key is
@@ -203,31 +217,20 @@ class TestExperiments:
         for fa, fb in zip(sorted(a.artifacts), sorted(b.artifacts)):
             assert open(fa, "rb").read() == open(fb, "rb").read()
 
-    def test_threads_do_not_change_results(self, tmp_path):
-        serial = _run(
-            "experiment = ladder-monotone\nreplicates = 40\nseed = 6\nthreads = 1\n",
-            tmp_path,
-            "serial",
-        )
-        threaded = _run(
-            "experiment = ladder-monotone\nreplicates = 40\nseed = 6\nthreads = 2\n",
-            tmp_path,
-            "threaded",
-        )
-        assert serial.rows == threaded.rows
-
-    @pytest.mark.parametrize("experiment", ["ladder-monotone", "weak-agree"])
-    def test_block_boundaries(self, tmp_path, experiment):
-        # Two full replicate blocks and a partial one, solved serially and
-        # by two threads.
-        text = f"experiment = {experiment}\nreplicates = {2 * _BLOCK + 7}\nseed = 6\n"
-        serial = _run(text + "threads = 1\n", tmp_path, "serial")
-        threaded = _run(text + "threads = 2\n", tmp_path, "threaded")
-        assert serial.exit_code == EXIT_PASS
-        assert serial.rows == threaded.rows
-        assert len(serial.artifacts) == len(threaded.artifacts)
-        for fa, fb in zip(serial.artifacts, threaded.artifacts):
-            assert open(fa, "rb").read() == open(fb, "rb").read()
+    def test_block_boundaries(self):
+        # Two full replicate blocks and a partial one: every replicate's row
+        # of the blocked kernel equals its own ladder from the scalar solver.
+        n = 2 * _BLOCK + 7
+        cfg = parse_config_text(f"experiment = ladder-monotone\nreplicates = {n}\nseed = 6\n")
+        final, guard_hits, violations = _solve_replicate_ladders(cfg, "ladder-driver")
+        assert final.shape == guard_hits.shape == (n, len(cfg.cutoffs))
+        assert violations.shape == (n,)
+        for r in range(n):
+            ladder = _build_replicate_ladder(cfg, r)
+            want = np.array([sol.final for sol in ladder.solutions])
+            assert want.tobytes() == final[r].tobytes()
+            assert [sol.guard_hits for sol in ladder.solutions] == guard_hits[r].tolist()
+            assert ladder_violations(ladder) == violations[r]
 
     def test_weak_agree_truncation_side_equals_scalar_solve(self, tmp_path):
         n = 2 * _BLOCK + 7
@@ -270,6 +273,18 @@ class TestCLI:
     def test_missing_file_exits_3(self, tmp_path):
         assert cli_main(["run", "--config", str(tmp_path / "nope.cfg")]) == EXIT_CONFIG
 
+    def test_missing_config_flag_exits_3(self):
+        assert cli_main(["run"]) == EXIT_CONFIG
+
+    def test_removed_threads_flag_exits_3(self, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("experiment = ladder-monotone\nreplicates = 20\n")
+        assert cli_main(["run", "--config", str(cfg), "--threads", "2"]) == EXIT_CONFIG
+
+    def test_help_exits_0(self, capsys):
+        assert cli_main(["run", "--help"]) == EXIT_PASS
+        assert "--config" in capsys.readouterr().out
+
     def test_seed_override_changes_output(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("experiment = weak-agree\nreplicates = 60\nseed = 1\n")
@@ -300,6 +315,9 @@ class TestCLI:
             "experiment = counterexample\nphi = power(0.5)\n",
             "experiment = counterexample\ncutoffs = 0.1\n",
             "experiment = counterexample\nx0 = 1\n",
+            # Replicates run in one thread.
+            "experiment = ladder-monotone\nthreads = 2\n",
+            "experiment = counterexample\nthreads = 0\n",
         ],
     )
     def test_inadmissible_config_exits_3(self, tmp_path, text):

