@@ -24,6 +24,7 @@ sits below KS sensitivity for n <= 5000.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,6 +185,11 @@ def _clock_values(
     return ds, values, head_coeff, head_value
 
 
+def _noise_increments(z: np.ndarray, beta: float) -> np.ndarray:
+    """Recovered-noise increments Z(s_k)**(-beta) * (Z(s_{k+1}) - Z(s_k)), k >= 1."""
+    return z[1:-1] ** (-beta) * np.diff(z)[1:]
+
+
 def derive_run(alpha: float, beta: float, grid: GridPath) -> CounterexampleRun:
     """Build the singular clock and derived processes from an existing grid path.
 
@@ -198,9 +204,8 @@ def derive_run(alpha: float, beta: float, grid: GridPath) -> CounterexampleRun:
     # Recovered noise: left-endpoint sums of Z**(-beta) * dZ from s_1 on;
     # head proxy Z(s_1)**(1-beta) / (1-beta) (the smooth-path closed form).
     z = grid.values
-    dz = np.diff(z)
     noise_head = z[1] ** (1.0 - beta) / (1.0 - beta)
-    noise_inc = z[1:-1] ** (-beta) * dz[1:]
+    noise_inc = _noise_increments(z, beta)
     noise_values = np.concatenate(([0.0], [noise_head], noise_head + np.cumsum(noise_inc)))
     return CounterexampleRun(
         alpha=alpha,
@@ -266,6 +271,30 @@ def run_counterexample(
     return derive_run(alpha, beta, _sample_run_grid(alpha, beta, horizon, m, rng))
 
 
+def _map_runs(fn, generators: list[np.random.Generator]) -> list:
+    """``[fn(g) for g in generators]``, on one worker thread per usable CPU.
+
+    Each run draws only from its own spawned generator and spends its time in
+    numpy RNG fills and ufuncs, which release the GIL, so the runs share the
+    cores and the result does not depend on the worker count.  Each worker
+    loops over one contiguous chunk (one task per run would hold more runs'
+    arrays at once); chunks are read back in spawn order, so the first failing
+    run in spawn order raises.  numpy's errstate does not reach the workers:
+    fn must set its own.
+    """
+    workers = min(len(os.sched_getaffinity(0)), len(generators))
+    if workers <= 1:
+        return [fn(g) for g in generators]
+    # Imported here so that the experiments without grid runs do not load it.
+    from concurrent.futures import ThreadPoolExecutor
+
+    bounds = [len(generators) * w // workers for w in range(workers + 1)]
+    chunks = [generators[a:b] for a, b in zip(bounds, bounds[1:])]
+    with ThreadPoolExecutor(workers) as pool:
+        parts = pool.map(lambda chunk: [fn(g) for g in chunk], chunks)
+        return [out for part in parts for out in part]
+
+
 def scaling_law_check(
     alpha: float,
     beta: float,
@@ -292,16 +321,16 @@ def scaling_law_check(
     # disturbs the other replicates.
     parent1, parent2 = rng.spawn(2)
     b1 = np.array(
-        [
-            _clock_total(alpha, beta, _sample_run_grid(alpha, beta, t1, m1, g))
-            for g in parent1.spawn(n)
-        ]
+        _map_runs(
+            lambda g: _clock_total(alpha, beta, _sample_run_grid(alpha, beta, t1, m1, g)),
+            parent1.spawn(n),
+        )
     )
     b2 = np.array(
-        [
-            _clock_total(alpha, beta, _sample_run_grid(alpha, beta, t2, m2, g))
-            for g in parent2.spawn(n)
-        ]
+        _map_runs(
+            lambda g: _clock_total(alpha, beta, _sample_run_grid(alpha, beta, t2, m2, g)),
+            parent2.spawn(n),
+        )
     )
     rescaled = b2 * (t2 / t1) ** (beta - 1.0)
     ks = ks_two_sample(SampleSet(rescaled, "rescaled"), SampleSet(b1, "reference"))
@@ -355,10 +384,10 @@ def divergence_check(
         m = min(int(round(m_per_unit * t)), m_cap)
         m = max(m, 100)
         totals = np.array(
-            [
-                _clock_total(alpha, beta, _sample_run_grid(alpha, beta, t, m, g))
-                for g in parent.spawn(n)
-            ]
+            _map_runs(
+                lambda g: _clock_total(alpha, beta, _sample_run_grid(alpha, beta, t, m, g)),
+                parent.spawn(n),
+            )
         )
         p = float(np.mean(totals <= threshold))
         probs.append(p)
@@ -397,11 +426,13 @@ def driver_law_check(
     m = int(round(m_per_unit * horizon))
     params = StableParams.default(alpha)
     run_parent, exact_parent = rng.spawn(2)
-    recovered = []
-    for g in run_parent.spawn(n):
-        v = _recovered_noise(alpha, beta, _sample_run_grid(alpha, beta, horizon, m, g), t_eval)
-        if v is not None:
-            recovered.append(v)
+    values = _map_runs(
+        lambda g: _recovered_noise(
+            alpha, beta, _sample_run_grid(alpha, beta, horizon, m, g), t_eval
+        ),
+        run_parent.spawn(n),
+    )
+    recovered = [v for v in values if v is not None]
     coverage = len(recovered) / n
     exact = sample_exact_increment(params, t_eval, exact_parent, size=n)
     if len(recovered) < 2:
@@ -466,25 +497,31 @@ def nonuniqueness_demo(
     """
     phi = PowerPhi(beta)
     m = int(round(m_per_unit * horizon))
-    zero_residual = 0.0
-    replay_residual = 0.0
-    replay_worst = 0
-    covered = 0
-    positive = 0
-    streams = rng.spawn(n)
-    for rep in range(n):
-        run = run_counterexample(alpha, beta, horizon, m, streams[rep])
-        noise_inc = np.diff(run.noise_values)
+
+    def one(g: np.random.Generator, replay: bool):
+        run = run_counterexample(alpha, beta, horizon, m, g)
         # Zero path: increments phi(0) * dV vanish term by term.
-        zero_residual = max(zero_residual, float(np.max(np.abs(phi.eval(0.0) * noise_inc))))
-        if rep < replay_runs:
-            residual = _replay_relative_residual(run, beta, noise_inc)
-            if residual > replay_residual:
-                replay_residual, replay_worst = residual, rep
-        if run.covers(t_eval):
-            covered += 1
-            if run.solution_at(t_eval) > 0.0:
-                positive += 1
+        zero = float(np.max(np.abs(phi.eval(0.0) * np.diff(run.noise_values))))
+        residual = None
+        if replay:
+            # Raw increments: differences of the running sum noise_values
+            # lose digits to cancellation.
+            inc = _noise_increments(run.grid.values, beta)
+            residual = _replay_relative_residual(run, beta, inc)
+        covered = run.covers(t_eval)
+        return zero, residual, covered, covered and run.solution_at(t_eval) > 0.0
+
+    streams = rng.spawn(n)
+    runs = _map_runs(lambda g: one(g, True), streams[:replay_runs])
+    runs += _map_runs(lambda g: one(g, False), streams[replay_runs:])
+    # np.max and np.argmax let NaN through, where Python's max drops it;
+    # argmax also keeps the first of equal maxima.
+    zero_residual = float(np.max([r[0] for r in runs]))
+    replays = [r[1] for r in runs[:replay_runs]]
+    replay_worst = int(np.argmax(replays)) if replays else 0
+    replay_residual = replays[replay_worst] if replays else 0.0
+    covered = sum(r[2] for r in runs)
+    positive = sum(r[3] for r in runs)
     coverage = covered / n
     positive_fraction = positive / covered if covered else 0.0
     return NonUniquenessReport(
@@ -512,31 +549,35 @@ def head_refinement_check(
     of the two clock totals is then a pure resolution effect and should stay
     below the coarse run's head correction, which bounds the unresolved mass.
     """
-    streams = rng.spawn(n)
     params = StableParams.default(alpha)
-    within = 0
-    for i in range(n):
-        fine_grid = sample_grid_path(params, horizon, 2 * m, streams[i])
+
+    def within(g: np.random.Generator) -> bool:
+        fine_grid = sample_grid_path(params, horizon, 2 * m, g)
         coarse_grid = GridPath(times=fine_grid.times[::2], values=fine_grid.values[::2])
         fine_total = _clock_total(alpha, beta, fine_grid)
         _, coarse_values, _, coarse_head = _clock_values(alpha, beta, coarse_grid)
-        if abs(fine_total - float(coarse_values[-1])) < coarse_head:
-            within += 1
-    return within / n
+        return abs(fine_total - float(coarse_values[-1])) < coarse_head
+
+    return sum(_map_runs(within, rng.spawn(n))) / n
 
 
 def _replay_relative_residual(
     run: CounterexampleRun, beta: float, noise_inc: np.ndarray
 ) -> float:
+    """Worst relative gap between X <- X + X**beta * dV and the grid path.
+
+    noise_inc[k] drives the step from s_{k+1} to s_{k+2}; a NaN anywhere makes
+    the result NaN.
+    """
     # Event-wise solve seeded at the first positive state; a start at exactly
     # 0 can never leave 0, which is the non-uniqueness being demonstrated.
     # memoryview indexing yields Python floats without a numpy scalar per read.
-    z = memoryview(run.grid.values)
+    targets = run.grid.values[2:]
+    xs = np.empty(len(noise_inc))
+    out = memoryview(xs)
     inc = memoryview(noise_inc)
-    x = z[1]
-    worst = 0.0
-    for k in range(1, len(inc)):
+    x = float(run.grid.values[1])
+    for k in range(len(inc)):
         x = x + (x**beta) * inc[k]
-        target = z[k + 1]
-        worst = max(worst, abs(x - target) / target)
-    return worst
+        out[k] = x
+    return float(np.max(np.abs(xs - targets) / targets))

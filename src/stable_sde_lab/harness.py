@@ -118,7 +118,14 @@ class ExperimentConfig:
                 f"weak-agree compares the two constructions at one cutoff; "
                 f"got cutoffs = {', '.join(f'{e:g}' for e in self.cutoffs)}"
             )
-        if self.experiment != "counterexample":
+        if self.experiment == "counterexample":
+            if self.beta is None:
+                raise ConfigError("counterexample experiment requires beta")
+            if self.replicates < 1000:
+                raise ConfigError(
+                    "counterexample experiment needs replicates >= 1000 for the KS regime"
+                )
+        else:
             try:
                 phi = self.phi_object()
             except ValueError as exc:
@@ -567,12 +574,6 @@ def _run_uniqueness_couple(cfg: ExperimentConfig, out: Path):
 
 
 def _run_counterexample_experiment(cfg: ExperimentConfig, out: Path):
-    if cfg.beta is None:
-        raise ConfigError("counterexample experiment requires beta")
-    if cfg.replicates < 1000:
-        raise ConfigError(
-            "counterexample experiment needs replicates >= 1000 for the KS regime"
-        )
     scaling = scaling_law_check(
         cfg.alpha,
         cfg.beta,

@@ -150,10 +150,13 @@ class PiecewiseLinearPhi(MonotonePhi):
             raise ValueError("knot values must have a positive infimum")
         if not all(math.isfinite(v) for v in (*xs, *ys)):
             raise ValueError("knots must be finite")
+        # Converted once: eval runs once per event rank in the ladder kernel.
+        object.__setattr__(self, "_xs", np.array(xs, dtype=float))
+        object.__setattr__(self, "_ys", np.array(ys, dtype=float))
 
     def eval(self, x):
         x = np.asarray(x, dtype=float)
-        out = np.interp(x, self.xs, self.ys)  # np.interp clamps at the outer knots
+        out = np.interp(x, self._xs, self._ys)  # np.interp clamps at the outer knots
         return float(out) if out.ndim == 0 else out
 
     def describe(self) -> str:

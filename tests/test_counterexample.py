@@ -1,4 +1,6 @@
+import math
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -18,8 +20,11 @@ from stable_sde_lab import (
     sample_exact_increment,
     scaling_law_check,
 )
+from stable_sde_lab import counterexample
 from stable_sde_lab.counterexample import (
     _clock_total,
+    _map_runs,
+    _noise_increments,
     _recovered_noise,
     _replay_relative_residual,
     derive_run,
@@ -206,9 +211,18 @@ class TestNonUniqueness:
         residuals = []
         for g in streams[:16]:
             run = run_counterexample(0.5, 0.5, 4.0, 2000, g)
-            residuals.append(_replay_relative_residual(run, 0.5, np.diff(run.noise_values)))
+            residuals.append(
+                _replay_relative_residual(run, 0.5, _noise_increments(run.grid.values, 0.5))
+            )
         assert rep.replay_residual == max(residuals) > 0.0
         assert rep.replay_worst_replicate == residuals.index(max(residuals))
+
+    def test_replay_keeps_a_nan_increment(self):
+        run = run_counterexample(0.5, 0.5, 1.0, 200, np.random.default_rng(15))
+        inc = _noise_increments(run.grid.values, 0.5)
+        assert _replay_relative_residual(run, 0.5, inc) <= 1e-9
+        inc[5] = np.nan
+        assert math.isnan(_replay_relative_residual(run, 0.5, inc))
 
     def test_beta_one_rejected(self):
         with pytest.raises(ValueError):
@@ -244,6 +258,57 @@ class TestReplicateIndependence:
         )
         assert r1.statistic == r2.statistic
         assert r1.p_value == r2.p_value
+
+
+def _with_cpus(monkeypatch, cpus: int) -> None:
+    monkeypatch.setattr(counterexample.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+class TestWorkerCount:
+    """The grid runs give the same reports on any number of worker threads."""
+
+    CHECKS = {
+        "scaling-law": lambda rng: scaling_law_check(
+            0.5, 0.5, 1.0, 2.0, 1000, rng, m_per_unit=100
+        ),
+        "driver-law": lambda rng: driver_law_check(0.5, 0.5, 2.0, 1000, rng, m_per_unit=100),
+        "divergence": lambda rng: divergence_check(
+            0.5, 0.5, [0.5, 1.0], 1.0, 1000, rng, m_per_unit=100
+        ),
+        "head-refinement": lambda rng: head_refinement_check(0.5, 0.5, 1.0, 100, 1000, rng),
+        "nonuniqueness": lambda rng: nonuniqueness_demo(
+            0.5, 0.5, 2.0, 1000, rng, m_per_unit=100, replay_runs=40
+        ),
+    }
+
+    @pytest.mark.parametrize("check", sorted(CHECKS))
+    def test_reports_do_not_depend_on_cpus(self, monkeypatch, check):
+        reports = []
+        for cpus in (1, 2, 3):  # 3 workers split 1000 runs (and 40 replays) unevenly
+            _with_cpus(monkeypatch, cpus)
+            reports.append(self.CHECKS[check](np.random.default_rng(23)))
+        assert reports[0] == reports[1] == reports[2]
+
+    def test_results_keep_spawn_order(self, monkeypatch):
+        _with_cpus(monkeypatch, 3)
+        assert _map_runs(lambda i: i * i, list(range(10))) == [i * i for i in range(10)]
+        assert _map_runs(lambda i: i, []) == []
+
+    def test_first_failure_in_spawn_order_raises(self, monkeypatch):
+        # Chunks [0, 3), [3, 6), [6, 10): run 8 fails first in time, but run 3
+        # comes first in spawn order.
+        _with_cpus(monkeypatch, 3)
+
+        def fn(i):
+            if i == 3:
+                time.sleep(0.2)
+            if i in (3, 8):
+                raise ValueError(i)
+            return i
+
+        with pytest.raises(ValueError) as excinfo:
+            _map_runs(fn, list(range(10)))
+        assert excinfo.value.args == (3,)
 
 
 def _bits(x) -> bytes | None:

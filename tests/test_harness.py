@@ -7,6 +7,7 @@ from stable_sde_lab import (
     sample_truncated_path,
     solve_truncated,
 )
+from stable_sde_lab import counterexample
 from stable_sde_lab.cli import main as cli_main
 from stable_sde_lab.harness import (
     _BLOCK,
@@ -202,6 +203,37 @@ class TestExperiments:
         header = report.read_text().splitlines()[0]
         assert header == "check,statistic,p_value,coverage,n,alpha,beta,grid_m,seed"
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_corrupted_run_fails_both_invariants(self, tmp_path, monkeypatch):
+        # One worker, so runs are built in spawn order and the second one is
+        # replicate 1; NaN and inf after a clean first run must reach the rows.
+        monkeypatch.setattr(counterexample.os, "sched_getaffinity", lambda pid: {0})
+        real = counterexample.run_counterexample
+        built = []
+
+        def corrupt_second(*args):
+            run = real(*args)
+            built.append(run)
+            if len(built) == 2:
+                run.noise_values[7] = np.inf  # 0 * inf increment: NaN zero residual
+                run.grid.values[7] = np.nan  # NaN replay increment and target
+            return run
+
+        monkeypatch.setattr(counterexample, "run_counterexample", corrupt_second)
+        result = _run(
+            "experiment = counterexample\nreplicates = 1000\ngrid_m = 100\n"
+            "T = 4.0\nseed = 5\n",
+            tmp_path,
+            "ce-corrupt",
+        )
+        rows = {r.name: r for r in result.rows}
+        zero = rows["zero-solution-residual"]
+        replay = rows["sde-replay-relative-residual"]
+        assert np.isnan(zero.value) and not zero.passed
+        assert np.isnan(replay.value) and not replay.passed
+        assert replay.detail.startswith("replicate 1 of ")
+        assert result.exit_code == EXIT_INVARIANT
+
     def test_counterexample_requires_enough_replicates(self, tmp_path):
         with pytest.raises(ValueError):
             _run(
@@ -315,6 +347,7 @@ class TestCLI:
             "experiment = counterexample\nphi = power(0.5)\n",
             "experiment = counterexample\ncutoffs = 0.1\n",
             "experiment = counterexample\nx0 = 1\n",
+            "experiment = counterexample\nreplicates = 10\n",
             # Replicates run in one thread.
             "experiment = ladder-monotone\nthreads = 2\n",
             "experiment = counterexample\nthreads = 0\n",

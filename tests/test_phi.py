@@ -79,6 +79,12 @@ class TestEval:
         assert phi.eval(-100.0) == 1.0  # constant left tail
         assert phi.eval(100.0) == 3.0  # constant right tail
 
+    def test_piecewise_linear_equals_interp_on_the_knots(self):
+        phi = PiecewiseLinearPhi((-1.0, 0.0, 2.0, 3.5), (0.5, 1.0, 4.0, 4.0))
+        x = np.random.default_rng(0).normal(0.0, 3.0, (50, 4))
+        assert phi.eval(x).tobytes() == np.interp(x, phi.xs, phi.ys).tobytes()
+        assert phi == PiecewiseLinearPhi((-1.0, 0.0, 2.0, 3.5), (0.5, 1.0, 4.0, 4.0))
+
     def test_vectorized_eval(self):
         phi = SoftRampPhi(1.0, 2.0)
         out = phi.eval(np.array([-1.0, 0.0, 2.0]))
