@@ -9,6 +9,7 @@ x**beta counterexample where uniqueness genuinely fails.
 from .driver import (
     GridPath,
     JumpPath,
+    SamplerIntegrityError,
     StableParams,
     laplace_exponent,
     levy_tail_mass,
@@ -37,6 +38,7 @@ from .timechange import (
     clock_roundtrip_residual,
     invert_clock,
     solve_time_change,
+    time_change_marginals,
 )
 from .truncation import (
     Ladder,
@@ -51,7 +53,6 @@ from .truncation import (
 )
 from .counterexample import (
     CounterexampleRun,
-    SamplerIntegrityError,
     divergence_check,
     driver_law_check,
     nonuniqueness_demo,

@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 from dataclasses import replace
 
+from .driver import SamplerIntegrityError
 from .harness import (
     EXIT_CONFIG,
+    EXIT_CRASH,
+    EXIT_INVARIANT,
     EXIT_PASS,
     ConfigError,
     ExperimentResult,
@@ -42,6 +46,15 @@ def _print_result(result: ExperimentResult) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run the command; a crash exits 4, never as a statistical failure."""
+    try:
+        return _main(argv)
+    except Exception:
+        traceback.print_exc()
+        return EXIT_CRASH
+
+
+def _main(argv: list[str] | None) -> int:
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
@@ -60,6 +73,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except (FloatingPointError, SamplerIntegrityError) as exc:
+        print(f"invariant violation: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
     _print_result(result)
     return result.exit_code
 

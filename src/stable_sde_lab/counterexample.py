@@ -29,7 +29,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .driver import GridPath, StableParams, sample_exact_increment, sample_grid_path
+from .driver import (
+    GridPath,
+    SamplerIntegrityError,
+    StableParams,
+    sample_exact_increment,
+    sample_grid_path,
+)
 from .phi import PowerPhi
 from .stats import SampleSet, ks_two_sample
 from .timechange import BEYOND_HORIZON, Clock, invert_clock
@@ -49,10 +55,6 @@ __all__ = [
 ]
 
 HEAD_FIT_DECADE = 10  # head coefficient fitted on grid points with s <= 10*s_1
-
-
-class SamplerIntegrityError(RuntimeError):
-    """The grid driver produced a non-positive or NaN value at a positive time."""
 
 
 @dataclass(frozen=True)
@@ -159,8 +161,7 @@ def _clock_values(
     times, z = grid.times, grid.values
     if times.size < 101:
         raise ValueError("grid too coarse for the head fit, need m >= 100 steps")
-    # Also rejects NaN, which GridPath's monotonicity check lets through and
-    # which the sampler emits (0 * inf) at extreme alpha.
+    # Also rejects NaN, which GridPath's monotonicity check lets through.
     if not np.all(z[1:] > 0.0):
         raise SamplerIntegrityError(
             "driver hit a non-positive or NaN value at a positive grid time"

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
+    "SamplerIntegrityError",
     "StableParams",
     "JumpPath",
     "GridPath",
@@ -26,6 +27,10 @@ __all__ = [
     "sample_exact_increment",
     "sample_grid_path",
 ]
+
+
+class SamplerIntegrityError(RuntimeError):
+    """A sampled driver value is NaN, or non-positive at a positive time."""
 
 
 @dataclass(frozen=True)
@@ -194,11 +199,71 @@ def _pareto_sizes(params: StableParams, eps: float, n: int, rng: np.random.Gener
 def _merge_duplicate_times(times: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Simultaneous events (probability zero, but possible in floats) collapse
     # to one jump with the summed size, preserving the path exactly.
-    if times.size < 2 or np.all(np.diff(times) > 0.0):
+    if times.size < 2 or (times[1:] > times[:-1]).all():
         return times, sizes
     uniq, start = np.unique(times, return_index=True)
     merged = np.add.reduceat(sizes, start)
     return uniq, merged
+
+
+def _sample_jumps(
+    params: StableParams, horizon: float, eps: float, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Event times and sizes of sample_truncated_path, with no JumpPath built.
+
+    Sorting and merging make the times strictly increase, inside (0, horizon];
+    the sizes are eps times numbers >= 1.  Nothing here checks that: a kernel
+    that reads the times runs _check_jumps on its block.
+    """
+    if not (horizon > 0.0):
+        raise ValueError(f"horizon must be positive, got {horizon}")
+    rate = levy_tail_mass(params, eps)
+    n = int(rng.poisson(rate * horizon))
+    times = horizon * (1.0 - rng.random(n))  # lands in (0, horizon]
+    times.sort()
+    sizes = _pareto_sizes(params, eps, n, rng)
+    return _merge_duplicate_times(times, sizes)
+
+
+def _check_jumps(
+    times: np.ndarray, sizes: np.ndarray, offsets: np.ndarray, horizon: float, cutoff: float
+) -> None:
+    """JumpPath's checks on a block of paths laid end to end.
+
+    Path i holds events offsets[i]:offsets[i+1] of times and sizes.  A failing
+    path raises ValueError with the first one's index in its ``path``
+    attribute.
+    """
+    if not (horizon > 0.0 and math.isfinite(horizon)):
+        raise ValueError(f"horizon must be positive, got {horizon}")
+    if not (cutoff > 0.0):
+        raise ValueError(f"cutoff must be positive, got {cutoff}")
+    lengths = np.diff(offsets)
+    if times.shape != sizes.shape or times.ndim != 1:
+        raise ValueError("times and sizes must be 1-d arrays of equal length")
+    if offsets[0] != 0 or offsets[-1] != times.size or np.any(lengths < 0):
+        raise ValueError("offsets must rise from 0 to len(times)")
+    # Each event against the one before it in its path, the first against 0;
+    # written over the conditions that must hold, so NaN fails each.  Only
+    # boolean temporaries: a block of long paths is large.
+    ok = np.empty(times.size, dtype=bool)
+    np.greater(times[1:], times[:-1], out=ok[1:])
+    starts = offsets[:-1][lengths > 0]
+    ok[starts] = times[starts] > 0.0
+    ok &= times <= horizon
+    ok &= sizes >= cutoff
+    if not ok.all():
+        event = int(np.argmin(ok))
+        path = int(np.searchsorted(offsets, event, side="right")) - 1
+        previous = times[event - 1] if event > offsets[path] else 0.0
+        what = (
+            "jump sizes must be >= cutoff"
+            if previous < times[event] <= horizon
+            else "event times must lie in (0, horizon] and strictly increase"
+        )
+        err = ValueError(f"{what} (path {path}, event {event - offsets[path]})")
+        err.path = path
+        raise err
 
 
 def sample_truncated_path(
@@ -209,14 +274,7 @@ def sample_truncated_path(
     Event count is Poisson(horizon * tail_mass), times are uniform order
     statistics on (0, horizon], sizes are Pareto on [eps, inf).
     """
-    if not (horizon > 0.0):
-        raise ValueError(f"horizon must be positive, got {horizon}")
-    rate = levy_tail_mass(params, eps)
-    n = int(rng.poisson(rate * horizon))
-    times = horizon * (1.0 - rng.random(n))  # lands in (0, horizon]
-    times.sort()
-    sizes = _pareto_sizes(params, eps, n, rng)
-    times, sizes = _merge_duplicate_times(times, sizes)
+    times, sizes = _sample_jumps(params, horizon, eps, rng)
     return JumpPath(horizon=horizon, times=times, sizes=sizes, cutoff=eps)
 
 
@@ -290,6 +348,12 @@ def sample_exact_increment(
     scale = (dt ** (1.0 / params.alpha)) * params.unit_time_scale
     out = _standard_stable(params.alpha, 1 if size is None else size, rng)
     out *= scale
+    # At extreme alpha the scale underflows to 0 while a draw overflows to
+    # inf; max propagates the NaN of 0 * inf.
+    if math.isnan(out.max()):
+        raise SamplerIntegrityError(
+            f"exact increment sampler produced NaN (alpha={params.alpha!r}, dt={dt!r})"
+        )
     return out if size is not None else float(out[0])
 
 

@@ -32,6 +32,7 @@ from .counterexample import (
 )
 from .driver import (
     StableParams,
+    _sample_jumps,
     extend_truncated_path,
     sample_truncated_path,
     thin_path,
@@ -39,7 +40,7 @@ from .driver import (
 from .phi import MonotonePhi, parse_phi
 from .seeding import derive_seed, replicate_rng
 from .stats import SampleSet, ks_two_sample
-from .timechange import solve_time_change
+from .timechange import solve_time_change, time_change_marginals
 from .truncation import (
     Ladder,
     build_ladder,
@@ -71,6 +72,7 @@ EXIT_PASS = 0
 EXIT_STATISTICAL = 1
 EXIT_INVARIANT = 2
 EXIT_CONFIG = 3
+EXIT_CRASH = 4
 
 
 class ConfigError(ValueError):
@@ -301,6 +303,12 @@ def _write_summary(out_dir: Path, rows: tuple[SummaryRow, ...]) -> str:
 _BLOCK = 40
 
 
+def _replicate_error(exc: Exception, cfg: ExperimentConfig, replicate: int, tag: str):
+    """exc again, its message prefixed with the replicate and its derived seed."""
+    seed = derive_seed(cfg.seed, replicate, tag)
+    return type(exc)(f"replicate {replicate} (seed {seed}): {exc}")
+
+
 def _solve_replicate_ladders(
     cfg: ExperimentConfig, tag: str
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -308,7 +316,8 @@ def _solve_replicate_ladders(
 
     Replicate r's base path is sampled at the finest cutoff from its own
     stream (master seed, r, tag), and blocks of replicates are solved at
-    every cutoff by one solve_ladders call.
+    every cutoff by one solve_ladders call.  The solve reads only the jump
+    sizes, which it checks; the times are dropped as they are drawn.
     """
     phi = cfg.phi_object()
     params = StableParams.default(cfg.alpha)
@@ -316,19 +325,16 @@ def _solve_replicate_ladders(
     def block(start: int):
         replicates = range(start, min(start + _BLOCK, cfg.replicates))
         sizes = [
-            sample_truncated_path(
+            _sample_jumps(
                 params, cfg.horizon, cfg.cutoffs[-1], replicate_rng(cfg.seed, r, tag)
-            ).sizes
+            )[1]
             for r in replicates
         ]
         offsets = np.cumsum([0] + [s.size for s in sizes])
         try:
             return solve_ladders(phi, cfg.x0, np.concatenate(sizes), offsets, cfg.cutoffs)
         except FloatingPointError as exc:
-            r = replicates[exc.path]
-            raise FloatingPointError(
-                f"replicate {r} (seed {derive_seed(cfg.seed, r, tag)}): {exc}"
-            ) from exc
+            raise _replicate_error(exc, cfg, replicates[exc.path], tag) from exc
 
     blocks = [block(start) for start in range(0, cfg.replicates, _BLOCK)]
     return tuple(np.concatenate(parts) for parts in zip(*blocks))
@@ -481,21 +487,55 @@ def _timechange_marginal(
     )
 
 
-def _run_weak_agree(cfg: ExperimentConfig, out: Path):
+def _timechange_samples(cfg: ExperimentConfig, tag: str) -> np.ndarray:
+    """X at T from the time-change construction, for every replicate.
+
+    Replicate r's driver is sampled on [0, 2T] from its own stream (master
+    seed, r, tag), and blocks of replicates are solved by one
+    time_change_marginals call.  A replicate whose clock does not pass T is
+    rerun by _timechange_marginal from its stream, which extends that driver
+    with the draws it always made.  A failure names the replicate and its
+    derived seed.
+    """
     phi = cfg.phi_object()
     params = StableParams.default(cfg.alpha)
     (eps,) = cfg.cutoffs
+    horizon = 2.0 * cfg.horizon
+
+    def block(start: int) -> np.ndarray:
+        replicates = range(start, min(start + _BLOCK, cfg.replicates))
+        paths = [
+            _sample_jumps(params, horizon, eps, replicate_rng(cfg.seed, r, tag))
+            for r in replicates
+        ]
+        offsets = np.cumsum([0] + [times.size for times, _ in paths])
+        times = np.concatenate([times for times, _ in paths])
+        sizes = np.concatenate([sizes for _, sizes in paths])
+        try:
+            xs, covered = time_change_marginals(
+                phi, cfg.x0, times, sizes, offsets, horizon, eps, cfg.alpha, cfg.horizon
+            )
+        except ValueError as exc:
+            if not hasattr(exc, "path"):
+                raise
+            raise _replicate_error(exc, cfg, replicates[exc.path], tag) from exc
+        for i in np.flatnonzero(~covered):
+            r = replicates[i]
+            rng = replicate_rng(cfg.seed, r, tag)
+            try:
+                xs[i] = _timechange_marginal(phi, cfg.x0, params, eps, cfg.horizon, rng, horizon)
+            except (ValueError, RuntimeError) as exc:
+                raise _replicate_error(exc, cfg, r, tag) from exc
+        return xs
+
+    return np.concatenate([block(start) for start in range(0, cfg.replicates, _BLOCK)])
+
+
+def _run_weak_agree(cfg: ExperimentConfig, out: Path):
     # Every event lies in (0, T], so the final state is X at T.
     final, _, _ = _solve_replicate_ladders(cfg, "weak-agree-truncation")
     xs_trunc = final[:, 0]
-
-    def timechange(r: int) -> float:
-        rng = replicate_rng(cfg.seed, r, "weak-agree-timechange")
-        return _timechange_marginal(
-            phi, cfg.x0, params, eps, cfg.horizon, rng, 2.0 * cfg.horizon
-        )
-
-    xs_time = np.array([timechange(r) for r in range(cfg.replicates)])
+    xs_time = _timechange_samples(cfg, "weak-agree-timechange")
     ks = ks_two_sample(
         SampleSet(xs_trunc, "truncation"), SampleSet(xs_time, "timechange")
     )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .driver import JumpPath
+from .driver import JumpPath, _check_jumps
 from .phi import MonotonePhi
 from .truncation import SolutionPath
 
@@ -26,6 +26,7 @@ __all__ = [
     "invert_clock",
     "clock_eval",
     "solve_time_change",
+    "time_change_marginals",
     "clock_roundtrip_residual",
 ]
 
@@ -92,12 +93,7 @@ def _breakpoints(times: np.ndarray, horizon: float) -> np.ndarray:
     return np.concatenate(([0.0], times, [horizon]))
 
 
-def build_clock(phi: MonotonePhi, x: float, driver: JumpPath, alpha: float) -> Clock:
-    """Clock on the driver timeline with integrand phi(x + W_s)**(-alpha).
-
-    The integrand is constant between driver events, so the integral is a
-    finite sum of slope * interval-length terms.
-    """
+def _check_clock_inputs(phi: MonotonePhi, alpha: float, cutoff: float) -> None:
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     if not phi.assumption_ok:
@@ -105,8 +101,17 @@ def build_clock(phi: MonotonePhi, x: float, driver: JumpPath, alpha: float) -> C
             f"{phi.describe()} violates the admissibility assumptions; "
             "the clock would not be strictly increasing"
         )
-    if not (driver.cutoff > 0.0):
+    if not (cutoff > 0.0):
         raise ValueError("clock construction requires a finite-activity driver")
+
+
+def build_clock(phi: MonotonePhi, x: float, driver: JumpPath, alpha: float) -> Clock:
+    """Clock on the driver timeline with integrand phi(x + W_s)**(-alpha).
+
+    The integrand is constant between driver events, so the integral is a
+    finite sum of slope * interval-length terms.
+    """
+    _check_clock_inputs(phi, alpha, driver.cutoff)
     breakpoints = _breakpoints(driver.times, driver.horizon)
     # State on [u_i, u_{i+1}) is the cadlag value at u_i.
     states = x + np.concatenate(([0.0], driver.cumulative_sizes))[: breakpoints.size - 1]
@@ -175,6 +180,84 @@ def solve_time_change(
         post_values=post,
     )
     return solution, clock
+
+
+def time_change_marginals(
+    phi: MonotonePhi,
+    x: float,
+    times: np.ndarray,
+    sizes: np.ndarray,
+    offsets: np.ndarray,
+    horizon: float,
+    cutoff: float,
+    alpha: float,
+    t_eval: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """X at t_eval by solve_time_change on each path of a block, bit for bit.
+
+    Path i holds events offsets[i]:offsets[i+1] of times and sizes, a driver
+    on [0, horizon] truncated at cutoff.  The paths are padded to one
+    (n, L + 2) breakpoint array: phi**(-alpha) is evaluated elementwise and
+    cumsum along a row adds in sequence, as the per-path cumsum does.
+    Returns the values and whether each clock total exceeds t_eval; an
+    uncovered row holds NaN, since only a longer driver can answer there.
+
+    The checks of JumpPath and Clock run on the whole block.  A failing
+    path raises ValueError with its index in the ``path`` attribute.
+    """
+    _check_clock_inputs(phi, alpha, cutoff)
+    if not (t_eval >= 0.0):
+        raise ValueError(f"t must be >= 0, got {t_eval}")
+    times = np.asarray(times, dtype=float)
+    sizes = np.asarray(sizes, dtype=float)
+    offsets = np.asarray(offsets, dtype=np.intp)
+    _check_jumps(times, sizes, offsets, horizon, cutoff)
+    lengths = np.diff(offsets)
+    n = lengths.size
+    width = int(lengths.max()) if n else 0
+    jump = np.arange(width) < lengths[:, None]
+    # Padding breakpoints repeat the horizon, so padding segments have
+    # length 0 and only follow the real ones in each row's cumsum.
+    breakpoints = np.full((n, width + 2), float(horizon))
+    breakpoints[:, 0] = 0.0
+    breakpoints[:, 1:-1][jump] = times
+    padded = np.zeros((n, width))
+    padded[jump] = sizes
+    states = np.empty((n, width + 1))
+    states[:, 0] = x
+    np.cumsum(padded, axis=1, out=states[:, 1:])
+    states[:, 1:] += x
+    rows = np.arange(n)
+    # A last event on the horizon leaves a zero-length segment, which
+    # _breakpoints drops: it is not a segment of that row's clock.
+    segments = lengths + (breakpoints[rows, lengths] != horizon)
+    real = np.arange(width + 1) < segments[:, None]
+    with np.errstate(invalid="ignore"):  # 0 * inf past a row's real segments
+        slopes = phi.eval_pow(states, -alpha)
+        increments = slopes * np.diff(breakpoints, axis=1)
+    values = np.zeros((n, width + 2))
+    np.cumsum(increments, axis=1, out=values[:, 1:])
+    err = np.abs(values[:, :-1] + increments - values[:, 1:])
+    bad_slope = (real & ~((slopes > 0.0) & (slopes < math.inf))).any(axis=1)
+    bad_value = (
+        real & (err > 1e-12 * np.maximum(np.abs(values[:, 1:]), 1e-300))
+    ).any(axis=1)
+    failing = np.flatnonzero(bad_slope | bad_value)
+    if failing.size:
+        path = int(failing[0])
+        what = (
+            "clock slopes must be positive and finite"
+            if bad_slope[path]
+            else "clock values do not match slopes within replay tolerance"
+        )
+        exc = ValueError(f"{what} (path {path})")
+        exc.path = path
+        raise exc
+    covered = values[rows, segments] > t_eval
+    # The row's jump clock is non-decreasing, so this count is searchsorted
+    # with side="right", as SolutionPath.value_at takes it.
+    index = ((values[:, 1:-1] <= t_eval) & jump).sum(axis=1)
+    return np.where(covered, states[rows, index], np.nan), covered
 
 
 def clock_roundtrip_residual(

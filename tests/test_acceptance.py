@@ -115,21 +115,22 @@ def test_c03_driver_fidelity():
 
 @pytest.mark.slow
 def test_c04_weak_agreement_across_seeds():
-    from stable_sde_lab.harness import _timechange_marginal
+    from stable_sde_lab.harness import _solve_replicate_ladders, _timechange_samples
 
     start = time.perf_counter()
     alpha, eps, n = 0.4, 1e-3, 5000
-    params = StableParams.default(alpha)
     passes = 0
     p_values = []
     for master in MASTER_SEEDS:
-        xa, xb = np.empty(n), np.empty(n)
-        for r in range(n):
-            rng_a = replicate_rng(master, r, "weak-agree-truncation")
-            path = sample_truncated_path(params, 1.0, eps, rng_a)
-            xa[r] = solve_truncated(ARCTAN, 0.0, path).value_at(1.0)
-            rng_b = replicate_rng(master, r, "weak-agree-timechange")
-            xb[r] = _timechange_marginal(ARCTAN, 0.0, params, eps, 1.0, rng_b, 2.0)
+        # X at T = 1 from x0 = 0 on both sides; the time-change drivers start
+        # on [0, 2] and are extended until their clock passes 1.
+        cfg = parse_config_text(
+            f"experiment = weak-agree\nalpha = {alpha}\nphi = shifted-arctan(2,0.6366)\n"
+            f"x0 = 0\nT = 1\ncutoffs = {eps}\nreplicates = {n}\nseed = {master}\n"
+        )
+        assert cfg.phi_object() == ARCTAN
+        xa = _solve_replicate_ladders(cfg, "weak-agree-truncation")[0][:, 0]
+        xb = _timechange_samples(cfg, "weak-agree-timechange")
         p = ks_two_sample(SampleSet(xa), SampleSet(xb)).p_value
         p_values.append(p)
         passes += p > 0.01

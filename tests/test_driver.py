@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from stable_sde_lab import (
     GridPath,
     JumpPath,
+    SamplerIntegrityError,
     StableParams,
     laplace_exponent,
     levy_tail_mass,
@@ -17,7 +18,7 @@ from stable_sde_lab import (
     sample_truncated_path,
     thin_path,
 )
-from stable_sde_lab.driver import _standard_stable
+from stable_sde_lab.driver import _check_jumps, _sample_jumps, _standard_stable
 from stable_sde_lab.stats import SampleSet, ks_two_sample
 
 
@@ -276,6 +277,11 @@ class TestExactIncrement:
         assert np.median(tiny) < np.median(small)
         assert np.all(tiny > 0.0)
 
+    def test_nan_draw_raises(self):
+        # At this alpha the scale underflows to 0 while draws overflow to inf.
+        with np.errstate(all="ignore"), pytest.raises(SamplerIntegrityError, match="NaN"):
+            sample_grid_path(StableParams.default(0.001953125), 1.0, 100, np.random.default_rng(4))
+
     def test_scalar_mode_and_preconditions(self):
         params = StableParams.default(0.5)
         value = sample_exact_increment(params, 1.0, np.random.default_rng(0))
@@ -318,6 +324,35 @@ class TestInPlaceSampler:
         assert got.tobytes() == ref.tobytes()
         assert inc.tobytes() == (scale * ref).tobytes()
         assert grid.values.tobytes() == np.concatenate(([0.0], np.cumsum(grid_inc))).tobytes()
+
+
+def _reference_jumps(params, horizon, eps, rng):
+    """The truncated path's draws, written out: count, times, then sizes."""
+    n = int(rng.poisson(params.c * eps ** (-params.alpha) / params.alpha * horizon))
+    times = np.sort(horizon * (1.0 - rng.random(n)))
+    sizes = eps * (1.0 - rng.random(n)) ** (-1.0 / params.alpha)
+    return times, sizes
+
+
+class TestObjectFreeSampler:
+    @given(
+        alpha=st.floats(min_value=0.05, max_value=0.95),
+        horizon=st.floats(min_value=0.01, max_value=4.0),
+        eps=st.floats(min_value=1e-4, max_value=2.0),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_same_draws_as_sample_truncated_path(self, alpha, horizon, eps, seed):
+        params = StableParams.default(alpha)
+        rngs = [np.random.default_rng(seed) for _ in range(3)]
+        path = sample_truncated_path(params, horizon, eps, rngs[0])
+        times, sizes = _sample_jumps(params, horizon, eps, rngs[1])
+        want_times, want_sizes = _reference_jumps(params, horizon, eps, rngs[2])
+        for got in (times, path.times):
+            assert got.tobytes() == want_times.tobytes()
+        for got in (sizes, path.sizes):
+            assert got.tobytes() == want_sizes.tobytes()
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state == rngs[2].bit_generator.state
 
 
 class TestTruncatedLaplace:
@@ -433,3 +468,55 @@ class TestJumpPathValidation:
             JumpPath(
                 horizon=1.0, times=np.array(times), sizes=np.array(sizes), cutoff=cutoff
             )
+
+
+# One way each to break a path of three jumps >= 0.5 inside (0, 1].
+CORRUPTIONS = {
+    "none": lambda t, z: (t, z),
+    "empty": lambda t, z: (t[:0], z[:0]),
+    "time-zero": lambda t, z: (np.concatenate(([0.0], t[1:])), z),
+    "past-horizon": lambda t, z: (np.concatenate((t[:-1], [1.5])), z),
+    "unsorted": lambda t, z: (t[::-1].copy(), z),
+    "repeated-time": lambda t, z: (np.concatenate((t[:1], t[:-1])), z),
+    "nan-time": lambda t, z: (np.concatenate((t[:1], [math.nan], t[2:])), z),
+    "small-size": lambda t, z: (t, np.concatenate((z[:-1], [0.25]))),
+    "nan-size": lambda t, z: (t, np.concatenate(([math.nan], z[1:]))),
+}
+
+
+class TestCheckJumps:
+    """The block check against JumpPath's own, path by path."""
+
+    @given(
+        kinds=st.lists(st.sampled_from(sorted(CORRUPTIONS)), min_size=1, max_size=6),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_rejects_the_first_path_jump_path_rejects(self, kinds, seed):
+        rng = np.random.default_rng(seed)
+        paths = [
+            CORRUPTIONS[kind](np.sort(rng.uniform(0.1, 0.9, 3)), 0.5 + rng.random(3))
+            for kind in kinds
+        ]
+        expected = None
+        for i, (times, sizes) in enumerate(paths):
+            try:
+                JumpPath(horizon=1.0, times=times, sizes=sizes, cutoff=0.5)
+            except ValueError:
+                expected = i
+                break
+        offsets = np.cumsum([0] + [times.size for times, _ in paths])
+        times = np.concatenate([times for times, _ in paths])
+        sizes = np.concatenate([sizes for _, sizes in paths])
+        if expected is None:
+            _check_jumps(times, sizes, offsets, 1.0, 0.5)
+            return
+        with pytest.raises(ValueError, match=f"\\(path {expected}, event ") as info:
+            _check_jumps(times, sizes, offsets, 1.0, 0.5)
+        assert info.value.path == expected
+
+    def test_rejects_bad_offsets(self):
+        times, sizes = np.array([0.2, 0.4]), np.array([1.0, 1.0])
+        for offsets in ([0, 1], [1, 2], [0, 2, 1, 2]):
+            with pytest.raises(ValueError, match="offsets"):
+                _check_jumps(times, sizes, np.array(offsets), 1.0, 0.5)

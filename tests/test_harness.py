@@ -2,16 +2,18 @@ import numpy as np
 import pytest
 
 from stable_sde_lab import (
+    JumpPath,
     StableParams,
     ladder_violations,
     sample_truncated_path,
     solve_truncated,
 )
-from stable_sde_lab import counterexample
+from stable_sde_lab import cli, counterexample, harness
 from stable_sde_lab.cli import main as cli_main
 from stable_sde_lab.harness import (
     _BLOCK,
     EXIT_CONFIG,
+    EXIT_CRASH,
     EXIT_INVARIANT,
     EXIT_PASS,
     EXIT_STATISTICAL,
@@ -21,6 +23,8 @@ from stable_sde_lab.harness import (
     _build_replicate_ladder,
     _exit_code,
     _solve_replicate_ladders,
+    _timechange_marginal,
+    _timechange_samples,
     parse_config_text,
     run_experiment,
 )
@@ -286,6 +290,82 @@ class TestExperiments:
         )
 
 
+class TestTimeChangeSide:
+    @pytest.mark.parametrize(
+        "text, extended, empty",
+        [
+            # Two full blocks and a partial one.
+            (f"replicates = {2 * _BLOCK + 7}\nseed = 6\n", 0, 0),
+            # Clocks that end before T: their drivers are extended.
+            ("phi = shifted-arctan(3,1)\nreplicates = 200\nseed = 3\n", 44, 0),
+            # Jumps >= 3 only: drivers with no jump at all.
+            ("phi = shifted-arctan(3,1)\ncutoffs = 3\nreplicates = 100\nseed = 5\n", 19, 45),
+        ],
+    )
+    def test_equals_scalar_marginal(self, monkeypatch, text, extended, empty):
+        cfg = parse_config_text("experiment = weak-agree\n" + text)
+        tag = "weak-agree-timechange"
+        params = StableParams.default(cfg.alpha)
+        phi = cfg.phi_object()
+        (eps,) = cfg.cutoffs
+
+        def scalar(r):
+            rng = replicate_rng(cfg.seed, r, tag)
+            return _timechange_marginal(
+                phi, cfg.x0, params, eps, cfg.horizon, rng, 2.0 * cfg.horizon
+            )
+
+        fallbacks = []
+
+        def counted(*args):
+            fallbacks.append(args)
+            return _timechange_marginal(*args)
+
+        monkeypatch.setattr(harness, "_timechange_marginal", counted)
+        got = _timechange_samples(cfg, tag)
+        assert len(fallbacks) == extended
+        drivers = [
+            sample_truncated_path(params, 2.0 * cfg.horizon, eps, replicate_rng(cfg.seed, r, tag))
+            for r in range(cfg.replicates)
+        ]
+        assert sum(len(path) == 0 for path in drivers) == empty
+        want = np.array([scalar(r) for r in range(cfg.replicates)])
+        assert got.tobytes() == want.tobytes()
+
+    def test_nonpositive_slope_names_replicate_and_seed(self):
+        # phi(x) = 1 + 1e308 * x is inf once x > 1.8, and inf**-alpha is 0;
+        # replicate 0's driver stays below that.
+        cfg = parse_config_text(
+            "experiment = weak-agree\nphi = soft-ramp(1,1e308)\ncutoffs = 1\n"
+            "replicates = 100\nseed = 0\n"
+        )
+        tag = "weak-agree-timechange"
+        with np.errstate(over="ignore"), pytest.raises(ValueError) as info:
+            _timechange_samples(cfg, tag)
+        assert str(info.value).startswith(
+            f"replicate 1 (seed {derive_seed(0, 1, tag)}): clock slopes must be positive"
+        )
+
+    def test_uncovered_clock_names_replicate_and_seed(self, monkeypatch):
+        # phi(x) = 1 + 1e300 * x: after a jump the clock all but stops, and
+        # replicate 0's first jump comes after T.  A real extension would
+        # sample about 2**64 jumps before giving up, so this one adds none.
+        def no_new_jumps(params, path, new_horizon, rng):
+            return JumpPath(new_horizon, path.times, path.sizes, path.cutoff)
+
+        monkeypatch.setattr(harness, "extend_truncated_path", no_new_jumps)
+        cfg = parse_config_text(
+            "experiment = weak-agree\nphi = soft-ramp(1,1e300)\ncutoffs = 1\n"
+            "replicates = 20\nseed = 4\n"
+        )
+        tag = "weak-agree-timechange"
+        with pytest.raises(RuntimeError) as info:
+            _timechange_samples(cfg, tag)
+        assert str(info.value).startswith(
+            f"replicate 1 (seed {derive_seed(4, 1, tag)}): time-change clock failed"
+        )
+
+
 class TestCLI:
     def test_run_round_trip(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
@@ -366,3 +446,38 @@ class TestCLI:
             f"T = 4.0\nseed = 5\nthreads = 1\nout = {tmp_path / 'ce'}\n"
         )
         assert cli_main(["run", "--config", str(cfg)]) == EXIT_PASS
+
+    def test_nonfinite_phi_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "nonfinite.cfg"
+        cfg.write_text(
+            "experiment = ladder-monotone\nphi = soft-ramp(1,1e308)\nx0 = 10\nseed = 3\n"
+            f"out = {tmp_path / 'out'}\n"
+        )
+        with np.errstate(over="ignore"):
+            assert cli_main(["run", "--config", str(cfg)]) == EXIT_INVARIANT
+        err = capsys.readouterr().err
+        assert f"replicate 0 (seed {derive_seed(3, 0, 'ladder-driver')}): " in err
+
+    # The grid runs sample on worker threads, outside any np.errstate here.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_driver_exits_2(self, tmp_path, capsys):
+        # At this alpha the exact sampler's scale underflows to 0 while its
+        # draws overflow to inf.
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text(
+            "experiment = counterexample\nalpha = 0.001953125\nreplicates = 1000\n"
+            f"grid_m = 100\nseed = 4\nout = {tmp_path / 'out'}\n"
+        )
+        assert cli_main(["run", "--config", str(cfg)]) == EXIT_INVARIANT
+        assert "sampler produced NaN" in capsys.readouterr().err
+
+    def test_crash_exits_4(self, tmp_path, monkeypatch, capsys):
+        def crash(cfg):
+            raise KeyError("not a failure of the experiment")
+
+        monkeypatch.setattr(cli, "run_experiment", crash)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("experiment = ladder-monotone\nreplicates = 20\n")
+        assert cli_main(["run", "--config", str(cfg)]) == EXIT_CRASH
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "not a failure of the experiment" in err
