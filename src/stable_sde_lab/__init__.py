@@ -38,7 +38,6 @@ from .timechange import (
     clock_roundtrip_residual,
     invert_clock,
     solve_time_change,
-    time_change_marginals,
 )
 from .truncation import (
     Ladder,

@@ -88,13 +88,14 @@ class JumpPath:
             raise ValueError("times and sizes must be 1-d arrays of equal length")
         if times.size:
             # Written over the condition that must hold, so NaN fails each.
+            # Array methods, not np.all/np.any: this runs once per replicate.
             if not (times[0] > 0.0 and times[-1] <= self.horizon):
                 raise ValueError("event times must lie in (0, horizon]")
-            if not np.all(np.diff(times) > 0.0):
+            if not (times[1:] > times[:-1]).all():
                 raise ValueError("event times must be strictly increasing")
-            if not np.all(sizes > 0.0):
-                raise ValueError("jump sizes must be strictly positive")
-            if self.cutoff > 0.0 and np.any(sizes < self.cutoff):
+            if not (sizes >= self.cutoff if self.cutoff > 0.0 else sizes > 0.0).all():
+                if not (sizes > 0.0).all():
+                    raise ValueError("jump sizes must be strictly positive")
                 raise ValueError("jump sizes must be >= cutoff")
         object.__setattr__(self, "_cum", np.cumsum(sizes))
 
@@ -212,8 +213,8 @@ def _sample_jumps(
     """Event times and sizes of sample_truncated_path, with no JumpPath built.
 
     Sorting and merging make the times strictly increase, inside (0, horizon];
-    the sizes are eps times numbers >= 1.  Nothing here checks that: a kernel
-    that reads the times runs _check_jumps on its block.
+    the sizes are eps times numbers >= 1.  Nothing here checks that: JumpPath
+    does, and a caller that builds none checks what it reads.
     """
     if not (horizon > 0.0):
         raise ValueError(f"horizon must be positive, got {horizon}")
@@ -223,47 +224,6 @@ def _sample_jumps(
     times.sort()
     sizes = _pareto_sizes(params, eps, n, rng)
     return _merge_duplicate_times(times, sizes)
-
-
-def _check_jumps(
-    times: np.ndarray, sizes: np.ndarray, offsets: np.ndarray, horizon: float, cutoff: float
-) -> None:
-    """JumpPath's checks on a block of paths laid end to end.
-
-    Path i holds events offsets[i]:offsets[i+1] of times and sizes.  A failing
-    path raises ValueError with the first one's index in its ``path``
-    attribute.
-    """
-    if not (horizon > 0.0 and math.isfinite(horizon)):
-        raise ValueError(f"horizon must be positive, got {horizon}")
-    if not (cutoff > 0.0):
-        raise ValueError(f"cutoff must be positive, got {cutoff}")
-    lengths = np.diff(offsets)
-    if times.shape != sizes.shape or times.ndim != 1:
-        raise ValueError("times and sizes must be 1-d arrays of equal length")
-    if offsets[0] != 0 or offsets[-1] != times.size or np.any(lengths < 0):
-        raise ValueError("offsets must rise from 0 to len(times)")
-    # Each event against the one before it in its path, the first against 0;
-    # written over the conditions that must hold, so NaN fails each.  Only
-    # boolean temporaries: a block of long paths is large.
-    ok = np.empty(times.size, dtype=bool)
-    np.greater(times[1:], times[:-1], out=ok[1:])
-    starts = offsets[:-1][lengths > 0]
-    ok[starts] = times[starts] > 0.0
-    ok &= times <= horizon
-    ok &= sizes >= cutoff
-    if not ok.all():
-        event = int(np.argmin(ok))
-        path = int(np.searchsorted(offsets, event, side="right")) - 1
-        previous = times[event - 1] if event > offsets[path] else 0.0
-        what = (
-            "jump sizes must be >= cutoff"
-            if previous < times[event] <= horizon
-            else "event times must lie in (0, horizon] and strictly increase"
-        )
-        err = ValueError(f"{what} (path {path}, event {event - offsets[path]})")
-        err.path = path
-        raise err
 
 
 def sample_truncated_path(

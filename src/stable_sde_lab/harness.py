@@ -40,7 +40,7 @@ from .driver import (
 from .phi import MonotonePhi, parse_phi
 from .seeding import derive_seed, replicate_rng
 from .stats import SampleSet, ks_two_sample
-from .timechange import solve_time_change, time_change_marginals
+from .timechange import solve_time_change
 from .truncation import (
     Ladder,
     build_ladder,
@@ -491,44 +491,22 @@ def _timechange_samples(cfg: ExperimentConfig, tag: str) -> np.ndarray:
     """X at T from the time-change construction, for every replicate.
 
     Replicate r's driver is sampled on [0, 2T] from its own stream (master
-    seed, r, tag), and blocks of replicates are solved by one
-    time_change_marginals call.  A replicate whose clock does not pass T is
-    rerun by _timechange_marginal from its stream, which extends that driver
-    with the draws it always made.  A failure names the replicate and its
-    derived seed.
+    seed, r, tag) and solved by _timechange_marginal.  A failure names the
+    replicate and its derived seed.
     """
     phi = cfg.phi_object()
     params = StableParams.default(cfg.alpha)
     (eps,) = cfg.cutoffs
-    horizon = 2.0 * cfg.horizon
-
-    def block(start: int) -> np.ndarray:
-        replicates = range(start, min(start + _BLOCK, cfg.replicates))
-        paths = [
-            _sample_jumps(params, horizon, eps, replicate_rng(cfg.seed, r, tag))
-            for r in replicates
-        ]
-        offsets = np.cumsum([0] + [times.size for times, _ in paths])
-        times = np.concatenate([times for times, _ in paths])
-        sizes = np.concatenate([sizes for _, sizes in paths])
+    xs = np.empty(cfg.replicates)
+    for r in range(cfg.replicates):
+        rng = replicate_rng(cfg.seed, r, tag)
         try:
-            xs, covered = time_change_marginals(
-                phi, cfg.x0, times, sizes, offsets, horizon, eps, cfg.alpha, cfg.horizon
+            xs[r] = _timechange_marginal(
+                phi, cfg.x0, params, eps, cfg.horizon, rng, 2.0 * cfg.horizon
             )
-        except ValueError as exc:
-            if not hasattr(exc, "path"):
-                raise
-            raise _replicate_error(exc, cfg, replicates[exc.path], tag) from exc
-        for i in np.flatnonzero(~covered):
-            r = replicates[i]
-            rng = replicate_rng(cfg.seed, r, tag)
-            try:
-                xs[i] = _timechange_marginal(phi, cfg.x0, params, eps, cfg.horizon, rng, horizon)
-            except (ValueError, RuntimeError) as exc:
-                raise _replicate_error(exc, cfg, r, tag) from exc
-        return xs
-
-    return np.concatenate([block(start) for start in range(0, cfg.replicates, _BLOCK)])
+        except (ValueError, RuntimeError) as exc:
+            raise _replicate_error(exc, cfg, r, tag) from exc
+    return xs
 
 
 def _run_weak_agree(cfg: ExperimentConfig, out: Path):

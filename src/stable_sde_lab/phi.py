@@ -45,7 +45,7 @@ class MonotonePhi:
         """Fused phi(x)**exponent; signals SingularClockError on 0**negative."""
         v = self.eval(x)
         if exponent < 0.0:
-            if np.any(np.asarray(v) == 0.0):
+            if (np.asarray(v) == 0.0).any():
                 raise SingularClockError(
                     f"{self.describe()} vanished under exponent {exponent}: "
                     "the time-change clock is singular here"

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .driver import JumpPath, _check_jumps
+from .driver import JumpPath
 from .phi import MonotonePhi
 from .truncation import SolutionPath
 
@@ -26,7 +26,6 @@ __all__ = [
     "invert_clock",
     "clock_eval",
     "solve_time_change",
-    "time_change_marginals",
     "clock_roundtrip_residual",
 ]
 
@@ -54,15 +53,17 @@ class Clock:
             raise ValueError("clock needs at least one segment")
         if sl.shape != (bp.size - 1,) or va.shape != bp.shape:
             raise ValueError("inconsistent clock column lengths")
-        if bp[0] != 0.0 or np.any(np.diff(bp) <= 0.0):
+        # Array methods, not np.all/np.any: a clock is built once per replicate.
+        # A difference of two floats is > 0 exactly when the first is larger.
+        lengths = bp[1:] - bp[:-1]
+        if bp[0] != 0.0 or not (lengths > 0.0).all():
             raise ValueError("breakpoints must start at 0 and strictly increase")
         if va[0] != 0.0:
             raise ValueError("clock must start at 0")
-        if np.any(sl <= 0.0) or not np.all(np.isfinite(sl)):
+        if not ((sl > 0.0) & (sl < math.inf)).all():
             raise ValueError("clock slopes must be positive and finite")
-        recon = va[:-1] + sl * np.diff(bp)
-        err = np.abs(recon - va[1:])
-        if np.any(err > 1e-12 * np.maximum(np.abs(va[1:]), 1e-300)):
+        err = np.abs(va[:-1] + sl * lengths - va[1:])
+        if (err > 1e-12 * np.maximum(np.abs(va[1:]), 1e-300)).any():
             raise ValueError("clock values do not match slopes within replay tolerance")
 
     @property
@@ -82,7 +83,8 @@ class Clock:
 
 
 def _segment_clock(breakpoints: np.ndarray, slopes: np.ndarray) -> Clock:
-    values = np.concatenate(([0.0], np.cumsum(slopes * np.diff(breakpoints))))
+    values = np.zeros(breakpoints.size)
+    np.cumsum(slopes * (breakpoints[1:] - breakpoints[:-1]), out=values[1:])
     return Clock(breakpoints=breakpoints, slopes=slopes, values=values)
 
 
@@ -93,7 +95,15 @@ def _breakpoints(times: np.ndarray, horizon: float) -> np.ndarray:
     return np.concatenate(([0.0], times, [horizon]))
 
 
-def _check_clock_inputs(phi: MonotonePhi, alpha: float, cutoff: float) -> None:
+def _driver_states(x: float, driver: JumpPath) -> np.ndarray:
+    """x + W at time 0 and after each driver event."""
+    return x + np.concatenate(([0.0], driver.cumulative_sizes))
+
+
+def _clock_on_states(
+    phi: MonotonePhi, states: np.ndarray, driver: JumpPath, alpha: float
+) -> Clock:
+    """build_clock on states = _driver_states(x, driver), computed once."""
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     if not phi.assumption_ok:
@@ -101,8 +111,12 @@ def _check_clock_inputs(phi: MonotonePhi, alpha: float, cutoff: float) -> None:
             f"{phi.describe()} violates the admissibility assumptions; "
             "the clock would not be strictly increasing"
         )
-    if not (cutoff > 0.0):
+    if not (driver.cutoff > 0.0):
         raise ValueError("clock construction requires a finite-activity driver")
+    breakpoints = _breakpoints(driver.times, driver.horizon)
+    # State on [u_i, u_{i+1}) is the cadlag value at u_i.
+    slopes = phi.eval_pow(states[: breakpoints.size - 1], -alpha)
+    return _segment_clock(breakpoints, np.atleast_1d(slopes))
 
 
 def build_clock(phi: MonotonePhi, x: float, driver: JumpPath, alpha: float) -> Clock:
@@ -111,12 +125,7 @@ def build_clock(phi: MonotonePhi, x: float, driver: JumpPath, alpha: float) -> C
     The integrand is constant between driver events, so the integral is a
     finite sum of slope * interval-length terms.
     """
-    _check_clock_inputs(phi, alpha, driver.cutoff)
-    breakpoints = _breakpoints(driver.times, driver.horizon)
-    # State on [u_i, u_{i+1}) is the cadlag value at u_i.
-    states = x + np.concatenate(([0.0], driver.cumulative_sizes))[: breakpoints.size - 1]
-    slopes = phi.eval_pow(states, -alpha)
-    return _segment_clock(breakpoints, np.atleast_1d(slopes))
+    return _clock_on_states(phi, _driver_states(x, driver), driver, alpha)
 
 
 def build_forward_clock(phi: MonotonePhi, solution: SolutionPath, alpha: float) -> Clock:
@@ -166,98 +175,17 @@ def solve_time_change(
     state is constant, so the solution path is returned together with the
     clock that defines its (finite) horizon.
     """
-    clock = build_clock(phi, x, driver, alpha)
+    states = _driver_states(x, driver)
+    clock = _clock_on_states(phi, states, driver, alpha)
     n = len(driver)
-    cum = driver.cumulative_sizes
-    jump_times = clock.values[1 : n + 1]
-    pre = x + np.concatenate(([0.0], cum[:-1])) if n else np.empty(0)
-    post = x + cum if n else np.empty(0)
     solution = SolutionPath(
         x0=float(x),
         horizon=clock.total,
-        times=jump_times.copy(),
-        pre_values=pre,
-        post_values=post,
+        times=clock.values[1 : n + 1].copy(),
+        pre_values=states[:-1],
+        post_values=states[1:],
     )
     return solution, clock
-
-
-def time_change_marginals(
-    phi: MonotonePhi,
-    x: float,
-    times: np.ndarray,
-    sizes: np.ndarray,
-    offsets: np.ndarray,
-    horizon: float,
-    cutoff: float,
-    alpha: float,
-    t_eval: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """X at t_eval by solve_time_change on each path of a block, bit for bit.
-
-    Path i holds events offsets[i]:offsets[i+1] of times and sizes, a driver
-    on [0, horizon] truncated at cutoff.  The paths are padded to one
-    (n, L + 2) breakpoint array: phi**(-alpha) is evaluated elementwise and
-    cumsum along a row adds in sequence, as the per-path cumsum does.
-    Returns the values and whether each clock total exceeds t_eval; an
-    uncovered row holds NaN, since only a longer driver can answer there.
-
-    The checks of JumpPath and Clock run on the whole block.  A failing
-    path raises ValueError with its index in the ``path`` attribute.
-    """
-    _check_clock_inputs(phi, alpha, cutoff)
-    if not (t_eval >= 0.0):
-        raise ValueError(f"t must be >= 0, got {t_eval}")
-    times = np.asarray(times, dtype=float)
-    sizes = np.asarray(sizes, dtype=float)
-    offsets = np.asarray(offsets, dtype=np.intp)
-    _check_jumps(times, sizes, offsets, horizon, cutoff)
-    lengths = np.diff(offsets)
-    n = lengths.size
-    width = int(lengths.max()) if n else 0
-    jump = np.arange(width) < lengths[:, None]
-    # Padding breakpoints repeat the horizon, so padding segments have
-    # length 0 and only follow the real ones in each row's cumsum.
-    breakpoints = np.full((n, width + 2), float(horizon))
-    breakpoints[:, 0] = 0.0
-    breakpoints[:, 1:-1][jump] = times
-    padded = np.zeros((n, width))
-    padded[jump] = sizes
-    states = np.empty((n, width + 1))
-    states[:, 0] = x
-    np.cumsum(padded, axis=1, out=states[:, 1:])
-    states[:, 1:] += x
-    rows = np.arange(n)
-    # A last event on the horizon leaves a zero-length segment, which
-    # _breakpoints drops: it is not a segment of that row's clock.
-    segments = lengths + (breakpoints[rows, lengths] != horizon)
-    real = np.arange(width + 1) < segments[:, None]
-    with np.errstate(invalid="ignore"):  # 0 * inf past a row's real segments
-        slopes = phi.eval_pow(states, -alpha)
-        increments = slopes * np.diff(breakpoints, axis=1)
-    values = np.zeros((n, width + 2))
-    np.cumsum(increments, axis=1, out=values[:, 1:])
-    err = np.abs(values[:, :-1] + increments - values[:, 1:])
-    bad_slope = (real & ~((slopes > 0.0) & (slopes < math.inf))).any(axis=1)
-    bad_value = (
-        real & (err > 1e-12 * np.maximum(np.abs(values[:, 1:]), 1e-300))
-    ).any(axis=1)
-    failing = np.flatnonzero(bad_slope | bad_value)
-    if failing.size:
-        path = int(failing[0])
-        what = (
-            "clock slopes must be positive and finite"
-            if bad_slope[path]
-            else "clock values do not match slopes within replay tolerance"
-        )
-        exc = ValueError(f"{what} (path {path})")
-        exc.path = path
-        raise exc
-    covered = values[rows, segments] > t_eval
-    # The row's jump clock is non-decreasing, so this count is searchsorted
-    # with side="right", as SolutionPath.value_at takes it.
-    index = ((values[:, 1:-1] <= t_eval) & jump).sum(axis=1)
-    return np.where(covered, states[rows, index], np.nan), covered
 
 
 def clock_roundtrip_residual(

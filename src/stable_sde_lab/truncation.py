@@ -55,7 +55,7 @@ class SolutionPath:
             object.__setattr__(self, name, arr)
         if not (times.shape == pre.shape == post.shape) or times.ndim != 1:
             raise ValueError("event columns must be 1-d arrays of equal length")
-        if times.size and np.any(np.diff(times) < 0.0):
+        if (times[1:] < times[:-1]).any():
             raise ValueError("event times must be ordered")
         object.__setattr__(self, "_states", np.concatenate(([self.x0], post)))
 

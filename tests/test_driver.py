@@ -18,7 +18,7 @@ from stable_sde_lab import (
     sample_truncated_path,
     thin_path,
 )
-from stable_sde_lab.driver import _check_jumps, _sample_jumps, _standard_stable
+from stable_sde_lab.driver import _sample_jumps, _standard_stable
 from stable_sde_lab.stats import SampleSet, ks_two_sample
 
 
@@ -470,53 +470,26 @@ class TestJumpPathValidation:
             )
 
 
-# One way each to break a path of three jumps >= 0.5 inside (0, 1].
+# One way each to break a path of three jumps >= 0.5 inside (0, 1], with the
+# message JumpPath gives.
 CORRUPTIONS = {
-    "none": lambda t, z: (t, z),
-    "empty": lambda t, z: (t[:0], z[:0]),
-    "time-zero": lambda t, z: (np.concatenate(([0.0], t[1:])), z),
-    "past-horizon": lambda t, z: (np.concatenate((t[:-1], [1.5])), z),
-    "unsorted": lambda t, z: (t[::-1].copy(), z),
-    "repeated-time": lambda t, z: (np.concatenate((t[:1], t[:-1])), z),
-    "nan-time": lambda t, z: (np.concatenate((t[:1], [math.nan], t[2:])), z),
-    "small-size": lambda t, z: (t, np.concatenate((z[:-1], [0.25]))),
-    "nan-size": lambda t, z: (t, np.concatenate(([math.nan], z[1:]))),
+    "time-zero": (lambda t, z: (np.concatenate(([0.0], t[1:])), z), r"lie in \(0, horizon\]"),
+    "past-horizon": (lambda t, z: (np.concatenate((t[:-1], [1.5])), z), r"lie in \(0, horizon\]"),
+    "unsorted": (lambda t, z: (t[::-1].copy(), z), "strictly increasing"),
+    "repeated-time": (lambda t, z: (np.concatenate((t[:1], t[:-1])), z), "strictly increasing"),
+    "nan-time": (
+        lambda t, z: (np.concatenate((t[:1], [math.nan], t[2:])), z),
+        "strictly increasing",
+    ),
+    "small-size": (lambda t, z: (t, np.concatenate((z[:-1], [0.25]))), ">= cutoff"),
+    "nan-size": (lambda t, z: (t, np.concatenate(([math.nan], z[1:]))), "strictly positive"),
+    "negative-size": (lambda t, z: (t, np.concatenate(([-1.0], z[1:]))), "strictly positive"),
 }
 
 
-class TestCheckJumps:
-    """The block check against JumpPath's own, path by path."""
-
-    @given(
-        kinds=st.lists(st.sampled_from(sorted(CORRUPTIONS)), min_size=1, max_size=6),
-        seed=st.integers(min_value=0, max_value=2**32 - 1),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_rejects_the_first_path_jump_path_rejects(self, kinds, seed):
-        rng = np.random.default_rng(seed)
-        paths = [
-            CORRUPTIONS[kind](np.sort(rng.uniform(0.1, 0.9, 3)), 0.5 + rng.random(3))
-            for kind in kinds
-        ]
-        expected = None
-        for i, (times, sizes) in enumerate(paths):
-            try:
-                JumpPath(horizon=1.0, times=times, sizes=sizes, cutoff=0.5)
-            except ValueError:
-                expected = i
-                break
-        offsets = np.cumsum([0] + [times.size for times, _ in paths])
-        times = np.concatenate([times for times, _ in paths])
-        sizes = np.concatenate([sizes for _, sizes in paths])
-        if expected is None:
-            _check_jumps(times, sizes, offsets, 1.0, 0.5)
-            return
-        with pytest.raises(ValueError, match=f"\\(path {expected}, event ") as info:
-            _check_jumps(times, sizes, offsets, 1.0, 0.5)
-        assert info.value.path == expected
-
-    def test_rejects_bad_offsets(self):
-        times, sizes = np.array([0.2, 0.4]), np.array([1.0, 1.0])
-        for offsets in ([0, 1], [1, 2], [0, 2, 1, 2]):
-            with pytest.raises(ValueError, match="offsets"):
-                _check_jumps(times, sizes, np.array(offsets), 1.0, 0.5)
+@pytest.mark.parametrize("kind", sorted(CORRUPTIONS))
+def test_jump_path_names_what_is_broken(kind):
+    corrupt, message = CORRUPTIONS[kind]
+    times, sizes = corrupt(np.array([0.2, 0.5, 0.8]), np.array([0.5, 1.0, 2.0]))
+    with pytest.raises(ValueError, match=message):
+        JumpPath(horizon=1.0, times=times, sizes=sizes, cutoff=0.5)

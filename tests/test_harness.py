@@ -6,6 +6,7 @@ from stable_sde_lab import (
     StableParams,
     ladder_violations,
     sample_truncated_path,
+    solve_time_change,
     solve_truncated,
 )
 from stable_sde_lab import cli, counterexample, harness
@@ -294,7 +295,6 @@ class TestTimeChangeSide:
     @pytest.mark.parametrize(
         "text, extended, empty",
         [
-            # Two full blocks and a partial one.
             (f"replicates = {2 * _BLOCK + 7}\nseed = 6\n", 0, 0),
             # Clocks that end before T: their drivers are extended.
             ("phi = shifted-arctan(3,1)\nreplicates = 200\nseed = 3\n", 44, 0),
@@ -302,7 +302,7 @@ class TestTimeChangeSide:
             ("phi = shifted-arctan(3,1)\ncutoffs = 3\nreplicates = 100\nseed = 5\n", 19, 45),
         ],
     )
-    def test_equals_scalar_marginal(self, monkeypatch, text, extended, empty):
+    def test_equals_scalar_marginal(self, text, extended, empty):
         cfg = parse_config_text("experiment = weak-agree\n" + text)
         tag = "weak-agree-timechange"
         params = StableParams.default(cfg.alpha)
@@ -315,20 +315,14 @@ class TestTimeChangeSide:
                 phi, cfg.x0, params, eps, cfg.horizon, rng, 2.0 * cfg.horizon
             )
 
-        fallbacks = []
-
-        def counted(*args):
-            fallbacks.append(args)
-            return _timechange_marginal(*args)
-
-        monkeypatch.setattr(harness, "_timechange_marginal", counted)
         got = _timechange_samples(cfg, tag)
-        assert len(fallbacks) == extended
         drivers = [
             sample_truncated_path(params, 2.0 * cfg.horizon, eps, replicate_rng(cfg.seed, r, tag))
             for r in range(cfg.replicates)
         ]
         assert sum(len(path) == 0 for path in drivers) == empty
+        totals = [solve_time_change(phi, cfg.x0, path, cfg.alpha)[1].total for path in drivers]
+        assert sum(total <= cfg.horizon for total in totals) == extended
         want = np.array([scalar(r) for r in range(cfg.replicates)])
         assert got.tobytes() == want.tobytes()
 

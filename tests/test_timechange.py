@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from stable_sde_lab import (
     BEYOND_HORIZON,
@@ -18,11 +16,9 @@ from stable_sde_lab import (
     clock_eval,
     clock_roundtrip_residual,
     invert_clock,
-    parse_phi,
     sample_truncated_path,
     solve_time_change,
     solve_truncated,
-    time_change_marginals,
 )
 
 ARCTAN = ShiftedArctanPhi(2.0, 2.0 / math.pi)
@@ -124,6 +120,27 @@ class TestClockValidation:
                 values=np.array([0.0, 0.0]),
             )
 
+    @pytest.mark.parametrize(
+        "breakpoints, slopes, values, message",
+        [
+            ([0.5, 1.0], [1.0], [0.0, 0.5], "start at 0 and strictly increase"),
+            ([0.0, 1.0, 1.0], [1.0, 1.0], [0.0, 1.0, 1.0], "start at 0 and strictly increase"),
+            ([0.0, math.nan], [1.0], [0.0, 1.0], "start at 0 and strictly increase"),
+            ([0.0, 1.0], [1.0], [0.5, 1.5], "clock must start at 0"),
+            ([0.0, 1.0], [-1.0], [0.0, -1.0], "positive and finite"),
+            ([0.0, 1.0], [math.inf], [0.0, math.inf], "positive and finite"),
+            ([0.0, 1.0], [math.nan], [0.0, 1.0], "positive and finite"),
+            ([0.0, 1.0, 2.0], [1.0, 1.0], [0.0, 1.0, 2.0 + 1e-9], "replay tolerance"),
+        ],
+    )
+    def test_names_what_is_broken(self, breakpoints, slopes, values, message):
+        with pytest.raises(ValueError, match=message):
+            Clock(
+                breakpoints=np.array(breakpoints),
+                slopes=np.array(slopes),
+                values=np.array(values),
+            )
+
     def test_rejects_unsorted_breakpoints(self):
         with pytest.raises(ValueError):
             Clock(
@@ -218,146 +235,3 @@ class TestClockCSV:
         lines = out.read_text().splitlines()
         assert lines[0] == "u,B"
         assert float(lines[1].split(",")[0]) == 0.0
-
-
-def _block(paths):
-    offsets = np.cumsum([0] + [len(path) for path in paths])
-    times = np.concatenate([path.times for path in paths])
-    sizes = np.concatenate([path.sizes for path in paths])
-    return times, sizes, offsets
-
-
-def _marginals(phi, x, paths, alpha, t):
-    times, sizes, offsets = _block(paths)
-    path = paths[0]
-    return time_change_marginals(
-        phi, x, times, sizes, offsets, path.horizon, path.cutoff, alpha, t
-    )
-
-
-def _scalar_marginal(phi, x, path, alpha, t):
-    """X at t from solve_time_change, or None where the clock ends first."""
-    solution, clock = solve_time_change(phi, x, path, alpha)
-    return solution.value_at(t) if clock.total > t else None
-
-
-def _assert_bit_equal(values, covered, expected):
-    assert covered.tolist() == [e is not None for e in expected]
-    for got, want in zip(values, expected):
-        if want is None:
-            assert math.isnan(got)
-        else:
-            assert np.float64(got).tobytes() == np.float64(want).tobytes()
-
-
-PHIS = [
-    "constant(1)",
-    "shifted-arctan(2,0.6366)",
-    "shifted-arctan(3,1)",
-    "soft-ramp(0.5,2)",
-    "piecewise-linear(0:1,1:2,3:2.5)",
-]
-
-
-class TestTimeChangeMarginals:
-    """The block kernel against solve_time_change, path by path, bit for bit."""
-
-    @given(
-        alpha=st.floats(min_value=0.05, max_value=0.95),
-        phi=st.sampled_from(PHIS),
-        x=st.floats(min_value=-3.0, max_value=3.0),
-        horizon=st.floats(min_value=0.1, max_value=4.0),
-        eps=st.floats(min_value=1e-3, max_value=3.0),
-        seed=st.integers(min_value=0, max_value=2**32 - 1),
-        n=st.integers(min_value=1, max_value=12),
-        on_horizon=st.lists(st.booleans(), min_size=12, max_size=12),
-        t_kind=st.sampled_from(["fraction", "jump", "total"]),
-        t_fraction=st.floats(min_value=0.0, max_value=1.5),
-        pick=st.integers(min_value=0, max_value=10**6),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_bit_equal_to_solve_time_change(
-        self, alpha, phi, x, horizon, eps, seed, n, on_horizon, t_kind, t_fraction, pick
-    ):
-        phi = parse_phi(phi)
-        params = StableParams.default(alpha)
-        rng = np.random.default_rng(seed)
-        paths = []
-        for i in range(n):
-            path = sample_truncated_path(params, horizon, eps, rng)
-            if on_horizon[i] and len(path):
-                # The last event moved onto the horizon: a zero-length last
-                # segment, which the clock drops.
-                times = path.times.copy()
-                times[-1] = horizon
-                path = JumpPath(horizon, times, path.sizes, eps)
-            paths.append(path)
-        # Around the clock totals, so that some rows are covered and some not;
-        # or exactly at a jump's clock value, or at a clock's total.
-        t = t_fraction * horizon * float(phi.eval(x)) ** -alpha
-        clocks = [build_clock(phi, x, path, alpha) for path in paths]
-        jump_clocks = np.concatenate([c.values[1 : len(p) + 1] for c, p in zip(clocks, paths)])
-        if t_kind == "jump" and jump_clocks.size:
-            t = float(jump_clocks[pick % jump_clocks.size])
-        elif t_kind == "total":
-            t = clocks[pick % n].total
-        values, covered = _marginals(phi, x, paths, alpha, t)
-        expected = [_scalar_marginal(phi, x, path, alpha, t) for path in paths]
-        _assert_bit_equal(values, covered, expected)
-
-    def test_hand_block(self):
-        paths = [
-            make_path([], []),
-            make_path([0.5], [1.0]),
-            make_path([0.25, 1.0], [1.0, 2.0]),  # last event on the horizon
-            make_path([0.2, 0.4, 0.6], [0.5, 1.0, 3.0]),
-        ]
-        jump_clock = build_clock(ARCTAN, 0.0, paths[1], 0.5).values[1]
-        # At a jump's clock value X has taken the jump (side="right").
-        for t in (0.0, 0.1, jump_clock, 0.4, 1.0):
-            values, covered = _marginals(ARCTAN, 0.0, paths, 0.5, t)
-            expected = [_scalar_marginal(ARCTAN, 0.0, path, 0.5, t) for path in paths]
-            _assert_bit_equal(values, covered, expected)
-        values, _ = _marginals(ARCTAN, 0.0, paths, 0.5, jump_clock)
-        assert values[1] == 1.0
-
-    def test_zero_length_last_segment_is_not_checked(self):
-        # phi overflows only at the state after the event on the horizon,
-        # which no segment of the clock reads.
-        phi = parse_phi("soft-ramp(1,1e308)")
-        path = make_path([0.5, 1.0], [1.0, 10.0])
-        with np.errstate(over="ignore"):
-            values, covered = _marginals(phi, 0.0, [path], 0.5, 0.1)
-        assert covered.tolist() == [True]
-        assert values[0] == _scalar_marginal(phi, 0.0, path, 0.5, 0.1) == 0.0
-
-    def test_empty_block(self):
-        values, covered = time_change_marginals(
-            ARCTAN, 0.0, np.empty(0), np.empty(0), np.array([0]), 1.0, 0.5, 0.5, 0.5
-        )
-        assert values.shape == covered.shape == (0,)
-
-    def test_nonpositive_slope_names_the_path(self):
-        # phi(x) = 1 + 1e308 * x is inf once x > 1.8, and inf**-alpha is 0.
-        phi = parse_phi("soft-ramp(1,1e308)")
-        paths = [make_path([0.5], [1.0]), make_path([0.2, 0.7], [1.0, 1.0])]
-        with np.errstate(over="ignore"):
-            with pytest.raises(ValueError, match="slopes must be positive") as info:
-                _marginals(phi, 0.0, paths, 0.5, 0.5)
-            assert info.value.path == 1
-            with pytest.raises(ValueError, match="slopes must be positive"):
-                build_clock(phi, 0.0, paths[1], 0.5)
-
-    def test_bad_jumps_name_the_path(self):
-        paths = [make_path([0.5], [1.0]), make_path([0.5], [1.0])]
-        times, sizes, offsets = _block(paths)
-        sizes[1] = 0.25
-        with pytest.raises(ValueError, match=">= cutoff") as info:
-            time_change_marginals(ARCTAN, 0.0, times, sizes, offsets, 1.0, 0.5, 0.5, 0.5)
-        assert info.value.path == 1
-
-    def test_rejects_what_build_clock_rejects(self):
-        times, sizes, offsets = _block([make_path([0.5], [1.0])])
-        for phi, cutoff, alpha in ((PowerPhi(0.5), 0.5, 0.5), (ARCTAN, 0.0, 0.5), (ARCTAN, 0.5, 1.0)):
-            with pytest.raises(ValueError):
-                time_change_marginals(phi, 0.0, times, sizes, offsets, 1.0, cutoff, alpha, 0.5)
