@@ -33,6 +33,8 @@ from .driver import (
     GridPath,
     SamplerIntegrityError,
     StableParams,
+    _grid_times,
+    _grid_values,
     sample_exact_increment,
     sample_grid_path,
 )
@@ -146,27 +148,30 @@ def _fit_head_coefficient(times: np.ndarray, partial: np.ndarray, beta: float) -
 
 
 def _clock_values(
-    alpha: float, beta: float, grid: GridPath
-) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """Grid steps, singular clock values B(s_k), head coefficient and head value.
+    alpha: float, beta: float, times: np.ndarray, ds: np.ndarray, z: np.ndarray
+) -> tuple[np.ndarray, float, float]:
+    """Singular clock values B(s_k), head coefficient and head value.
 
-    Raises what the full construction raises: ValueError on bad parameters or
-    on a clock that is not finite and strictly increasing (which ``Clock``
-    would reject), SamplerIntegrityError on a non-positive or NaN driver.
+    z holds the driver values on the grid times (ds = np.diff(times)).
+    Raises what the full construction raises: ValueError on bad parameters,
+    on a decreasing driver (which ``GridPath`` would reject) or on a clock
+    that is not finite and strictly increasing (which ``Clock`` would
+    reject), SamplerIntegrityError on a non-positive or NaN driver.
     """
+    # Written over the condition that must fail, so NaN passes, as in GridPath.
+    if z[0] != 0.0 or (z[1:] < z[:-1]).any():
+        raise ValueError("grid values must start at 0 and be non-decreasing")
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     if not (0.0 < beta < 1.0):
         raise ValueError(f"beta must lie in (0, 1), got {beta}")
-    times, z = grid.times, grid.values
     if times.size < 101:
         raise ValueError("grid too coarse for the head fit, need m >= 100 steps")
-    # Also rejects NaN, which GridPath's monotonicity check lets through.
-    if not np.all(z[1:] > 0.0):
+    # Also rejects NaN, which the monotonicity check lets through.
+    if not (z[1:] > 0.0).all():
         raise SamplerIntegrityError(
             "driver hit a non-positive or NaN value at a positive grid time"
         )
-    ds = np.diff(times)
     # Left-endpoint integrand over [s_i, s_{i+1}], i >= 1; the i = 0 term is
     # the singular head, replaced by the fitted correction.  The exponents
     # are fused (z**(-alpha*beta) rather than (z**beta)**(-alpha)): one pass
@@ -181,14 +186,24 @@ def _clock_values(
     head_value = head_coeff * times[1] ** (1.0 - beta)
     values += head_value
     values[0] = 0.0
-    if not (math.isfinite(values[-1]) and np.all(values[1:] > values[:-1])):
+    if not (math.isfinite(values[-1]) and (values[1:] > values[:-1]).all()):
         raise ValueError("singular clock must be finite and strictly increasing")
-    return ds, values, head_coeff, head_value
+    return values, head_coeff, head_value
 
 
 def _noise_increments(z: np.ndarray, beta: float) -> np.ndarray:
     """Recovered-noise increments Z(s_k)**(-beta) * (Z(s_{k+1}) - Z(s_k)), k >= 1."""
     return z[1:-1] ** (-beta) * np.diff(z)[1:]
+
+
+def _noise_values(z: np.ndarray, beta: float, noise_inc: np.ndarray) -> np.ndarray:
+    """Recovered noise Y(s_k): left-endpoint sums of noise_inc from s_1 on.
+
+    The head term is the proxy Z(s_1)**(1-beta) / (1-beta), the smooth-path
+    closed form.
+    """
+    noise_head = z[1] ** (1.0 - beta) / (1.0 - beta)
+    return np.concatenate(([0.0], [noise_head], noise_head + np.cumsum(noise_inc)))
 
 
 def derive_run(alpha: float, beta: float, grid: GridPath) -> CounterexampleRun:
@@ -198,16 +213,16 @@ def derive_run(alpha: float, beta: float, grid: GridPath) -> CounterexampleRun:
     head interval carries the fitted power-law correction.  The recovered
     noise uses the matching left-endpoint sums of Z**(-beta) increments with
     a right-endpoint proxy for its own (negligible) head term.
+
+    The grid runs of the checks below take array paths instead; this one
+    stays the reference that property tests hold them bit-equal to.
     """
-    ds, clock_values, head_coeff, head_value = _clock_values(alpha, beta, grid)
+    z = grid.values
+    ds = np.diff(grid.times)
+    clock_values, head_coeff, head_value = _clock_values(alpha, beta, grid.times, ds, z)
     slopes = np.diff(clock_values) / ds
     clock = Clock(breakpoints=grid.times, slopes=slopes, values=clock_values)
-    # Recovered noise: left-endpoint sums of Z**(-beta) * dZ from s_1 on;
-    # head proxy Z(s_1)**(1-beta) / (1-beta) (the smooth-path closed form).
-    z = grid.values
-    noise_head = z[1] ** (1.0 - beta) / (1.0 - beta)
-    noise_inc = _noise_increments(z, beta)
-    noise_values = np.concatenate(([0.0], [noise_head], noise_head + np.cumsum(noise_inc)))
+    noise_values = _noise_values(z, beta, _noise_increments(z, beta))
     return CounterexampleRun(
         alpha=alpha,
         beta=beta,
@@ -216,49 +231,92 @@ def derive_run(alpha: float, beta: float, grid: GridPath) -> CounterexampleRun:
         head_coeff=head_coeff,
         head_value=head_value,
         noise_values=noise_values,
-        noise_head=noise_head,
+        noise_head=float(noise_values[1]),
     )
 
 
-def _clock_total(alpha: float, beta: float, grid: GridPath) -> float:
-    """B(T) of derive_run(alpha, beta, grid), bit for bit, without the full run."""
-    return float(_clock_values(alpha, beta, grid)[1][-1])
+def _clock_total(
+    alpha: float, beta: float, times: np.ndarray, ds: np.ndarray, z: np.ndarray
+) -> float:
+    """B(T) of derive_run on the grid (times, z), bit for bit, without the full run."""
+    return float(_clock_values(alpha, beta, times, ds, z)[0][-1])
 
 
-def _recovered_noise(alpha: float, beta: float, grid: GridPath, t: float) -> float | None:
-    """V_t of derive_run(alpha, beta, grid), bit for bit; None if B(T) <= t.
-
-    Inverts the clock on its values as ``invert_clock`` does and sums the
-    recovered-noise increments only up to the inverted grid index; the
-    partial cumulative sum is sequential, so it ends on the same bits.
-    """
-    ds, values, _, _ = _clock_values(alpha, beta, grid)
+def _inverse_time(
+    times: np.ndarray, ds: np.ndarray, values: np.ndarray, t: float
+) -> float | None:
+    """invert_clock on clock values B(s_k), bit for bit; None if B(T) <= t."""
     if not t < values[-1]:
         return None
     if t < 0.0:
         raise ValueError(f"t must be >= 0, got {t}")
-    times, z = grid.times, grid.values
     i = int(np.searchsorted(values, t, side="right")) - 1
     if values[i] == t:
-        g = times[i]
-    else:
-        g = times[i] + (t - values[i]) / ((values[i + 1] - values[i]) / ds[i])
+        return float(times[i])
+    return float(times[i] + (t - values[i]) / ((values[i + 1] - values[i]) / ds[i]))
+
+
+def _recovered_noise(
+    alpha: float, beta: float, times: np.ndarray, ds: np.ndarray, z: np.ndarray, t: float
+) -> float | None:
+    """V_t of derive_run on the grid (times, z), bit for bit; None if B(T) <= t.
+
+    Inverts the clock on its values and sums the recovered-noise increments
+    only up to the inverted grid index; the partial cumulative sum is
+    sequential, so it ends on the same bits.
+    """
+    g = _inverse_time(times, ds, _clock_values(alpha, beta, times, ds, z)[0], t)
+    if g is None:
+        return None
     idx = int(np.searchsorted(times, g, side="right")) - 1
     noise_head = z[1] ** (1.0 - beta) / (1.0 - beta)
     if idx < 2:
         return float(noise_head) if idx == 1 else 0.0
-    noise_inc = z[1:idx] ** (-beta) * (z[2 : idx + 1] - z[1:idx])
-    return float(noise_head + np.cumsum(noise_inc)[-1])
+    return float(noise_head + np.cumsum(_noise_increments(z[: idx + 1], beta))[-1])
 
 
-def _sample_run_grid(
-    alpha: float, beta: float, horizon: float, m: int, rng: np.random.Generator
-) -> GridPath:
-    """The grid path of one run, sampled after the run's parameter checks."""
-    PowerPhi(beta)  # reject beta outside (0, 1) before any sampling
+def _nonuniqueness_outcome(
+    alpha: float,
+    beta: float,
+    times: np.ndarray,
+    ds: np.ndarray,
+    z: np.ndarray,
+    t_eval: float,
+    replay: bool,
+) -> tuple[float, float | None, bool, bool]:
+    """One run of nonuniqueness_demo: zero residual, replay residual, covered, positive.
+
+    Bit for bit what the demo reads from derive_run on the grid (times, z);
+    the replay residual is None unless replay is set.
+    """
+    values = _clock_values(alpha, beta, times, ds, z)[0]
+    noise_inc = _noise_increments(z, beta)
+    # Zero path: increments phi(0) * dV vanish term by term.
+    zero = float(np.max(np.abs(0.0**beta * np.diff(_noise_values(z, beta, noise_inc)))))
+    # Raw increments: differences of the running sum of the recovered noise
+    # lose digits to cancellation.
+    residual = _replay_relative_residual(z, beta, noise_inc) if replay else None
+    g = _inverse_time(times, ds, values, t_eval)
+    if g is None:
+        return zero, residual, False, False
+    if g > times[-1]:  # GridPath.value_at's range check
+        raise ValueError(f"s={g} outside [0, {times[-1]}]")
+    return zero, residual, True, bool(z[np.searchsorted(times, g, side="right") - 1] > 0.0)
+
+
+def _check_grid(
+    alpha: float, beta: float, horizon: float, m: int
+) -> tuple[np.ndarray, np.ndarray, StableParams]:
+    """Times, steps and driver parameters shared by one check's grid runs.
+
+    Checks the parameters of every run once, before any run draws.
+    """
+    PowerPhi(beta)  # reject beta outside (0, 1)
     if m < 100:
         raise ValueError(f"grid too coarse for the head fit, need m >= 100, got {m}")
-    return sample_grid_path(StableParams.default(alpha), horizon, m, rng)
+    params = StableParams.default(alpha)
+    times, ds = _grid_times(horizon, m)
+    return times, ds, params
 
 
 def run_counterexample(
@@ -269,7 +327,8 @@ def run_counterexample(
     rng: np.random.Generator,
 ) -> CounterexampleRun:
     """Simulate one run of the construction on an m-step grid over [0, horizon]."""
-    return derive_run(alpha, beta, _sample_run_grid(alpha, beta, horizon, m, rng))
+    params = _check_grid(alpha, beta, horizon, m)[2]
+    return derive_run(alpha, beta, sample_grid_path(params, horizon, m, rng))
 
 
 def _map_runs(fn, generators: list[np.random.Generator]) -> list:
@@ -294,6 +353,34 @@ def _map_runs(fn, generators: list[np.random.Generator]) -> list:
     with ThreadPoolExecutor(workers) as pool:
         parts = pool.map(lambda chunk: [fn(g) for g in chunk], chunks)
         return [out for part in parts for out in part]
+
+
+def _grid_runs(check: str, fn, generators: list[np.random.Generator], start: int = 0) -> list:
+    """_map_runs(fn, generators); a failing run is named by check and spawn index.
+
+    generators[k] is spawn index start + k.  The error keeps its type.
+    """
+
+    def named(item):
+        k, g = item
+        try:
+            return fn(g)
+        except (ValueError, SamplerIntegrityError) as exc:
+            raise type(exc)(f"{check} run {k}: {exc}") from exc
+
+    return _map_runs(named, list(enumerate(generators, start)))
+
+
+def _clock_totals(
+    check: str, alpha: float, beta: float, horizon: float, m: int, generators: list
+) -> list[float]:
+    """B(T) of one m-step grid run over [0, horizon] per generator."""
+    times, ds, params = _check_grid(alpha, beta, horizon, m)
+    return _grid_runs(
+        check,
+        lambda g: _clock_total(alpha, beta, times, ds, _grid_values(params, horizon, m, g)),
+        generators,
+    )
 
 
 def scaling_law_check(
@@ -321,18 +408,8 @@ def scaling_law_check(
     # replicate k's draw is pinned by its index alone, so changing n never
     # disturbs the other replicates.
     parent1, parent2 = rng.spawn(2)
-    b1 = np.array(
-        _map_runs(
-            lambda g: _clock_total(alpha, beta, _sample_run_grid(alpha, beta, t1, m1, g)),
-            parent1.spawn(n),
-        )
-    )
-    b2 = np.array(
-        _map_runs(
-            lambda g: _clock_total(alpha, beta, _sample_run_grid(alpha, beta, t2, m2, g)),
-            parent2.spawn(n),
-        )
-    )
+    b1 = np.array(_clock_totals(f"scaling-law t1={t1:g}", alpha, beta, t1, m1, parent1.spawn(n)))
+    b2 = np.array(_clock_totals(f"scaling-law t2={t2:g}", alpha, beta, t2, m2, parent2.spawn(n)))
     rescaled = b2 * (t2 / t1) ** (beta - 1.0)
     ks = ks_two_sample(SampleSet(rescaled, "rescaled"), SampleSet(b1, "reference"))
     return CheckReport(
@@ -385,10 +462,7 @@ def divergence_check(
         m = min(int(round(m_per_unit * t)), m_cap)
         m = max(m, 100)
         totals = np.array(
-            _map_runs(
-                lambda g: _clock_total(alpha, beta, _sample_run_grid(alpha, beta, t, m, g)),
-                parent.spawn(n),
-            )
+            _clock_totals(f"divergence T={t:g}", alpha, beta, t, m, parent.spawn(n))
         )
         p = float(np.mean(totals <= threshold))
         probs.append(p)
@@ -425,11 +499,12 @@ def driver_law_check(
     if n < 1000:
         raise ValueError("need at least 1000 replicates for the KS regime")
     m = int(round(m_per_unit * horizon))
-    params = StableParams.default(alpha)
+    times, ds, params = _check_grid(alpha, beta, horizon, m)
     run_parent, exact_parent = rng.spawn(2)
-    values = _map_runs(
+    values = _grid_runs(
+        "driver-law",
         lambda g: _recovered_noise(
-            alpha, beta, _sample_run_grid(alpha, beta, horizon, m, g), t_eval
+            alpha, beta, times, ds, _grid_values(params, horizon, m, g), t_eval
         ),
         run_parent.spawn(n),
     )
@@ -496,25 +571,18 @@ def nonuniqueness_demo(
     the grid on the first replay_runs runs and reports the worst relative gap
     against the time-change values.
     """
-    phi = PowerPhi(beta)
     m = int(round(m_per_unit * horizon))
+    times, ds, params = _check_grid(alpha, beta, horizon, m)
 
     def one(g: np.random.Generator, replay: bool):
-        run = run_counterexample(alpha, beta, horizon, m, g)
-        # Zero path: increments phi(0) * dV vanish term by term.
-        zero = float(np.max(np.abs(phi.eval(0.0) * np.diff(run.noise_values))))
-        residual = None
-        if replay:
-            # Raw increments: differences of the running sum noise_values
-            # lose digits to cancellation.
-            inc = _noise_increments(run.grid.values, beta)
-            residual = _replay_relative_residual(run, beta, inc)
-        covered = run.covers(t_eval)
-        return zero, residual, covered, covered and run.solution_at(t_eval) > 0.0
+        z = _grid_values(params, horizon, m, g)
+        return _nonuniqueness_outcome(alpha, beta, times, ds, z, t_eval, replay)
 
     streams = rng.spawn(n)
-    runs = _map_runs(lambda g: one(g, True), streams[:replay_runs])
-    runs += _map_runs(lambda g: one(g, False), streams[replay_runs:])
+    runs = _grid_runs("nonuniqueness", lambda g: one(g, True), streams[:replay_runs])
+    runs += _grid_runs(
+        "nonuniqueness", lambda g: one(g, False), streams[replay_runs:], replay_runs
+    )
     # np.max and np.argmax let NaN through, where Python's max drops it;
     # argmax also keeps the first of equal maxima.
     zero_residual = float(np.max([r[0] for r in runs]))
@@ -551,21 +619,23 @@ def head_refinement_check(
     below the coarse run's head correction, which bounds the unresolved mass.
     """
     params = StableParams.default(alpha)
+    fine_times, fine_ds = _grid_times(horizon, 2 * m)
+    coarse_times = fine_times[::2]
+    coarse_ds = np.diff(coarse_times)
 
     def within(g: np.random.Generator) -> bool:
-        fine_grid = sample_grid_path(params, horizon, 2 * m, g)
-        coarse_grid = GridPath(times=fine_grid.times[::2], values=fine_grid.values[::2])
-        fine_total = _clock_total(alpha, beta, fine_grid)
-        _, coarse_values, _, coarse_head = _clock_values(alpha, beta, coarse_grid)
+        fine = _grid_values(params, horizon, 2 * m, g)
+        fine_total = _clock_total(alpha, beta, fine_times, fine_ds, fine)
+        coarse_values, _, coarse_head = _clock_values(
+            alpha, beta, coarse_times, coarse_ds, fine[::2]
+        )
         return abs(fine_total - float(coarse_values[-1])) < coarse_head
 
-    return sum(_map_runs(within, rng.spawn(n))) / n
+    return sum(_grid_runs("head-refinement", within, rng.spawn(n))) / n
 
 
-def _replay_relative_residual(
-    run: CounterexampleRun, beta: float, noise_inc: np.ndarray
-) -> float:
-    """Worst relative gap between X <- X + X**beta * dV and the grid path.
+def _replay_relative_residual(z: np.ndarray, beta: float, noise_inc: np.ndarray) -> float:
+    """Worst relative gap between X <- X + X**beta * dV and the grid driver z.
 
     noise_inc[k] drives the step from s_{k+1} to s_{k+2}; a NaN anywhere makes
     the result NaN.
@@ -573,11 +643,11 @@ def _replay_relative_residual(
     # Event-wise solve seeded at the first positive state; a start at exactly
     # 0 can never leave 0, which is the non-uniqueness being demonstrated.
     # memoryview indexing yields Python floats without a numpy scalar per read.
-    targets = run.grid.values[2:]
+    targets = z[2:]
     xs = np.empty(len(noise_inc))
     out = memoryview(xs)
     inc = memoryview(noise_inc)
-    x = float(run.grid.values[1])
+    x = float(z[1])
     for k in range(len(inc)):
         x = x + (x**beta) * inc[k]
         out[k] = x

@@ -281,17 +281,22 @@ def _standard_stable(alpha: float, size: int, rng: np.random.Generator) -> np.nd
     w = rng.standard_exponential(size)
     np.maximum(w, np.finfo(float).tiny, out=w)
     # log A(u), then S, term by term in the order of the formula above and
-    # into two buffers: the same operations in the same order give every
-    # draw the bits of the one-expression form, without its temporaries.
+    # into the draws' own buffers: the same operations in the same order give
+    # every draw the bits of the one-expression form, without its temporaries.
     log_a = np.multiply(1.0 - alpha, u)
     np.log(np.sin(log_a, out=log_a), out=log_a)
-    term = np.multiply(alpha, u)
-    np.log(np.sin(term, out=term), out=term)
-    term *= alpha / (1.0 - alpha)
-    log_a += term
-    np.log(np.sin(u, out=term), out=term)
-    term *= 1.0 / (1.0 - alpha)
-    log_a -= term
+    if 1.0 - alpha == alpha:
+        # alpha = 1/2: sin(alpha*u) is the array just taken, and the factor
+        # alpha/(1-alpha) is exactly 1, so one sine gives both terms.
+        log_a += log_a
+    else:
+        term = np.multiply(alpha, u)
+        np.log(np.sin(term, out=term), out=term)
+        term *= alpha / (1.0 - alpha)
+        log_a += term
+    np.log(np.sin(u, out=u), out=u)
+    u *= 1.0 / (1.0 - alpha)
+    log_a -= u
     log_a -= np.log(w, out=w)
     log_a *= (1.0 - alpha) / alpha
     return np.exp(log_a, out=log_a)
@@ -317,18 +322,32 @@ def sample_exact_increment(
     return out if size is not None else float(out[0])
 
 
-def sample_grid_path(
-    params: StableParams, horizon: float, m: int, rng: np.random.Generator
-) -> GridPath:
-    """Driver on a uniform m-step grid from i.i.d. exact increments."""
+def _grid_times(horizon: float, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Times 0 = s_0 < ... < s_m = horizon of the uniform grid, and their steps."""
     if m < 1:
         raise ValueError("grid needs at least one step")
     if not (horizon > 0.0):
         raise ValueError(f"horizon must be positive, got {horizon}")
-    dt = horizon / m
-    inc = sample_exact_increment(params, dt, rng, size=m)
     times = np.linspace(0.0, horizon, m + 1)
+    ds = np.diff(times)
+    if not (ds > 0.0).all():
+        raise ValueError("grid times must start at 0 and strictly increase")
+    return times, ds
+
+
+def _grid_values(
+    params: StableParams, horizon: float, m: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Driver values on the grid of _grid_times(horizon, m): 0, then cumulative sums."""
     values = np.empty(m + 1)
     values[0] = 0.0
-    np.cumsum(inc, out=values[1:])
-    return GridPath(times=times, values=values)
+    np.cumsum(sample_exact_increment(params, horizon / m, rng, size=m), out=values[1:])
+    return values
+
+
+def sample_grid_path(
+    params: StableParams, horizon: float, m: int, rng: np.random.Generator
+) -> GridPath:
+    """Driver on a uniform m-step grid from i.i.d. exact increments."""
+    times, _ = _grid_times(horizon, m)
+    return GridPath(times=times, values=_grid_values(params, horizon, m, rng))

@@ -31,6 +31,7 @@ from .counterexample import (
     write_report_csv,
 )
 from .driver import (
+    SamplerIntegrityError,
     StableParams,
     _sample_jumps,
     extend_truncated_path,
@@ -459,6 +460,13 @@ def _run_ladder_monotone(cfg: ExperimentConfig, out: Path):
 # --------------------------------------------------------------------------
 
 
+# A driver with more events than this is not extended again.  An extension
+# doubles the horizon and so about doubles the events, so a clock that all but
+# stops (a phi that grows very fast) gives up on a driver of about two million
+# events, where it would otherwise double them until memory runs out.
+_EXTENSION_EVENTS = 1 << 20
+
+
 def _timechange_marginal(
     phi: MonotonePhi,
     x0: float,
@@ -472,7 +480,8 @@ def _timechange_marginal(
 
     The driver is extended (never resampled) until its clock covers t_eval,
     which keeps the marginal law untouched: the extension is a stopping rule
-    on one infinite jump stream.
+    on one infinite jump stream.  A driver past _EXTENSION_EVENTS events, or
+    64 extensions, ends the search with a RuntimeError.
     """
     horizon = initial_horizon
     path = sample_truncated_path(params, horizon, eps, rng)
@@ -480,6 +489,11 @@ def _timechange_marginal(
         solution, clock = solve_time_change(phi, x0, path, params.alpha)
         if clock.total > t_eval:
             return solution.value_at(t_eval)
+        if len(path) > _EXTENSION_EVENTS:
+            raise RuntimeError(
+                f"time-change clock failed to cover the evaluation time on a driver "
+                f"of {len(path)} events, past the {_EXTENSION_EVENTS} that may be extended"
+            )
         horizon *= 2.0
         path = extend_truncated_path(params, path, horizon, rng)
     raise RuntimeError(
@@ -591,34 +605,31 @@ def _run_uniqueness_couple(cfg: ExperimentConfig, out: Path):
 # --------------------------------------------------------------------------
 
 
+def _grid_check(check, cfg: ExperimentConfig, tag: str, *args, **kwargs):
+    """check(alpha, beta, *args, replicates, rng, m_per_unit=grid_m, **kwargs).
+
+    rng is the stream (master seed, 0, tag) that the check spawns its grid
+    runs from; a failed run is named by the check, and here by the stream
+    tag and its derived seed, and keeps its type.
+    """
+    rng = replicate_rng(cfg.seed, 0, tag)
+    try:
+        return check(
+            cfg.alpha, cfg.beta, *args, cfg.replicates, rng, m_per_unit=cfg.grid_m, **kwargs
+        )
+    except (ValueError, SamplerIntegrityError) as exc:
+        seed = derive_seed(cfg.seed, 0, tag)
+        raise type(exc)(f"stream '{tag}' (seed {seed}): {exc}") from exc
+
+
 def _run_counterexample_experiment(cfg: ExperimentConfig, out: Path):
-    scaling = scaling_law_check(
-        cfg.alpha,
-        cfg.beta,
-        1.0,
-        2.0,
-        cfg.replicates,
-        replicate_rng(cfg.seed, 0, "counterexample-scaling"),
-        m_per_unit=cfg.grid_m,
-        seed=cfg.seed,
+    scaling = _grid_check(
+        scaling_law_check, cfg, "counterexample-scaling", 1.0, 2.0, seed=cfg.seed
     )
-    law = driver_law_check(
-        cfg.alpha,
-        cfg.beta,
-        cfg.horizon,
-        cfg.replicates,
-        replicate_rng(cfg.seed, 0, "counterexample-driver-law"),
-        m_per_unit=cfg.grid_m,
-        seed=cfg.seed,
+    law = _grid_check(
+        driver_law_check, cfg, "counterexample-driver-law", cfg.horizon, seed=cfg.seed
     )
-    demo = nonuniqueness_demo(
-        cfg.alpha,
-        cfg.beta,
-        cfg.horizon,
-        cfg.replicates,
-        replicate_rng(cfg.seed, 0, "counterexample-nonuniqueness"),
-        m_per_unit=cfg.grid_m,
-    )
+    demo = _grid_check(nonuniqueness_demo, cfg, "counterexample-nonuniqueness", cfg.horizon)
     report_csv = out / "counterexample_report.csv"
     write_report_csv(report_csv, [scaling, law])
     rows = [

@@ -22,15 +22,18 @@ from stable_sde_lab import (
 )
 from stable_sde_lab import counterexample
 from stable_sde_lab.counterexample import (
+    _check_grid,
     _clock_total,
     _map_runs,
     _noise_increments,
+    _nonuniqueness_outcome,
     _recovered_noise,
     _replay_relative_residual,
     derive_run,
     head_refinement_check,
 )
-from stable_sde_lab.driver import GridPath, sample_grid_path
+from stable_sde_lab.driver import GridPath, _grid_values, sample_grid_path
+from stable_sde_lab.phi import PowerPhi
 from stable_sde_lab.timechange import clock_eval
 
 
@@ -211,18 +214,18 @@ class TestNonUniqueness:
         residuals = []
         for g in streams[:16]:
             run = run_counterexample(0.5, 0.5, 4.0, 2000, g)
-            residuals.append(
-                _replay_relative_residual(run, 0.5, _noise_increments(run.grid.values, 0.5))
-            )
+            z = run.grid.values
+            residuals.append(_replay_relative_residual(z, 0.5, _noise_increments(z, 0.5)))
         assert rep.replay_residual == max(residuals) > 0.0
         assert rep.replay_worst_replicate == residuals.index(max(residuals))
 
     def test_replay_keeps_a_nan_increment(self):
         run = run_counterexample(0.5, 0.5, 1.0, 200, np.random.default_rng(15))
-        inc = _noise_increments(run.grid.values, 0.5)
-        assert _replay_relative_residual(run, 0.5, inc) <= 1e-9
+        z = run.grid.values
+        inc = _noise_increments(z, 0.5)
+        assert _replay_relative_residual(z, 0.5, inc) <= 1e-9
         inc[5] = np.nan
-        assert math.isnan(_replay_relative_residual(run, 0.5, inc))
+        assert math.isnan(_replay_relative_residual(z, 0.5, inc))
 
     def test_beta_one_rejected(self):
         with pytest.raises(ValueError):
@@ -323,11 +326,26 @@ def _outcome(fn):
         return type(exc)
 
 
+def _demo_reference(run, beta: float, t_eval: float):
+    """One run's outcome in nonuniqueness_demo, read off the full derive_run path."""
+    z = run.grid.values
+    zero = float(np.max(np.abs(PowerPhi(beta).eval(0.0) * np.diff(run.noise_values))))
+    residual = _replay_relative_residual(z, beta, _noise_increments(z, beta))
+    covered = run.covers(t_eval)
+    return zero, residual, covered, covered and run.solution_at(t_eval) > 0.0
+
+
+def _assert_same_demo_outcome(got, want):
+    zero, residual, covered, positive = got
+    assert _bits(zero) == _bits(want[0]) and _bits(residual) == _bits(want[1])
+    assert covered is want[2] and positive is want[3]
+
+
 unit_open = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
 
 
 class TestLeanPaths:
-    """The clock-total and driver-law paths against the full derive_run path."""
+    """The array paths of the grid runs against the full derive_run path."""
 
     @given(
         alpha=unit_open,
@@ -339,47 +357,78 @@ class TestLeanPaths:
     )
     @settings(max_examples=80, deadline=None)
     def test_bit_equal_to_full_run(self, alpha, beta, horizon, m, seed, t):
-        def grid():
-            return sample_grid_path(
-                StableParams.default(alpha), horizon, m, np.random.default_rng(seed)
-            )
+        def lean(fn):
+            # What a check does per run: one shared time grid, then z alone.
+            times, ds, params = _check_grid(alpha, beta, horizon, m)
+            z = _grid_values(params, horizon, m, np.random.default_rng(seed))
+            return fn(times, ds, z)
 
         with np.errstate(all="ignore"):
             full = _outcome(
                 lambda: run_counterexample(alpha, beta, horizon, m, np.random.default_rng(seed))
             )
-            total = _outcome(lambda: _clock_total(alpha, beta, grid()))
-            noise = _outcome(lambda: _recovered_noise(alpha, beta, grid(), t))
+            total = _outcome(lambda: lean(lambda *grid: _clock_total(alpha, beta, *grid)))
+            noise = _outcome(lambda: lean(lambda *grid: _recovered_noise(alpha, beta, *grid, t)))
+            demo = _outcome(
+                lambda: lean(lambda *grid: _nonuniqueness_outcome(alpha, beta, *grid, t, True))
+            )
+            want = full if isinstance(full, type) else _outcome(
+                lambda: _demo_reference(full, beta, t)
+            )
         if isinstance(full, type):
-            assert total is full and noise is full
+            assert total is full and noise is full and demo is full
             return
         assert _bits(total) == _bits(full.clock_total)
         expected = full.recovered_noise_at(t) if full.covers(t) else None
         assert _bits(noise) == _bits(expected)
+        if isinstance(want, type):
+            assert demo is want
+        else:
+            _assert_same_demo_outcome(demo, want)
 
     @given(
         m=st.integers(min_value=100, max_value=2000),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
         position=st.floats(min_value=0.0, max_value=1.0),
-        corruption=st.sampled_from(["zero-first", "nan", "inf"]),
+        corruption=st.sampled_from(["zero-first", "nan", "inf", "inf-last", "decrease"]),
+        t_eval=st.floats(min_value=0.0, max_value=2.0),
     )
-    @settings(max_examples=60, deadline=None)
-    def test_corrupted_grids_raise_the_same_type(self, m, seed, position, corruption):
+    @settings(max_examples=80, deadline=None)
+    def test_corrupted_grids_raise_the_same_type(self, m, seed, position, corruption, t_eval):
         grid = sample_grid_path(StableParams.default(0.5), 1.0, m, np.random.default_rng(seed))
         inc = np.diff(grid.values)
+        expected = None  # the full run's outcome, when it raises nothing
         if corruption == "zero-first":
             inc[0] = 0.0
             expected = SamplerIntegrityError
         elif corruption == "nan":
             inc[int(position * (m - 1))] = np.nan
             expected = SamplerIntegrityError
-        else:
+        elif corruption == "inf":
             # The clock's left-endpoint sums never read the last grid value,
             # so the infinite step lands on one of the first m - 1.
             inc[int(position * (m - 2))] = np.inf
             expected = ValueError
+        elif corruption == "inf-last":
+            # Unread by the clock, read by the recovered noise: NaN residuals.
+            inc[-1] = np.inf
+        else:
+            inc[int(position * (m - 1))] *= -1.0
+            expected = ValueError
+        times, ds = grid.times, np.diff(grid.times)
         with np.errstate(all="ignore"):
-            bad = GridPath(times=grid.times, values=np.concatenate(([0.0], np.cumsum(inc))))
-            assert _outcome(lambda: derive_run(0.5, 0.5, bad)) is expected
-            assert _outcome(lambda: _clock_total(0.5, 0.5, bad)) is expected
-            assert _outcome(lambda: _recovered_noise(0.5, 0.5, bad, 0.5)) is expected
+            z = np.concatenate(([0.0], np.cumsum(inc)))
+            full = _outcome(lambda: derive_run(0.5, 0.5, GridPath(times=times, values=z)))
+            total = _outcome(lambda: _clock_total(0.5, 0.5, times, ds, z))
+            noise = _outcome(lambda: _recovered_noise(0.5, 0.5, times, ds, z, 0.5))
+            demo = _outcome(lambda: _nonuniqueness_outcome(0.5, 0.5, times, ds, z, t_eval, True))
+            want = full if isinstance(full, type) else _outcome(
+                lambda: _demo_reference(full, 0.5, t_eval)
+            )
+        if expected is not None:
+            assert full is expected and total is expected and noise is expected
+            assert demo is expected
+            return
+        assert _bits(total) == _bits(full.clock_total)
+        assert math.isnan(want[0]) and math.isnan(want[1])
+        _assert_same_demo_outcome(demo, want)

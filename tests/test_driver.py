@@ -18,7 +18,7 @@ from stable_sde_lab import (
     sample_truncated_path,
     thin_path,
 )
-from stable_sde_lab.driver import _sample_jumps, _standard_stable
+from stable_sde_lab.driver import _grid_times, _sample_jumps, _standard_stable
 from stable_sde_lab.stats import SampleSet, ks_two_sample
 
 
@@ -304,7 +304,12 @@ def _reference_standard_stable(alpha: float, size: int, rng: np.random.Generator
 
 
 class TestInPlaceSampler:
-    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.7, 0.9])
+    # At alpha = 1/2 the sampler takes one sine where it takes two elsewhere;
+    # the neighbours of 1/2 hold both sides of that switch to the reference.
+    @pytest.mark.parametrize(
+        "alpha",
+        [0.1, 0.3, np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0), 0.7, 0.9],
+    )
     @given(
         size=st.integers(min_value=1, max_value=5000),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -324,6 +329,26 @@ class TestInPlaceSampler:
         assert got.tobytes() == ref.tobytes()
         assert inc.tobytes() == (scale * ref).tobytes()
         assert grid.values.tobytes() == np.concatenate(([0.0], np.cumsum(grid_inc))).tobytes()
+
+
+class TestGridTimes:
+    @given(
+        horizon=st.floats(min_value=1e-3, max_value=100.0),
+        m=st.integers(min_value=1, max_value=20_000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_shared_times_are_linspace_bit_for_bit(self, horizon, m):
+        times, ds = _grid_times(horizon, m)
+        want = np.linspace(0.0, horizon, m + 1)
+        assert times.tobytes() == want.tobytes()
+        assert ds.tobytes() == np.diff(want).tobytes()
+        path = sample_grid_path(StableParams.default(0.5), horizon, m, np.random.default_rng(0))
+        assert path.times.tobytes() == want.tobytes()
+
+    def test_rejects_what_sample_grid_path_rejects(self):
+        for horizon, m in ((1.0, 0), (0.0, 10), (math.nan, 10)):
+            with pytest.raises(ValueError):
+                _grid_times(horizon, m)
 
 
 def _reference_jumps(params, horizon, eps, rng):

@@ -9,7 +9,7 @@ from stable_sde_lab import (
     solve_time_change,
     solve_truncated,
 )
-from stable_sde_lab import cli, counterexample, harness
+from stable_sde_lab import SamplerIntegrityError, cli, counterexample, driver, harness
 from stable_sde_lab.cli import main as cli_main
 from stable_sde_lab.harness import (
     _BLOCK,
@@ -210,21 +210,23 @@ class TestExperiments:
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_corrupted_run_fails_both_invariants(self, tmp_path, monkeypatch):
-        # One worker, so runs are built in spawn order and the second one is
-        # replicate 1; NaN and inf after a clean first run must reach the rows.
+        # One worker, so runs are made in spawn order and the second one is
+        # replicate 1.  Its last driver value, made inf after a clean first
+        # run, is never read by the clock: the last recovered-noise increment
+        # is inf, so the zero residual (0 * inf) and the replay residual
+        # (inf - inf) are NaN, and both must reach the rows.
         monkeypatch.setattr(counterexample.os, "sched_getaffinity", lambda pid: {0})
-        real = counterexample.run_counterexample
-        built = []
+        real = counterexample._nonuniqueness_outcome
+        calls = []
 
-        def corrupt_second(*args):
-            run = real(*args)
-            built.append(run)
-            if len(built) == 2:
-                run.noise_values[7] = np.inf  # 0 * inf increment: NaN zero residual
-                run.grid.values[7] = np.nan  # NaN replay increment and target
-            return run
+        def corrupt_second(alpha, beta, times, ds, z, *args):
+            calls.append(None)
+            if len(calls) == 2:
+                z = z.copy()
+                z[-1] = np.inf
+            return real(alpha, beta, times, ds, z, *args)
 
-        monkeypatch.setattr(counterexample, "run_counterexample", corrupt_second)
+        monkeypatch.setattr(counterexample, "_nonuniqueness_outcome", corrupt_second)
         result = _run(
             "experiment = counterexample\nreplicates = 1000\ngrid_m = 100\n"
             "T = 4.0\nseed = 5\n",
@@ -289,6 +291,51 @@ class TestExperiments:
         assert str(info.value).startswith(
             f"replicate 0 (seed {derive_seed(3, 0, 'ladder-driver')}): "
         )
+
+
+class TestGridRunNaming:
+    """A failed grid run names its check, spawn index, stream tag and seed."""
+
+    @pytest.mark.parametrize(
+        "value, exit_code",
+        # NaN fails the driver's positivity check, inf the clock's growth check.
+        [(np.nan, EXIT_INVARIANT), (np.inf, EXIT_CRASH)],
+    )
+    @pytest.mark.parametrize(
+        "spawn_key, tag, run",
+        [
+            ((1, 3), "counterexample-scaling", "scaling-law t2=2 run 3"),
+            ((17,), "counterexample-nonuniqueness", "nonuniqueness run 17"),
+        ],
+    )
+    def test_failed_run_is_named(
+        self, tmp_path, monkeypatch, capsys, value, exit_code, spawn_key, tag, run
+    ):
+        # The sampler returns a bad increment in the run of one spawned
+        # stream: child 3 of the scaling check's second horizon, or child 17
+        # of the non-uniqueness demo.
+        real = driver.sample_exact_increment
+
+        def sampler(params, dt, rng, size=None):
+            out = real(params, dt, rng, size)
+            if rng.bit_generator.seed_seq.spawn_key == spawn_key:
+                out[5] = value
+            return out
+
+        monkeypatch.setattr(driver, "sample_exact_increment", sampler)
+        text = "experiment = counterexample\nreplicates = 1000\ngrid_m = 100\nseed = 5\n"
+        error = SamplerIntegrityError if np.isnan(value) else ValueError
+        with np.errstate(all="ignore"), pytest.raises(error) as info:
+            run_experiment(parse_config_text(text), str(tmp_path / "api"))
+        assert str(info.value).startswith(
+            f"stream '{tag}' (seed {derive_seed(5, 0, tag)}): {run}: "
+        )
+        cfg = tmp_path / "ce.cfg"
+        cfg.write_text(text + f"out = {tmp_path / 'cli'}\n")
+        capsys.readouterr()
+        with np.errstate(all="ignore"):
+            assert cli_main(["run", "--config", str(cfg)]) == exit_code
+        assert str(info.value) in capsys.readouterr().err
 
 
 class TestTimeChangeSide:
@@ -358,6 +405,35 @@ class TestTimeChangeSide:
         assert str(info.value).startswith(
             f"replicate 1 (seed {derive_seed(4, 1, tag)}): time-change clock failed"
         )
+
+
+    def test_driver_growth_stops_at_the_event_budget(self, monkeypatch):
+        # phi(x) = 1 + 1e100 * x: after a jump the clock all but stops, so
+        # replicate 1's driver doubles without covering T until its events
+        # pass the budget.  At the real budget that takes a driver of over a
+        # million events and about 190 MB, so the test cuts the budget.
+        budget = 300
+        extended = []
+        real = harness.extend_truncated_path
+
+        def recording(params, path, new_horizon, rng):
+            extended.append(len(path))
+            return real(params, path, new_horizon, rng)
+
+        monkeypatch.setattr(harness, "_EXTENSION_EVENTS", budget)
+        monkeypatch.setattr(harness, "extend_truncated_path", recording)
+        cfg = parse_config_text(
+            "experiment = weak-agree\nphi = soft-ramp(1,1e100)\ncutoffs = 1\n"
+            "replicates = 20\nseed = 4\n"
+        )
+        tag = "weak-agree-timechange"
+        with pytest.raises(RuntimeError) as info:
+            _timechange_samples(cfg, tag)
+        assert str(info.value).startswith(
+            f"replicate 1 (seed {derive_seed(4, 1, tag)}): time-change clock failed"
+        )
+        assert f"past the {budget} that may be extended" in str(info.value)
+        assert extended and max(extended) <= budget
 
 
 class TestCLI:
