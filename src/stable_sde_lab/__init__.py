@@ -24,11 +24,10 @@ from .phi import (
     PiecewiseLinearPhi,
     PowerPhi,
     ShiftedArctanPhi,
-    SingularClockError,
     SoftRampPhi,
     parse_phi,
 )
-from .stats import KSReport, SampleSet, ecdf_eval, ks_two_sample, mc_band
+from .stats import KSReport, SampleSet, ks_two_sample
 from .timechange import (
     BEYOND_HORIZON,
     Clock,
@@ -45,7 +44,6 @@ from .truncation import (
     build_ladder,
     coupled_pair_distance,
     ladder_violations,
-    monotone_limit_estimate,
     solve_ladders,
     solve_truncated,
     sup_gap,

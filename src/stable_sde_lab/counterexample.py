@@ -175,7 +175,7 @@ def _clock_values(
     # Left-endpoint integrand over [s_i, s_{i+1}], i >= 1; the i = 0 term is
     # the singular head, replaced by the fitted correction.  The exponents
     # are fused (z**(-alpha*beta) rather than (z**beta)**(-alpha)): one pass
-    # instead of two, within 1 ulp of the registry's eval_pow.
+    # instead of two, within 1 ulp of PowerPhi(beta).eval(z) ** -alpha.
     values = np.empty(times.size)
     values[:2] = 0.0
     partial = values[2:]

@@ -109,15 +109,6 @@ class JumpPath:
         idx = int(np.searchsorted(self.times, t, side="right"))
         return float(self._cum[idx - 1]) if idx else 0.0
 
-    def values_at(self, ts: np.ndarray) -> np.ndarray:
-        """Vectorized cadlag evaluation at an array of times."""
-        ts = np.asarray(ts, dtype=float)
-        if ts.size and (ts.min() < 0.0 or ts.max() > self.horizon):
-            raise ValueError("evaluation times outside [0, horizon]")
-        idx = np.searchsorted(self.times, ts, side="right")
-        padded = np.concatenate(([0.0], self._cum))
-        return padded[idx]
-
     @property
     def total(self) -> float:
         return float(self._cum[-1]) if len(self) else 0.0
@@ -126,13 +117,6 @@ class JumpPath:
     def cumulative_sizes(self) -> np.ndarray:
         """Running sum of jump sizes, aligned with the event times."""
         return self._cum
-
-    def write_csv(self, path) -> None:
-        """One event per row, header ``t,dz``, 17 significant digits."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("t,dz\n")
-            for t, dz in zip(self.times, self.sizes):
-                fh.write(f"{t:.17g},{dz:.17g}\n")
 
 
 @dataclass(frozen=True)
@@ -168,13 +152,6 @@ class GridPath:
             raise ValueError(f"s={s} outside [0, {self.horizon}]")
         idx = int(np.searchsorted(self.times, s, side="right")) - 1
         return float(self.values[idx])
-
-    def write_csv(self, path) -> None:
-        """Header ``s,value``, 17 significant digits."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("s,value\n")
-            for s, v in zip(self.times, self.values):
-                fh.write(f"{s:.17g},{v:.17g}\n")
 
 
 def levy_tail_mass(params: StableParams, eps: float) -> float:

@@ -102,6 +102,17 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown experiment {self.experiment!r}; choose from {EXPERIMENTS}"
             )
+        # NaN passes every "must fail" comparison below, so test finiteness first.
+        floats = {
+            "x0": self.x0,
+            "T": self.horizon,
+            "ks_p_threshold": self.ks_p_threshold,
+            "couple_decay_max": self.couple_decay_max,
+            "min_coverage": self.min_coverage,
+        }
+        for key, value in (*floats.items(), *(("cutoffs", e) for e in self.cutoffs)):
+            if not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value}")
         if not (0.0 < self.alpha < 1.0):
             raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.beta is not None and not (0.0 < self.beta < 1.0):

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "SingularClockError",
     "MonotonePhi",
     "ConstantPhi",
     "ShiftedArctanPhi",
@@ -24,10 +23,6 @@ __all__ = [
     "PowerPhi",
     "parse_phi",
 ]
-
-
-class SingularClockError(ValueError):
-    """phi evaluated to 0 under a negative exponent: the clock integrand blew up."""
 
 
 class MonotonePhi:
@@ -40,17 +35,6 @@ class MonotonePhi:
 
     def eval(self, x):
         raise NotImplementedError
-
-    def eval_pow(self, x, exponent: float):
-        """Fused phi(x)**exponent; signals SingularClockError on 0**negative."""
-        v = self.eval(x)
-        if exponent < 0.0:
-            if (np.asarray(v) == 0.0).any():
-                raise SingularClockError(
-                    f"{self.describe()} vanished under exponent {exponent}: "
-                    "the time-change clock is singular here"
-                )
-        return v**exponent
 
     def describe(self) -> str:
         raise NotImplementedError

@@ -1,4 +1,4 @@
-"""Distributional test engine: ECDFs, two-sample KS, Monte Carlo bands."""
+"""Distributional test engine: the two-sample Kolmogorov-Smirnov test."""
 
 from __future__ import annotations
 
@@ -11,8 +11,6 @@ __all__ = [
     "SampleSet",
     "KSReport",
     "ks_two_sample",
-    "ecdf_eval",
-    "mc_band",
     "kolmogorov_sf",
 ]
 
@@ -23,7 +21,6 @@ class SampleSet:
 
     values: np.ndarray
     label: str = ""
-    seed: int | None = None
     _sorted: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -87,17 +84,3 @@ def ks_two_sample(a: SampleSet, b: SampleSet) -> KSReport:
     en = math.sqrt(n * m / (n + m))
     return KSReport(statistic=d, p_value=kolmogorov_sf(en * d), n=n, m=m)
 
-
-def ecdf_eval(s: SampleSet, x: float) -> float:
-    """Right-continuous empirical CDF of the sample at x."""
-    return float(np.searchsorted(s._sorted, x, side="right")) / len(s)
-
-
-def mc_band(mean: float, var: float, n: int, k_sigma: float = 3.0) -> tuple[float, float]:
-    """k-sigma Monte Carlo band: mean +/- k*sqrt(var/n)."""
-    if n <= 0:
-        raise ValueError("band needs a positive sample size")
-    if var < 0.0:
-        raise ValueError("variance must be non-negative")
-    half = k_sigma * math.sqrt(var / n)
-    return (mean - half, mean + half)

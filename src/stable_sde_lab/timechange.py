@@ -74,13 +74,6 @@ class Clock:
     def total(self) -> float:
         return float(self.values[-1])
 
-    def write_csv(self, path) -> None:
-        """Header ``u,B``, 17 significant digits."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("u,B\n")
-            for u, b in zip(self.breakpoints, self.values):
-                fh.write(f"{u:.17g},{b:.17g}\n")
-
 
 def _segment_clock(breakpoints: np.ndarray, slopes: np.ndarray) -> Clock:
     values = np.zeros(breakpoints.size)
@@ -115,7 +108,7 @@ def _clock_on_states(
         raise ValueError("clock construction requires a finite-activity driver")
     breakpoints = _breakpoints(driver.times, driver.horizon)
     # State on [u_i, u_{i+1}) is the cadlag value at u_i.
-    slopes = phi.eval_pow(states[: breakpoints.size - 1], -alpha)
+    slopes = phi.eval(states[: breakpoints.size - 1]) ** -alpha
     return _segment_clock(breakpoints, np.atleast_1d(slopes))
 
 
@@ -134,7 +127,7 @@ def build_forward_clock(phi: MonotonePhi, solution: SolutionPath, alpha: float) 
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     breakpoints = _breakpoints(solution.times, solution.horizon)
     states = solution.states[: breakpoints.size - 1]
-    slopes = phi.eval_pow(states, alpha)
+    slopes = phi.eval(states) ** alpha
     return _segment_clock(breakpoints, np.atleast_1d(slopes))
 
 

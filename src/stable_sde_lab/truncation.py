@@ -23,7 +23,6 @@ __all__ = [
     "solve_ladders",
     "build_ladder",
     "ladder_violations",
-    "monotone_limit_estimate",
     "coupled_pair_distance",
     "sup_gap",
 ]
@@ -278,17 +277,6 @@ def ladder_violations(ladder: Ladder) -> int:
         ts = np.union1d(coarse.times, fine.times)
         violations += int(np.sum(fine.values_at(ts) < coarse.values_at(ts)))
     return violations
-
-
-def monotone_limit_estimate(ladder: Ladder, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-level values at t (coarse to fine) and their successive differences.
-
-    No extrapolation is performed: convergence of the ladder is monotone but
-    comes with no rate, so the finest level plus the tail differences is the
-    honest summary.
-    """
-    values = np.array([sol.value_at(t) for sol in ladder.solutions])
-    return values, np.diff(values)
 
 
 def sup_gap(a: SolutionPath, b: SolutionPath) -> float:

@@ -9,6 +9,7 @@ lines as they complete.
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from stable_sde_lab import (
     scaling_law_check,
     solve_truncated,
 )
-from stable_sde_lab.harness import parse_config_text, run_experiment
+from stable_sde_lab.harness import load_config, parse_config_text, run_experiment
 from stable_sde_lab.seeding import replicate_rng
 
 ARCTAN = ShiftedArctanPhi(2.0, 0.6366)
@@ -283,25 +284,22 @@ def test_c09_recovered_driver_law_across_seeds():
     assert coverage_ok
 
 
+# The criterion-10 configs, one file each.  CI runs the same files against the
+# pull request's base commit and compares the artifacts byte for byte.
+C10_CONFIGS = sorted((Path(__file__).parent / "c10").glob("*.cfg"))
+
+
 def test_c10_byte_identical_determinism(tmp_path):
-    configs = {
-        "strong": "experiment = strong-construct\nreplicates = 6\nseed = 77\n",
-        "ladder": "experiment = ladder-monotone\nreplicates = 40\nseed = 77\n",
-        "weak": "experiment = weak-agree\nreplicates = 150\nseed = 77\n",
-        "couple": "experiment = uniqueness-couple\nreplicates = 60\nseed = 77\n",
-        "ce": (
-            "experiment = counterexample\nreplicates = 1000\ngrid_m = 300\n"
-            "T = 4.0\nseed = 77\n"
-        ),
-    }
+    assert len(C10_CONFIGS) == 5
     all_ok = True
-    for name, text in configs.items():
-        first = run_experiment(parse_config_text(text), out_dir=str(tmp_path / f"{name}-a"))
-        second = run_experiment(parse_config_text(text), out_dir=str(tmp_path / f"{name}-b"))
+    for path in C10_CONFIGS:
+        name = path.stem
+        first = run_experiment(load_config(path), out_dir=str(tmp_path / f"{name}-a"))
+        second = run_experiment(load_config(path), out_dir=str(tmp_path / f"{name}-b"))
         for fa, fb in zip(sorted(first.artifacts), sorted(second.artifacts)):
             if open(fa, "rb").read() != open(fb, "rb").read():
                 all_ok = False
     report(
-        10, all_ok, f"byte-identical artifacts across reruns for {len(configs)} experiments"
+        10, all_ok, f"byte-identical artifacts across reruns for {len(C10_CONFIGS)} experiments"
     )
     assert all_ok

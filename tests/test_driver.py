@@ -427,29 +427,6 @@ class TestGridPath:
             GridPath(times=np.array([0.5, 1.0]), values=np.array([0.0, 1.0]))
 
 
-class TestSerialization:
-    def test_jump_path_csv(self, tmp_path):
-        path = JumpPath(
-            horizon=1.0,
-            times=np.array([0.25, 0.75]),
-            sizes=np.array([1.0 / 3.0, 0.1]),
-            cutoff=0.05,
-        )
-        out = tmp_path / "path.csv"
-        path.write_csv(out)
-        lines = out.read_text().splitlines()
-        assert lines[0] == "t,dz"
-        t, dz = lines[1].split(",")
-        assert float(t) == 0.25
-        assert float(dz) == 1.0 / 3.0  # 17 significant digits round-trip
-
-    def test_grid_path_csv(self, tmp_path):
-        grid = GridPath(times=np.array([0.0, 0.5]), values=np.array([0.0, 2.0]))
-        out = tmp_path / "grid.csv"
-        grid.write_csv(out)
-        assert out.read_text().splitlines()[0] == "s,value"
-
-
 class TestJumpPathValidation:
     def test_rejects_unsorted_times(self):
         with pytest.raises(ValueError):

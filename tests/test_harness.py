@@ -1,6 +1,11 @@
+import ast
+import importlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import stable_sde_lab
 from stable_sde_lab import (
     JumpPath,
     StableParams,
@@ -501,6 +506,15 @@ class TestCLI:
             # Replicates run in one thread.
             "experiment = ladder-monotone\nthreads = 2\n",
             "experiment = counterexample\nthreads = 0\n",
+            # Non-finite values pass the comparisons that test for bad ones.
+            "experiment = ladder-monotone\nT = nan\nreplicates = 5\n",
+            "experiment = ladder-monotone\nT = inf\nreplicates = 5\n",
+            "experiment = ladder-monotone\ncutoffs = nan\nreplicates = 5\n",
+            "experiment = ladder-monotone\ncutoffs = inf, 0.01\nreplicates = 5\n",
+            "experiment = ladder-monotone\nx0 = nan\nreplicates = 5\n",
+            "experiment = weak-agree\nks_p_threshold = nan\nreplicates = 10\n",
+            "experiment = uniqueness-couple\ncouple_decay_max = nan\n",
+            "experiment = counterexample\nmin_coverage = inf\n",
         ],
     )
     def test_inadmissible_config_exits_3(self, tmp_path, text):
@@ -551,3 +565,38 @@ class TestCLI:
         assert cli_main(["run", "--config", str(cfg)]) == EXIT_CRASH
         err = capsys.readouterr().err
         assert "Traceback" in err and "not a failure of the experiment" in err
+
+
+class TestExports:
+    @pytest.mark.parametrize(
+        "module",
+        [
+            "driver",
+            "phi",
+            "stats",
+            "timechange",
+            "truncation",
+            "counterexample",
+            "seeding",
+            "harness",
+        ],
+    )
+    def test_every_name_in_all_resolves(self, module):
+        mod = importlib.import_module(f"stable_sde_lab.{module}")
+        missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+        assert not missing, f"stable_sde_lab.{module}.__all__ names {missing}"
+
+    def test_every_package_import_is_exported_by_its_module(self):
+        # import stable_sde_lab succeeding shows that these names exist; each
+        # must also be in its module's __all__, so the two lists stay one.
+        source = Path(stable_sde_lab.__file__).read_text(encoding="utf-8")
+        stale = []
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.ImportFrom):
+                mod = importlib.import_module(f"stable_sde_lab.{node.module}")
+                for alias in node.names:
+                    if alias.name not in mod.__all__ or not hasattr(
+                        stable_sde_lab, alias.name
+                    ):
+                        stale.append(f"{node.module}.{alias.name}")
+        assert not stale

@@ -10,7 +10,6 @@ from stable_sde_lab import (
     PiecewiseLinearPhi,
     PowerPhi,
     ShiftedArctanPhi,
-    SingularClockError,
     SoftRampPhi,
     parse_phi,
 )
@@ -89,30 +88,6 @@ class TestEval:
         phi = SoftRampPhi(1.0, 2.0)
         out = phi.eval(np.array([-1.0, 0.0, 2.0]))
         assert out.tolist() == [1.0, 1.0, 5.0]
-
-
-class TestEvalPow:
-    def test_constant_inverse_sqrt(self):
-        assert ConstantPhi(4.0).eval_pow(0.0, -0.5) == pytest.approx(0.5, rel=1e-15)
-
-    def test_power_at_zero_negative_exponent_signals(self):
-        with pytest.raises(SingularClockError):
-            PowerPhi(0.5).eval_pow(0.0, -0.5)
-
-    def test_exponent_one_is_eval(self):
-        for phi in ADMISSIBLE:
-            for x in (-2.0, 0.0, 5.0):
-                assert phi.eval_pow(x, 1.0) == phi.eval(x)
-
-    @given(
-        x=st.floats(min_value=-50.0, max_value=50.0),
-        e=st.floats(min_value=-2.0, max_value=2.0),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_consistency_with_plain_power(self, x, e):
-        for phi in ADMISSIBLE:
-            expected = phi.eval(x) ** e
-            assert phi.eval_pow(x, e) == pytest.approx(expected, rel=1e-14)
 
 
 class TestMonotonicityAndPositivity:

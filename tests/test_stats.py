@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import kolmogorov as scipy_kolmogorov
 
-from stable_sde_lab import SampleSet, ecdf_eval, ks_two_sample, mc_band
+from stable_sde_lab import SampleSet, ks_two_sample
 from stable_sde_lab.stats import kolmogorov_sf
 
 
@@ -91,28 +91,3 @@ class TestKolmogorovSF:
         assert kolmogorov_sf(0.0) == 1.0
         assert kolmogorov_sf(10.0) < 1e-80
 
-
-class TestECDF:
-    def test_boundary_values(self):
-        s = SampleSet(np.array([1.0, 2.0, 3.0]))
-        assert ecdf_eval(s, 0.5) == 0.0
-        assert ecdf_eval(s, 3.0) == 1.0
-        assert ecdf_eval(s, 10.0) == 1.0
-
-    def test_right_continuity_convention(self):
-        s = SampleSet(np.array([1.0, 2.0, 3.0]))
-        assert ecdf_eval(s, 2.0) == pytest.approx(2.0 / 3.0)
-        assert ecdf_eval(s, 1.999) == pytest.approx(1.0 / 3.0)
-
-
-class TestMCBand:
-    def test_half_width(self):
-        lo, hi = mc_band(0.0, 1.0, 10_000, 3.0)
-        assert hi == pytest.approx(0.03, rel=1e-12)
-        assert lo == pytest.approx(-0.03, rel=1e-12)
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            mc_band(0.0, 1.0, 0, 3.0)
-        with pytest.raises(ValueError):
-            mc_band(0.0, -1.0, 10, 3.0)

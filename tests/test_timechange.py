@@ -8,6 +8,7 @@ from stable_sde_lab import (
     Clock,
     ConstantPhi,
     JumpPath,
+    MonotonePhi,
     PowerPhi,
     ShiftedArctanPhi,
     StableParams,
@@ -65,6 +66,22 @@ class TestBuildClock:
         path = sample_truncated_path(params, 1.0, 0.01, np.random.default_rng(0))
         clock = build_clock(ARCTAN, 0.0, path, 0.7)
         assert np.all(clock.slopes > 0.0)
+
+    @pytest.mark.filterwarnings("ignore:divide by zero")
+    def test_vanishing_phi_is_rejected(self):
+        # A phi that claims admissibility but vanishes: its zero state gives
+        # the clock an infinite slope, which Clock rejects.
+        class VanishingPhi(MonotonePhi):
+            assumption_ok = True
+
+            def eval(self, x):
+                return np.zeros_like(np.asarray(x, dtype=float))
+
+            def describe(self):
+                return "vanishing"
+
+        with pytest.raises(ValueError, match="slopes must be positive and finite"):
+            build_clock(VanishingPhi(), 0.0, make_path([0.5], [1.0]), 0.5)
 
     def test_rejects_degenerate_phi(self):
         with pytest.raises(ValueError):
@@ -226,12 +243,3 @@ class TestRoundtrip:
         forward = build_forward_clock(ARCTAN, sol, 0.5)
         assert np.allclose(forward.values, clock.breakpoints, rtol=0.0, atol=1e-12)
 
-
-class TestClockCSV:
-    def test_schema(self, tmp_path):
-        clock = single_jump_clock()
-        out = tmp_path / "clock.csv"
-        clock.write_csv(out)
-        lines = out.read_text().splitlines()
-        assert lines[0] == "u,B"
-        assert float(lines[1].split(",")[0]) == 0.0

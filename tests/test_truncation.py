@@ -17,7 +17,6 @@ from stable_sde_lab import (
     build_ladder,
     coupled_pair_distance,
     ladder_violations,
-    monotone_limit_estimate,
     sample_truncated_path,
     solve_ladders,
     solve_truncated,
@@ -124,9 +123,9 @@ class TestLadder:
             ARCTAN, 0.0, params, 1.0, [0.05], np.random.default_rng(3)
         )
         assert ladder_violations(ladder) == 0
-        values, diffs = monotone_limit_estimate(ladder, 1.0)
-        assert values.size == 1
-        assert diffs.size == 0
+        values = [sol.value_at(1.0) for sol in ladder.solutions]
+        assert len(values) == 1
+        assert np.diff(values).size == 0
 
     def test_thousand_replicates_zero_violations(self):
         params = StableParams.default(0.5)
@@ -148,8 +147,8 @@ class TestLadder:
         fine_mass = ladder.solutions[1].final
         band_mass = ladder.base.total - thin_path(ladder.base, 0.1).total
         assert fine_mass - coarse_mass == pytest.approx(c * band_mass, rel=1e-12)
-        _, diffs = monotone_limit_estimate(ladder, 1.0)
-        assert diffs[0] == pytest.approx(c * band_mass, rel=1e-12)
+        diff = ladder.solutions[1].value_at(1.0) - ladder.solutions[0].value_at(1.0)
+        assert diff == pytest.approx(c * band_mass, rel=1e-12)
 
     def test_differences_are_nonnegative(self):
         params = StableParams.default(0.7)
@@ -157,8 +156,8 @@ class TestLadder:
             ARCTAN, 0.0, params, 1.0, [0.1, 0.03, 0.01], np.random.default_rng(2)
         )
         for t in (0.25, 0.5, 1.0):
-            _, diffs = monotone_limit_estimate(ladder, t)
-            assert np.all(diffs >= 0.0)
+            values = [sol.value_at(t) for sol in ladder.solutions]
+            assert np.all(np.diff(values) >= 0.0)
 
     def test_rejects_nondecreasing_cutoffs(self):
         params = StableParams.default(0.5)
