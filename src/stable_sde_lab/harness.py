@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +36,7 @@ from .driver import (
     _sample_jumps,
     extend_truncated_path,
     sample_truncated_path,
-    thin_path,
+    thin_path,  # unused here: bench/spans.py looks it up in this module by name
 )
 from .phi import MonotonePhi, parse_phi
 from .seeding import derive_seed, replicate_rng
@@ -47,8 +47,7 @@ from .truncation import (
     build_ladder,
     ladder_violations,
     solve_ladders,
-    solve_truncated,
-    sup_gap,
+    solve_truncated,  # unused here: bench/spans.py looks it up in this module by name
 )
 
 __all__ = [
@@ -208,6 +207,28 @@ _KEY_TO_FIELD = {
 }
 
 
+# The keys each experiment reads beside experiment and threads, and why it
+# reads no other.
+_RUN_KEYS = ("replicates", "seed", "out")
+_SOLVE_KEYS = ("alpha", "phi", "x0", "T", "cutoffs")
+_EXPERIMENT_KEYS: dict[str, tuple[tuple[str, ...], str]] = {
+    "strong-construct": (_SOLVE_KEYS, "it compares ladder levels exactly"),
+    "ladder-monotone": (_SOLVE_KEYS, "it compares ladder levels exactly"),
+    "weak-agree": (
+        (*_SOLVE_KEYS, "ks_p_threshold"),
+        "it compares two constructions by one KS test",
+    ),
+    "uniqueness-couple": (
+        (*_SOLVE_KEYS, "couple_decay_max"),
+        "it tests the decay of coupled sup-distances",
+    ),
+    "counterexample": (
+        ("alpha", "beta", "T", "grid_m", "ks_p_threshold", "min_coverage"),
+        "it runs phi = power(beta) from x0 = 0 on exact grid increments",
+    ),
+}
+
+
 def parse_config_text(text: str) -> ExperimentConfig:
     """Parse a flat key=value config; unknown keys are rejected outright."""
     raw: dict[str, str] = {}
@@ -232,13 +253,10 @@ def parse_config_text(text: str) -> ExperimentConfig:
     # Replicates run in one thread; threads = 1 is accepted for existing configs.
     if "threads" in raw and _convert("threads", raw.pop("threads"), "threads") != 1:
         raise ConfigError("replicates run in one thread: threads must be 1")
-    if experiment == "counterexample":
-        unused = [key for key in ("phi", "cutoffs", "x0") if key in raw]
-        if unused:
-            raise ConfigError(
-                f"counterexample does not use {', '.join(unused)}: it runs "
-                "phi = power(beta) from x0 = 0 on exact grid increments"
-            )
+    keys, reason = _EXPERIMENT_KEYS[experiment]
+    unused = [key for key in raw if key not in _RUN_KEYS + keys]
+    if unused:
+        raise ConfigError(f"{experiment} does not use {', '.join(unused)}: {reason}")
     merged: dict = dict(_EXPERIMENT_DEFAULTS.get(experiment, {}))
     for key, value in raw.items():
         field_name = _KEY_TO_FIELD[key]
@@ -322,9 +340,9 @@ def _replicate_error(exc: Exception, cfg: ExperimentConfig, replicate: int, tag:
 
 
 def _solve_replicate_ladders(
-    cfg: ExperimentConfig, tag: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Final states, guard hits and ladder violations of every replicate.
+    cfg: ExperimentConfig, tag: str, pairs=()
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Final states, guard hits, ladder violations and pair gaps of every replicate.
 
     Replicate r's base path is sampled at the finest cutoff from its own
     stream (master seed, r, tag), and blocks of replicates are solved at
@@ -344,7 +362,7 @@ def _solve_replicate_ladders(
         ]
         offsets = np.cumsum([0] + [s.size for s in sizes])
         try:
-            return solve_ladders(phi, cfg.x0, np.concatenate(sizes), offsets, cfg.cutoffs)
+            return solve_ladders(phi, cfg.x0, np.concatenate(sizes), offsets, cfg.cutoffs, pairs)
         except FloatingPointError as exc:
             raise _replicate_error(exc, cfg, replicates[exc.path], tag) from exc
 
@@ -404,7 +422,7 @@ def _write_ladder_csv(path: Path, ladder: Ladder) -> None:
 
 
 def _run_strong_construct(cfg: ExperimentConfig, out: Path):
-    final, guard_hits, violations = _solve_replicate_ladders(cfg, "ladder-driver")
+    final, guard_hits, violations, _ = _solve_replicate_ladders(cfg, "ladder-driver")
     if final.shape[1] > 1:
         tail_gaps = final[:, -1] - final[:, -2]
     else:
@@ -448,7 +466,7 @@ def _run_strong_construct(cfg: ExperimentConfig, out: Path):
 
 
 def _run_ladder_monotone(cfg: ExperimentConfig, out: Path):
-    _, _, violations = _solve_replicate_ladders(cfg, "ladder-driver")
+    _, _, violations, _ = _solve_replicate_ladders(cfg, "ladder-driver")
     total = int(violations.sum())
     rows = [
         SummaryRow(
@@ -536,7 +554,7 @@ def _timechange_samples(cfg: ExperimentConfig, tag: str) -> np.ndarray:
 
 def _run_weak_agree(cfg: ExperimentConfig, out: Path):
     # Every event lies in (0, T], so the final state is X at T.
-    final, _, _ = _solve_replicate_ladders(cfg, "weak-agree-truncation")
+    final, _, _, _ = _solve_replicate_ladders(cfg, "weak-agree-truncation")
     xs_trunc = final[:, 0]
     xs_time = _timechange_samples(cfg, "weak-agree-timechange")
     ks = ks_two_sample(
@@ -566,30 +584,21 @@ def _run_weak_agree(cfg: ExperimentConfig, out: Path):
 # --------------------------------------------------------------------------
 
 
+def _couple_gaps(cfg: ExperimentConfig) -> np.ndarray:
+    """Sup-distances of the eps and eps/2 solutions: two levels of one ladder."""
+    levels = tuple(sorted({*cfg.cutoffs, *(eps / 2.0 for eps in cfg.cutoffs)}, reverse=True))
+    pairs = [(levels.index(eps / 2.0), levels.index(eps)) for eps in cfg.cutoffs]
+    return _solve_replicate_ladders(replace(cfg, cutoffs=levels), "couple-driver", pairs)[3]
+
+
 def _run_uniqueness_couple(cfg: ExperimentConfig, out: Path):
-    phi = cfg.phi_object()
-    params = StableParams.default(cfg.alpha)
-    ladder = cfg.cutoffs
-    base_cutoff = min(ladder) / 2.0
-
-    def one(r: int) -> list[float]:
-        rng = replicate_rng(cfg.seed, r, "couple-driver")
-        base = sample_truncated_path(params, cfg.horizon, base_cutoff, rng)
-        gaps = []
-        for eps in ladder:
-            fine = solve_truncated(phi, cfg.x0, thin_path(base, eps / 2.0))
-            coarse = solve_truncated(phi, cfg.x0, thin_path(base, eps))
-            gaps.append(sup_gap(fine, coarse))
-        return gaps
-
-    all_gaps = np.array([one(r) for r in range(cfg.replicates)])  # (replicates, levels)
-    medians = [float(statistics.median(all_gaps[:, j])) for j in range(len(ladder))]
+    medians = [float(statistics.median(gaps)) for gaps in _couple_gaps(cfg).T]
     non_increasing = all(b <= a for a, b in zip(medians, medians[1:]))
     decay = medians[-1] / medians[0] if medians[0] > 0.0 else math.inf
     couple_csv = out / "couple_medians.csv"
     with open(couple_csv, "w", encoding="utf-8") as fh:
         fh.write("eps,median_sup_distance\n")
-        for eps, med in zip(ladder, medians):
+        for eps, med in zip(cfg.cutoffs, medians):
             fh.write(f"{eps:.17g},{med:.17g}\n")
     rows = [
         SummaryRow(

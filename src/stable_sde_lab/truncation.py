@@ -160,8 +160,9 @@ def solve_ladders(
     sizes: np.ndarray,
     offsets: np.ndarray,
     cutoffs: list[float] | tuple[float, ...],
+    pairs: list[tuple[int, int]] | tuple[tuple[int, int], ...] = (),
     overflow_guard: float = DEFAULT_OVERFLOW_GUARD,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Every ladder level of a block of base paths, in one event loop.
 
     Path j's jump sizes, in time order, are ``sizes[offsets[j]:offsets[j+1]]``.
@@ -172,11 +173,13 @@ def solve_ladders(
     the arithmetic of ``solve_truncated``, so the result equals
     ``build_ladder`` on the same paths bit for bit.
 
-    Returns the final states ``(n, L)``, the overflow-guard hits ``(n, L)``
-    and the ``ladder_violations`` count of each path ``(n,)``: after each
-    rank, a level that took the jump and is below the next coarser level.
-    A coarser level's events are a subset of the finer one's, so these are
-    exactly the comparisons at the union of event times.
+    Returns the final states ``(n, L)``, the overflow-guard hits ``(n, L)``,
+    the ``ladder_violations`` count of each path ``(n,)``, and the gap
+    ``(n, len(pairs))`` of each ``(fine, coarse)`` pair of level indices,
+    ``sup_gap`` of their solutions.  After each rank, a violation is a level
+    that took the jump below the next coarser level, and a gap is the running
+    max, from 0, of ``|x[fine] - x[coarse]|``.  A coarser level's events are
+    a subset of the finer one's, so both are exact at the union of events.
 
     A non-finite phi where a level takes a jump raises FloatingPointError
     with the path's index in its ``path`` attribute.
@@ -199,6 +202,9 @@ def solve_ladders(
     if not np.all(sizes > 0.0):  # NaN included: thinning would drop it silently
         raise ValueError("jump sizes must be strictly positive")
     n, levels = lengths.size, cuts.size
+    fine, coarse = np.asarray(pairs, dtype=np.intp).reshape(-1, 2).T
+    if np.any((fine < 0) | (fine >= levels) | (coarse < 0) | (coarse >= levels)):
+        raise ValueError("pairs must index the cutoffs")
 
     # Longest paths first, so the paths alive at rank k are a prefix.
     order = np.argsort(-lengths, kind="stable")
@@ -210,6 +216,7 @@ def solve_ladders(
     x = np.full((n, levels), float(x0))
     guard_hits = np.zeros((n, levels), dtype=np.int64)
     below = np.zeros((n, levels - 1), dtype=np.int64)
+    gaps = np.zeros((n, fine.size))
     with np.errstate(over="ignore"):  # an overflow is clamped by the guard
         for k in range(max_len):
             m = alive[k]
@@ -240,8 +247,10 @@ def solve_ladders(
             finer_below = xs[:, 1:] < xs[:, :-1]
             if finer_below.any():
                 below[:m] += hit[:, 1:] & finer_below
+            if fine.size:
+                np.maximum(gaps[:m], np.abs(xs[:, fine] - xs[:, coarse]), out=gaps[:m])
     inverse = np.argsort(order)
-    return x[inverse], guard_hits[inverse], below.sum(axis=1)[inverse]
+    return x[inverse], guard_hits[inverse], below.sum(axis=1)[inverse], gaps[inverse]
 
 
 def build_ladder(

@@ -290,7 +290,7 @@ C10_CONFIGS = sorted((Path(__file__).parent / "c10").glob("*.cfg"))
 
 
 def test_c10_byte_identical_determinism(tmp_path):
-    assert len(C10_CONFIGS) == 5
+    assert len(C10_CONFIGS) == 6
     all_ok = True
     for path in C10_CONFIGS:
         name = path.stem
@@ -300,6 +300,6 @@ def test_c10_byte_identical_determinism(tmp_path):
             if open(fa, "rb").read() != open(fb, "rb").read():
                 all_ok = False
     report(
-        10, all_ok, f"byte-identical artifacts across reruns for {len(C10_CONFIGS)} experiments"
+        10, all_ok, f"byte-identical artifacts across reruns for {len(C10_CONFIGS)} configs"
     )
     assert all_ok

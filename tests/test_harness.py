@@ -13,6 +13,8 @@ from stable_sde_lab import (
     sample_truncated_path,
     solve_time_change,
     solve_truncated,
+    sup_gap,
+    thin_path,
 )
 from stable_sde_lab import SamplerIntegrityError, cli, counterexample, driver, harness
 from stable_sde_lab.cli import main as cli_main
@@ -27,6 +29,7 @@ from stable_sde_lab.harness import (
     ExperimentConfig,
     SummaryRow,
     _build_replicate_ladder,
+    _couple_gaps,
     _exit_code,
     _solve_replicate_ladders,
     _timechange_marginal,
@@ -266,9 +269,9 @@ class TestExperiments:
         # of the blocked kernel equals its own ladder from the scalar solver.
         n = 2 * _BLOCK + 7
         cfg = parse_config_text(f"experiment = ladder-monotone\nreplicates = {n}\nseed = 6\n")
-        final, guard_hits, violations = _solve_replicate_ladders(cfg, "ladder-driver")
+        final, guard_hits, violations, gaps = _solve_replicate_ladders(cfg, "ladder-driver")
         assert final.shape == guard_hits.shape == (n, len(cfg.cutoffs))
-        assert violations.shape == (n,)
+        assert violations.shape == (n,) and gaps.shape == (n, 0)
         for r in range(n):
             ladder = _build_replicate_ladder(cfg, r)
             want = np.array([sol.final for sol in ladder.solutions])
@@ -290,12 +293,43 @@ class TestExperiments:
 
     def test_nonfinite_phi_names_replicate_and_seed(self, tmp_path):
         # phi(10) = 1 + 1e308 * 10 overflows at the first jump of any replicate.
-        text = "experiment = ladder-monotone\nphi = soft-ramp(1,1e308)\nx0 = 10\nseed = 3\n"
-        with np.errstate(over="ignore"), pytest.raises(FloatingPointError) as info:
-            _run(text, tmp_path, "nonfinite")
-        assert str(info.value).startswith(
-            f"replicate 0 (seed {derive_seed(3, 0, 'ladder-driver')}): "
-        )
+        for experiment, tag in [
+            ("ladder-monotone", "ladder-driver"),
+            ("uniqueness-couple", "couple-driver"),
+        ]:
+            text = f"experiment = {experiment}\nphi = soft-ramp(1,1e308)\nx0 = 10\nseed = 3\n"
+            with np.errstate(over="ignore"), pytest.raises(FloatingPointError) as info:
+                _run(text, tmp_path, experiment)
+            assert str(info.value).startswith(f"replicate 0 (seed {derive_seed(3, 0, tag)}): ")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # Two full replicate blocks and a partial one; non-adjacent pairs.
+            f"cutoffs = 0.1, 0.07, 0.02\nreplicates = {2 * _BLOCK + 7}\nseed = 6\n",
+            # The overflow guard clamps the states of both levels of a pair.
+            "phi = soft-ramp(1,1)\nx0 = 1e298\nreplicates = 30\nseed = 5\n",
+        ],
+        ids=["uneven", "guard"],
+    )
+    def test_couple_gaps_equal_scalar_sup_gaps(self, text):
+        # The eps and eps/2 solutions of each replicate, solved one at a time
+        # on thinnings of one base path at min(cutoffs) / 2.
+        cfg = parse_config_text("experiment = uniqueness-couple\n" + text)
+        params = StableParams.default(cfg.alpha)
+        phi = cfg.phi_object()
+        want = []
+        for r in range(cfg.replicates):
+            rng = replicate_rng(cfg.seed, r, "couple-driver")
+            base = sample_truncated_path(params, cfg.horizon, min(cfg.cutoffs) / 2.0, rng)
+            want.append([
+                sup_gap(
+                    solve_truncated(phi, cfg.x0, thin_path(base, eps / 2.0)),
+                    solve_truncated(phi, cfg.x0, thin_path(base, eps)),
+                )
+                for eps in cfg.cutoffs
+            ])
+        assert _couple_gaps(cfg).tobytes() == np.array(want).tobytes()
 
 
 class TestGridRunNaming:
@@ -503,6 +537,13 @@ class TestCLI:
             "experiment = counterexample\ncutoffs = 0.1\n",
             "experiment = counterexample\nx0 = 1\n",
             "experiment = counterexample\nreplicates = 10\n",
+            # Each experiment rejects a key it does not read.
+            "experiment = ladder-monotone\ngrid_m = 5000\nbeta = 0.3\ncouple_decay_max = 0.5\n",
+            "experiment = strong-construct\nks_p_threshold = 0.05\n",
+            "experiment = weak-agree\nmin_coverage = 0.5\nreplicates = 10\n",
+            "experiment = uniqueness-couple\nbeta = 0.5\n",
+            "experiment = uniqueness-couple\ngrid_m = 1000\n",
+            "experiment = counterexample\ncouple_decay_max = 0.5\n",
             # Replicates run in one thread.
             "experiment = ladder-monotone\nthreads = 2\n",
             "experiment = counterexample\nthreads = 0\n",

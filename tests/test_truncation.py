@@ -222,8 +222,12 @@ class DecreasingPhi(MonotonePhi):
         return "3 - arctan(x)"
 
 
-def _scalar_ladders(phi, x0, params, cutoffs, seed, n_paths):
-    """build_ladder on path j's stream, read the way the kernel reports it."""
+def _scalar_ladders(phi, x0, params, cutoffs, seed, n_paths, pairs=()):
+    """build_ladder on path j's stream, read the way the kernel reports it.
+
+    The gap of the pair (fine, coarse) is sup_gap of the solutions on the
+    two thinnings of the base path.
+    """
     ladders = [
         build_ladder(phi, x0, params, 1.0, cutoffs, np.random.default_rng([seed, j]))
         for j in range(n_paths)
@@ -232,19 +236,30 @@ def _scalar_ladders(phi, x0, params, cutoffs, seed, n_paths):
     final = [sol.final for lad in ladders for sol in lad.solutions]
     guard = [sol.guard_hits for lad in ladders for sol in lad.solutions]
     violations = [ladder_violations(lad) for lad in ladders]
+    gaps = [
+        sup_gap(
+            solve_truncated(phi, x0, thin_path(lad.base, cutoffs[fine])),
+            solve_truncated(phi, x0, thin_path(lad.base, cutoffs[coarse])),
+        )
+        for lad in ladders
+        for fine, coarse in pairs
+    ]
     return (
         np.array(final, dtype=float).reshape(shape),
         np.array(guard, dtype=np.int64).reshape(shape),
         np.array(violations, dtype=np.int64),
+        np.array(gaps, dtype=float).reshape(n_paths, len(pairs)),
     )
 
 
-def _kernel_ladders(phi, x0, params, cutoffs, seed, n_paths):
+def _kernel_ladders(phi, x0, params, cutoffs, seed, n_paths, pairs=()):
     """solve_ladders on the same paths, sampled from the same streams."""
     rngs = [np.random.default_rng([seed, j]) for j in range(n_paths)]
     sizes = [sample_truncated_path(params, 1.0, cutoffs[-1], rng).sizes for rng in rngs]
     offsets = np.cumsum([0] + [s.size for s in sizes])
-    return solve_ladders(phi, x0, np.concatenate([np.empty(0)] + sizes), offsets, cutoffs)
+    return solve_ladders(
+        phi, x0, np.concatenate([np.empty(0)] + sizes), offsets, cutoffs, pairs
+    )
 
 
 def _outcome(solver, *args):
@@ -260,6 +275,7 @@ def _assert_same_outcome(got, want):
     if isinstance(want, type) or isinstance(got, type):
         assert got is want
         return
+    assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and g.shape == w.shape
         assert g.tobytes() == w.tobytes()
@@ -296,10 +312,14 @@ class TestSolveLadders:
         x0=st.one_of(st.floats(-10.0, 10.0), st.just(1e298)),
         n_paths=st.integers(0, 6),
         seed=st.integers(0, 2**32 - 1),
+        pairs=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=4),
     )
-    def test_equals_scalar_reference(self, phi, alpha, cutoffs, x0, n_paths, seed):
+    def test_equals_scalar_reference(self, phi, alpha, cutoffs, x0, n_paths, seed, pairs):
         cutoffs = sorted(cutoffs, reverse=True)
-        args = (phi, x0, StableParams.default(alpha), cutoffs, seed, n_paths)
+        # (fine, coarse) level pairs, adjacent or not, and equal levels too.
+        levels = len(cutoffs)
+        pairs = [sorted((i % levels, j % levels), reverse=True) for i, j in pairs]
+        args = (phi, x0, StableParams.default(alpha), cutoffs, seed, n_paths, pairs)
         got, want = _outcome(_kernel_ladders, *args), _outcome(_scalar_ladders, *args)
         _assert_same_outcome(got, want)
 
@@ -311,9 +331,12 @@ class TestSolveLadders:
     def test_equals_reference_where_counts_are_not_zero(self, phi, x0):
         # Admissible phi never crosses, so equal violation counts would be
         # vacuous; these two make the counts and the guard hits non-zero.
-        args = (phi, x0, StableParams.default(0.6), [0.1, 0.03, 0.01, 0.003], 17, 60)
+        # The pairs hold adjacent, non-adjacent and equal levels.
+        pairs = [(1, 0), (3, 0), (2, 1), (3, 1), (2, 2)]
+        args = (phi, x0, StableParams.default(0.6), [0.1, 0.03, 0.01, 0.003], 17, 60, pairs)
         got = _kernel_ladders(*args)
         _assert_same_outcome(got, _scalar_ladders(*args))
+        assert got[3][:, :4].sum() > 0
         if x0 == 0.0:
             assert got[2].sum() > 0
         else:
@@ -325,12 +348,14 @@ class TestSolveLadders:
         paths = [make_path([0.1, 0.2], [0.5, 0.05]), make_path([], [], cutoff=0.05),
                  make_path([0.1, 0.3, 0.6], [0.05, 0.7, 0.2])]
         cutoffs = [0.1, 0.05]
-        final, guard, violations = solve_ladders(
-            ARCTAN, 1.0, np.concatenate([p.sizes for p in paths]), [0, 2, 2, 5], cutoffs
+        final, guard, violations, gaps = solve_ladders(
+            ARCTAN, 1.0, np.concatenate([p.sizes for p in paths]), [0, 2, 2, 5], cutoffs,
+            pairs=[(1, 0)],
         )
         for j, path in enumerate(paths):
             sols = [solve_truncated(ARCTAN, 1.0, thin_path(path, e)) for e in cutoffs]
             assert final[j].tolist() == [sol.final for sol in sols]
+            assert gaps[j].tolist() == [sup_gap(sols[1], sols[0])]
         assert not guard.any() and not violations.any()
 
     def test_rejects_what_the_reference_rejects(self):
@@ -344,6 +369,12 @@ class TestSolveLadders:
             solve_ladders(ARCTAN, 0.0, [1.0, math.nan], [0, 2], [0.1])
         with pytest.raises(ValueError):
             solve_ladders(ARCTAN, 0.0, [1.0, 2.0], [0, 1], [0.1])
+
+    def test_pairs_must_index_the_cutoffs(self):
+        for pair in [(2, 0), (1, -1)]:
+            with pytest.raises(ValueError, match="pairs"):
+                solve_ladders(ARCTAN, 0.0, [1.0], [0, 1], [0.1, 0.01], pairs=[pair])
+        assert solve_ladders(ARCTAN, 0.0, [1.0], [0, 1], [0.1])[3].shape == (1, 0)
 
     def test_nonfinite_phi_names_the_first_path(self):
         # phi(10) overflows.  Path 0 skips its only jump at this cutoff, path
