@@ -50,7 +50,6 @@ from .truncation import (
 )
 from .counterexample import (
     CounterexampleRun,
-    divergence_check,
     driver_law_check,
     nonuniqueness_demo,
     run_counterexample,

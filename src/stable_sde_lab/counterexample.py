@@ -49,10 +49,8 @@ __all__ = [
     "run_counterexample",
     "CheckReport",
     "scaling_law_check",
-    "divergence_check",
     "driver_law_check",
     "nonuniqueness_demo",
-    "head_refinement_check",
     "write_report_csv",
 ]
 
@@ -97,11 +95,6 @@ class CounterexampleRun:
     head_coeff: float
     head_value: float
     noise_values: np.ndarray
-    noise_head: float
-
-    @property
-    def horizon(self) -> float:
-        return float(self.grid.horizon)
 
     @property
     def clock_total(self) -> float:
@@ -196,23 +189,14 @@ def _noise_increments(z: np.ndarray, beta: float) -> np.ndarray:
     return z[1:-1] ** (-beta) * np.diff(z)[1:]
 
 
-def _noise_values(z: np.ndarray, beta: float, noise_inc: np.ndarray) -> np.ndarray:
-    """Recovered noise Y(s_k): left-endpoint sums of noise_inc from s_1 on.
-
-    The head term is the proxy Z(s_1)**(1-beta) / (1-beta), the smooth-path
-    closed form.
-    """
-    noise_head = z[1] ** (1.0 - beta) / (1.0 - beta)
-    return np.concatenate(([0.0], [noise_head], noise_head + np.cumsum(noise_inc)))
-
-
 def derive_run(alpha: float, beta: float, grid: GridPath) -> CounterexampleRun:
     """Build the singular clock and derived processes from an existing grid path.
 
     The clock is a left-endpoint sum of Z**(-alpha*beta) over [s_1, T]; the
     head interval carries the fitted power-law correction.  The recovered
     noise uses the matching left-endpoint sums of Z**(-beta) increments with
-    a right-endpoint proxy for its own (negligible) head term.
+    a right-endpoint proxy for its own (negligible) head term: Z(s_1)**(1-beta)
+    / (1-beta), the smooth-path closed form.
 
     The grid runs of the checks below take array paths instead; this one
     stays the reference that property tests hold them bit-equal to.
@@ -222,7 +206,10 @@ def derive_run(alpha: float, beta: float, grid: GridPath) -> CounterexampleRun:
     clock_values, head_coeff, head_value = _clock_values(alpha, beta, grid.times, ds, z)
     slopes = np.diff(clock_values) / ds
     clock = Clock(breakpoints=grid.times, slopes=slopes, values=clock_values)
-    noise_values = _noise_values(z, beta, _noise_increments(z, beta))
+    noise_head = z[1] ** (1.0 - beta) / (1.0 - beta)
+    noise_values = np.concatenate(
+        ([0.0], [noise_head], noise_head + np.cumsum(_noise_increments(z, beta)))
+    )
     return CounterexampleRun(
         alpha=alpha,
         beta=beta,
@@ -231,7 +218,6 @@ def derive_run(alpha: float, beta: float, grid: GridPath) -> CounterexampleRun:
         head_coeff=head_coeff,
         head_value=head_value,
         noise_values=noise_values,
-        noise_head=float(noise_values[1]),
     )
 
 
@@ -291,8 +277,12 @@ def _nonuniqueness_outcome(
     """
     values = _clock_values(alpha, beta, times, ds, z)[0]
     noise_inc = _noise_increments(z, beta)
-    # Zero path: increments phi(0) * dV vanish term by term.
-    zero = float(np.max(np.abs(0.0**beta * np.diff(_noise_values(z, beta, noise_inc)))))
+    # Zero path: increments phi(0) * dV vanish term by term.  The clock has
+    # passed, so z[1:-1] is finite and positive and every increment lies in
+    # [0, inf]: the running sum of derive_run's noise never decreases, and a
+    # term 0 * dV is NaN exactly where that sum has reached inf.
+    noise_end = z[1] ** (1.0 - beta) / (1.0 - beta) + np.cumsum(noise_inc)[-1]
+    zero = 0.0 if math.isfinite(noise_end) else math.nan
     # Raw increments: differences of the running sum of the recovered noise
     # lose digits to cancellation.
     residual = _replay_relative_residual(z, beta, noise_inc) if replay else None
@@ -425,61 +415,6 @@ def scaling_law_check(
     )
 
 
-@dataclass(frozen=True)
-class DivergenceReport:
-    """Empirical P(B_t <= M) along an increasing horizon grid."""
-
-    ts: tuple[float, ...]
-    probabilities: tuple[float, ...]
-    bands_2sigma: tuple[float, ...]
-    threshold: float
-    n: int
-    separated: bool  # successive probabilities decrease beyond the joined bands
-
-
-def divergence_check(
-    alpha: float,
-    beta: float,
-    ts: list[float] | tuple[float, ...],
-    threshold: float,
-    n: int,
-    rng: np.random.Generator,
-    m_per_unit: int = 10_000,
-    m_cap: int = 100_000,
-) -> DivergenceReport:
-    """Monotone-trend report for P(B_t <= M) as the horizon grows.
-
-    The clock diverges a.s., so the curve must fall towards 0; grid size per
-    horizon is m_per_unit * t capped at m_cap.
-    """
-    ts = tuple(float(t) for t in ts)
-    if any(b <= a for a, b in zip(ts, ts[1:])) or not ts:
-        raise ValueError("horizon grid must be strictly increasing and non-empty")
-    probs = []
-    bands = []
-    parents = rng.spawn(len(ts))
-    for t, parent in zip(ts, parents):
-        m = min(int(round(m_per_unit * t)), m_cap)
-        m = max(m, 100)
-        totals = np.array(
-            _clock_totals(f"divergence T={t:g}", alpha, beta, t, m, parent.spawn(n))
-        )
-        p = float(np.mean(totals <= threshold))
-        probs.append(p)
-        bands.append(2.0 * math.sqrt(max(p * (1.0 - p), 1.0 / n) / n))
-    separated = all(
-        probs[i + 1] + bands[i + 1] < probs[i] - bands[i] for i in range(len(ts) - 1)
-    )
-    return DivergenceReport(
-        ts=ts,
-        probabilities=tuple(probs),
-        bands_2sigma=tuple(bands),
-        threshold=threshold,
-        n=n,
-        separated=separated,
-    )
-
-
 def driver_law_check(
     alpha: float,
     beta: float,
@@ -601,37 +536,6 @@ def nonuniqueness_demo(
         n=n,
         replay_worst_replicate=replay_worst,
     )
-
-
-def head_refinement_check(
-    alpha: float,
-    beta: float,
-    horizon: float,
-    m: int,
-    n: int,
-    rng: np.random.Generator,
-) -> float:
-    """Fraction of runs where halving the step moves B(T) by less than the head.
-
-    One path is sampled on the 2m-step grid and coarsened by pairing
-    increments, so both resolutions see the same realisation; the difference
-    of the two clock totals is then a pure resolution effect and should stay
-    below the coarse run's head correction, which bounds the unresolved mass.
-    """
-    params = StableParams.default(alpha)
-    fine_times, fine_ds = _grid_times(horizon, 2 * m)
-    coarse_times = fine_times[::2]
-    coarse_ds = np.diff(coarse_times)
-
-    def within(g: np.random.Generator) -> bool:
-        fine = _grid_values(params, horizon, 2 * m, g)
-        fine_total = _clock_total(alpha, beta, fine_times, fine_ds, fine)
-        coarse_values, _, coarse_head = _clock_values(
-            alpha, beta, coarse_times, coarse_ds, fine[::2]
-        )
-        return abs(fine_total - float(coarse_values[-1])) < coarse_head
-
-    return sum(_grid_runs("head-refinement", within, rng.spawn(n))) / n
 
 
 def _replay_relative_residual(z: np.ndarray, beta: float, noise_inc: np.ndarray) -> float:

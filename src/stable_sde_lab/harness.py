@@ -138,6 +138,13 @@ class ExperimentConfig:
                 raise ConfigError(
                     "counterexample experiment needs replicates >= 1000 for the KS regime"
                 )
+            # Grid steps on [0, T], rounded as the driver-law and non-uniqueness
+            # checks round them; an infinite product never reaches round().
+            steps = self.grid_m * self.horizon
+            if steps < 100 and round(steps) < 100:
+                raise ConfigError(
+                    f"counterexample needs round(grid_m * T) >= 100, got {round(steps)}"
+                )
         else:
             try:
                 phi = self.phi_object()

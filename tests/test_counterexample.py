@@ -12,7 +12,6 @@ from stable_sde_lab import (
     SampleSet,
     SamplerIntegrityError,
     StableParams,
-    divergence_check,
     driver_law_check,
     ks_two_sample,
     nonuniqueness_demo,
@@ -30,7 +29,6 @@ from stable_sde_lab.counterexample import (
     _recovered_noise,
     _replay_relative_residual,
     derive_run,
-    head_refinement_check,
 )
 from stable_sde_lab.driver import GridPath, _grid_values, sample_grid_path
 from stable_sde_lab.phi import PowerPhi
@@ -131,38 +129,6 @@ class TestScalingLaw:
             scaling_law_check(0.5, 0.5, 1.0, 2.0, 10, np.random.default_rng(0))
 
 
-class TestDivergence:
-    def test_threshold_zero_gives_zero_probability(self):
-        rep = divergence_check(
-            0.5, 0.5, [1.0, 2.0], 0.0, 200, np.random.default_rng(8), m_per_unit=500
-        )
-        assert rep.probabilities == (0.0, 0.0)
-
-    def test_huge_threshold_gives_probability_one(self):
-        rep = divergence_check(
-            0.5, 0.5, [1.0, 2.0], 1e9, 200, np.random.default_rng(9), m_per_unit=500
-        )
-        assert rep.probabilities == (1.0, 1.0)
-
-    def test_decreasing_curve_separated_beyond_bands(self):
-        rep = divergence_check(
-            0.5,
-            0.5,
-            [1.0, 10.0, 100.0],
-            5.0,
-            250,
-            np.random.default_rng(10),
-            m_per_unit=10_000,
-            m_cap=50_000,
-        )
-        assert rep.separated
-        assert rep.probabilities[0] > rep.probabilities[1] > rep.probabilities[2]
-
-    def test_rejects_unsorted_horizons(self):
-        with pytest.raises(ValueError):
-            divergence_check(0.5, 0.5, [2.0, 1.0], 5.0, 100, np.random.default_rng(0))
-
-
 class TestDriverLaw:
     def test_same_law_baseline(self):
         # Sanity floor: two independent exact driver samples must not be
@@ -233,10 +199,6 @@ class TestNonUniqueness:
 
 
 class TestHeadCorrection:
-    def test_refinement_consistency(self):
-        frac = head_refinement_check(0.5, 0.5, 1.0, 5000, 120, np.random.default_rng(16))
-        assert frac >= 0.95
-
     def test_head_shrinks_with_grid(self):
         # The singular head covers [0, s_1]; refining the grid must shrink it.
         coarse = run_counterexample(0.5, 0.5, 1.0, 1000, np.random.default_rng(17))
@@ -275,10 +237,6 @@ class TestWorkerCount:
             0.5, 0.5, 1.0, 2.0, 1000, rng, m_per_unit=100
         ),
         "driver-law": lambda rng: driver_law_check(0.5, 0.5, 2.0, 1000, rng, m_per_unit=100),
-        "divergence": lambda rng: divergence_check(
-            0.5, 0.5, [0.5, 1.0], 1.0, 1000, rng, m_per_unit=100
-        ),
-        "head-refinement": lambda rng: head_refinement_check(0.5, 0.5, 1.0, 100, 1000, rng),
         "nonuniqueness": lambda rng: nonuniqueness_demo(
             0.5, 0.5, 2.0, 1000, rng, m_per_unit=100, replay_runs=40
         ),

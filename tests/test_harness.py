@@ -134,6 +134,11 @@ class TestConfigParsing:
             with pytest.raises(ConfigError, match="one thread"):
                 parse_config_text(f"experiment = weak-agree\nthreads = {value}\n")
 
+    def test_counterexample_grid_steps_round_like_the_checks(self):
+        # round(199 * 0.5) = round(99.5) = 100 steps, as the checks count them.
+        cfg = parse_config_text("experiment = counterexample\ngrid_m = 199\nT = 0.5\n")
+        assert round(cfg.grid_m * cfg.horizon) == 100
+
     def test_transposed_exponents_cannot_slip_through(self):
         # beta is only meaningful for the counterexample; a stray beta key is
         # still validated against (0, 1).
@@ -537,6 +542,9 @@ class TestCLI:
             "experiment = counterexample\ncutoffs = 0.1\n",
             "experiment = counterexample\nx0 = 1\n",
             "experiment = counterexample\nreplicates = 10\n",
+            # Too few grid steps on [0, T] for the head fit; round(98.5) is 98.
+            "experiment = counterexample\nT = 0.005\n",
+            "experiment = counterexample\ngrid_m = 197\nT = 0.5\n",
             # Each experiment rejects a key it does not read.
             "experiment = ladder-monotone\ngrid_m = 5000\nbeta = 0.3\ncouple_decay_max = 0.5\n",
             "experiment = strong-construct\nks_p_threshold = 0.05\n",
