@@ -3,8 +3,8 @@
 The driver is a pure-jump subordinator with Levy density ``c * h**(-1-alpha)``
 on (0, inf), alpha in (0, 1).  Truncating the jump measure at a cutoff eps
 yields a compound Poisson path that can be simulated exactly; removing the
-cutoff is handled by the exact-increment sampler (Zolotarev/Kanter transform),
-used when infinite small-jump activity matters.
+cutoff is handled by the exact-increment sampler (1/(2N**2) at alpha = 1/2,
+Zolotarev/Kanter otherwise), used when infinite small-jump activity matters.
 """
 
 from __future__ import annotations
@@ -247,6 +247,12 @@ def thin_path(path: JumpPath, new_eps: float) -> JumpPath:
 
 
 def _standard_stable(alpha: float, size: int, rng: np.random.Generator) -> np.ndarray:
+    if alpha == 0.5:
+        # Levy law: S = 1/(2 N**2), N standard normal, has E exp(-lam*S) =
+        # exp(-lam**0.5).  N**2 is floored like W below: N = 0 gives no inf.
+        out = rng.standard_normal(size)
+        np.maximum(np.multiply(out, out, out=out), np.finfo(float).tiny, out=out)
+        return np.divide(0.5, out, out=out)
     # Zolotarev integral representation (Kanter's sampler): for U uniform on
     # (0, pi) and W standard exponential,
     #   S = (A(U) / W) ** ((1-alpha)/alpha),
@@ -257,20 +263,14 @@ def _standard_stable(alpha: float, size: int, rng: np.random.Generator) -> np.nd
     np.clip(u, 1e-300, np.nextafter(np.pi, 0.0), out=u)
     w = rng.standard_exponential(size)
     np.maximum(w, np.finfo(float).tiny, out=w)
-    # log A(u), then S, term by term in the order of the formula above and
-    # into the draws' own buffers: the same operations in the same order give
-    # every draw the bits of the one-expression form, without its temporaries.
+    # log A(u), then S, term by term into the draws' own buffers: the same
+    # operations in the formula's order give the one-expression form's bits.
     log_a = np.multiply(1.0 - alpha, u)
     np.log(np.sin(log_a, out=log_a), out=log_a)
-    if 1.0 - alpha == alpha:
-        # alpha = 1/2: sin(alpha*u) is the array just taken, and the factor
-        # alpha/(1-alpha) is exactly 1, so one sine gives both terms.
-        log_a += log_a
-    else:
-        term = np.multiply(alpha, u)
-        np.log(np.sin(term, out=term), out=term)
-        term *= alpha / (1.0 - alpha)
-        log_a += term
+    term = np.multiply(alpha, u)
+    np.log(np.sin(term, out=term), out=term)
+    term *= alpha / (1.0 - alpha)
+    log_a += term
     np.log(np.sin(u, out=u), out=u)
     u *= 1.0 / (1.0 - alpha)
     log_a -= u

@@ -257,7 +257,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
     experiment = raw.pop("experiment")
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {experiment!r}")
-    # Replicates run in one thread; threads = 1 is accepted for existing configs.
+    # Thread use is fixed per experiment; threads = 1 is accepted for existing configs.
     if "threads" in raw and _convert("threads", raw.pop("threads"), "threads") != 1:
         raise ConfigError("replicates run in one thread: threads must be 1")
     keys, reason = _EXPERIMENT_KEYS[experiment]

@@ -1,10 +1,13 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import erfc
+from scipy.stats import kstest
 
 from stable_sde_lab import (
     GridPath,
@@ -292,6 +295,9 @@ class TestExactIncrement:
 
 def _reference_standard_stable(alpha: float, size: int, rng: np.random.Generator):
     # The sampler as one expression, before it was evaluated into buffers.
+    if alpha == 0.5:
+        n = rng.standard_normal(size)
+        return 0.5 / np.maximum(n * n, np.finfo(float).tiny)
     u = rng.uniform(0.0, np.pi, size)
     np.clip(u, 1e-300, np.nextafter(np.pi, 0.0), out=u)
     w = np.maximum(rng.standard_exponential(size), np.finfo(float).tiny)
@@ -304,7 +310,7 @@ def _reference_standard_stable(alpha: float, size: int, rng: np.random.Generator
 
 
 class TestInPlaceSampler:
-    # At alpha = 1/2 the sampler takes one sine where it takes two elsewhere;
+    # At alpha = 1/2 the sampler draws 1/(2 N**2), elsewhere Kanter's transform;
     # the neighbours of 1/2 hold both sides of that switch to the reference.
     @pytest.mark.parametrize(
         "alpha",
@@ -329,6 +335,21 @@ class TestInPlaceSampler:
         assert got.tobytes() == ref.tobytes()
         assert inc.tobytes() == (scale * ref).tobytes()
         assert grid.values.tobytes() == np.concatenate(([0.0], np.cumsum(grid_inc))).tobytes()
+
+
+class TestHalfAlphaSwitch:
+    # Both sides of alpha = 1/2 against the Levy CDF P(S <= x) = erfc(1/(2 sqrt x)),
+    # the law with E exp(-lam*S) = exp(-lam**0.5).
+    @pytest.mark.parametrize("alpha", [0.5, np.nextafter(0.5, 0.0)])
+    def test_draws_follow_the_levy_law(self, alpha):
+        draws = _standard_stable(alpha, 20_000, np.random.default_rng(2024))
+        result = kstest(draws, lambda x: erfc(0.5 / np.sqrt(x)))
+        assert result.pvalue > 0.01
+
+    def test_zero_normal_gives_a_finite_draw(self):
+        # numpy's ziggurat can return an exact 0, and 1/(2 * 0**2) is inf.
+        draws = _standard_stable(0.5, 8, SimpleNamespace(standard_normal=np.zeros))
+        assert np.isfinite(draws).all() and (draws > 0.0).all()
 
 
 class TestGridTimes:

@@ -128,7 +128,7 @@ class TestConfigParsing:
             parse_config_text("experiment = weak-agree\ncutoffs = 0.01, 0.001\n")
 
     def test_threads_must_be_one(self):
-        # Replicates run in one thread; existing configs may still say so.
+        # Thread use is fixed per experiment; existing configs may still say threads = 1.
         assert parse_config_text("experiment = weak-agree\nthreads = 1\n")
         for value in ("2", "0"):
             with pytest.raises(ConfigError, match="one thread"):
@@ -552,7 +552,7 @@ class TestCLI:
             "experiment = uniqueness-couple\nbeta = 0.5\n",
             "experiment = uniqueness-couple\ngrid_m = 1000\n",
             "experiment = counterexample\ncouple_decay_max = 0.5\n",
-            # Replicates run in one thread.
+            # Thread use is not configurable.
             "experiment = ladder-monotone\nthreads = 2\n",
             "experiment = counterexample\nthreads = 0\n",
             # Non-finite values pass the comparisons that test for bad ones.
