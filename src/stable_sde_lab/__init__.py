@@ -27,7 +27,7 @@ from .phi import (
     SoftRampPhi,
     parse_phi,
 )
-from .stats import KSReport, SampleSet, ks_two_sample
+from .stats import KSReport, ks_two_sample
 from .timechange import (
     BEYOND_HORIZON,
     Clock,

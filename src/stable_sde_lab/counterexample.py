@@ -39,7 +39,7 @@ from .driver import (
     sample_grid_path,
 )
 from .phi import PowerPhi
-from .stats import SampleSet, ks_two_sample
+from .stats import ks_two_sample
 from .timechange import BEYOND_HORIZON, Clock, invert_clock
 
 __all__ = [
@@ -55,6 +55,7 @@ __all__ = [
 ]
 
 HEAD_FIT_DECADE = 10  # head coefficient fitted on grid points with s <= 10*s_1
+T_EVAL = 1.0  # the time at which the driver-law and non-uniqueness checks read a run
 
 
 @dataclass(frozen=True)
@@ -332,7 +333,11 @@ def _map_runs(fn, generators: list[np.random.Generator]) -> list:
     run in spawn order raises.  numpy's errstate does not reach the workers:
     fn must set its own.
     """
-    workers = min(len(os.sched_getaffinity(0)), len(generators))
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:  # macOS and Windows have no affinity call
+        cpus = os.cpu_count() or 1
+    workers = min(cpus, len(generators))
     if workers <= 1:
         return [fn(g) for g in generators]
     # Imported here so that the experiments without grid runs do not load it.
@@ -401,7 +406,7 @@ def scaling_law_check(
     b1 = np.array(_clock_totals(f"scaling-law t1={t1:g}", alpha, beta, t1, m1, parent1.spawn(n)))
     b2 = np.array(_clock_totals(f"scaling-law t2={t2:g}", alpha, beta, t2, m2, parent2.spawn(n)))
     rescaled = b2 * (t2 / t1) ** (beta - 1.0)
-    ks = ks_two_sample(SampleSet(rescaled, "rescaled"), SampleSet(b1, "reference"))
+    ks = ks_two_sample(rescaled, b1)
     return CheckReport(
         check="scaling-law",
         statistic=ks.statistic,
@@ -422,12 +427,11 @@ def driver_law_check(
     n: int,
     rng: np.random.Generator,
     m_per_unit: int = 10_000,
-    t_eval: float = 1.0,
     seed: int | None = None,
 ) -> CheckReport:
-    """KS comparison of the recovered noise V at t_eval against exact driver samples.
+    """KS comparison of the recovered noise V at T_EVAL against exact driver samples.
 
-    Runs whose clock does not reach t_eval are counted and excluded; the
+    Runs whose clock does not reach T_EVAL are counted and excluded; the
     coverage fraction is part of the report, and coverage below 0.5 flags the
     result inconclusive (horizon too short) rather than failing it.
     """
@@ -439,13 +443,13 @@ def driver_law_check(
     values = _grid_runs(
         "driver-law",
         lambda g: _recovered_noise(
-            alpha, beta, times, ds, _grid_values(params, horizon, m, g), t_eval
+            alpha, beta, times, ds, _grid_values(params, horizon, m, g), T_EVAL
         ),
         run_parent.spawn(n),
     )
     recovered = [v for v in values if v is not None]
     coverage = len(recovered) / n
-    exact = sample_exact_increment(params, t_eval, exact_parent, size=n)
+    exact = sample_exact_increment(params, T_EVAL, exact_parent, size=n)
     if len(recovered) < 2:
         return CheckReport(
             check="driver-law",
@@ -459,9 +463,7 @@ def driver_law_check(
             seed=seed,
             inconclusive=True,
         )
-    ks = ks_two_sample(
-        SampleSet(np.asarray(recovered), "recovered"), SampleSet(exact, "exact")
-    )
+    ks = ks_two_sample(recovered, exact)
     return CheckReport(
         check="driver-law",
         statistic=ks.statistic,
@@ -481,7 +483,7 @@ class NonUniquenessReport:
     """Executable statement of non-uniqueness for the degenerate coefficient."""
 
     zero_solution_residual: float  # exactly 0: phi(0) kills every increment
-    positive_fraction: float  # covered runs with a strictly positive state at t_eval
+    positive_fraction: float  # covered runs with a strictly positive state at T_EVAL
     coverage: float
     replay_residual: float  # max relative gap between the two solution constructions
     n: int
@@ -495,13 +497,12 @@ def nonuniqueness_demo(
     n: int,
     rng: np.random.Generator,
     m_per_unit: int = 10_000,
-    t_eval: float = 1.0,
     replay_runs: int = 16,
 ) -> NonUniquenessReport:
     """Zero solution versus the time-changed solution, on the same runs.
 
     The zero path satisfies the equation exactly (its coefficient vanishes),
-    while the time-changed path is strictly positive at t_eval on covered
+    while the time-changed path is strictly positive at T_EVAL on covered
     runs.  The replay residual re-solves X <- X + phi(X)*dV event-wise along
     the grid on the first replay_runs runs and reports the worst relative gap
     against the time-change values.
@@ -511,7 +512,7 @@ def nonuniqueness_demo(
 
     def one(g: np.random.Generator, replay: bool):
         z = _grid_values(params, horizon, m, g)
-        return _nonuniqueness_outcome(alpha, beta, times, ds, z, t_eval, replay)
+        return _nonuniqueness_outcome(alpha, beta, times, ds, z, T_EVAL, replay)
 
     streams = rng.spawn(n)
     runs = _grid_runs("nonuniqueness", lambda g: one(g, True), streams[:replay_runs])

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import statistics
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -40,7 +41,7 @@ from .driver import (
 )
 from .phi import MonotonePhi, parse_phi
 from .seeding import derive_seed, replicate_rng
-from .stats import SampleSet, ks_two_sample
+from .stats import ks_two_sample
 from .timechange import solve_time_change
 from .truncation import (
     Ladder,
@@ -59,14 +60,6 @@ __all__ = [
     "load_config",
     "run_experiment",
 ]
-
-EXPERIMENTS = (
-    "strong-construct",
-    "ladder-monotone",
-    "weak-agree",
-    "uniqueness-couple",
-    "counterexample",
-)
 
 EXIT_PASS = 0
 EXIT_STATISTICAL = 1
@@ -97,9 +90,9 @@ class ExperimentConfig:
     min_coverage: float = 0.8
 
     def __post_init__(self) -> None:
-        if self.experiment not in EXPERIMENTS:
+        if self.experiment not in _EXPERIMENTS:
             raise ConfigError(
-                f"unknown experiment {self.experiment!r}; choose from {EXPERIMENTS}"
+                f"unknown experiment {self.experiment!r}; choose from {tuple(_EXPERIMENTS)}"
             )
         # NaN passes every "must fail" comparison below, so test finiteness first.
         floats = {
@@ -160,80 +153,8 @@ class ExperimentConfig:
         return parse_phi(self.phi)
 
 
-# Experiment-specific defaults, applied under explicit config keys.
-_EXPERIMENT_DEFAULTS: dict[str, dict] = {
-    "strong-construct": {
-        "alpha": 0.7,
-        "phi": "shifted-arctan(2,0.6366)",
-        "cutoffs": (0.1, 0.03, 0.01, 0.003, 0.001),
-        "replicates": 8,
-    },
-    "ladder-monotone": {
-        "alpha": 0.7,
-        "phi": "shifted-arctan(2,0.6366)",
-        "cutoffs": (0.1, 0.03, 0.01, 0.003, 0.001),
-        "replicates": 1000,
-    },
-    "weak-agree": {
-        "alpha": 0.4,
-        "phi": "shifted-arctan(2,0.6366)",
-        "cutoffs": (0.001,),
-        "replicates": 5000,
-    },
-    "uniqueness-couple": {
-        "alpha": 0.1,
-        "phi": "shifted-arctan(2,0.6366)",
-        "horizon": 30.0,
-        "cutoffs": (0.1, 0.05, 0.025, 0.0125, 0.00625),
-        "replicates": 500,
-    },
-    "counterexample": {
-        "alpha": 0.5,
-        "beta": 0.5,
-        "phi": "power(0.5)",
-        "horizon": 4.0,
-        "replicates": 2000,
-    },
-}
-
-_KEY_TO_FIELD = {
-    "experiment": "experiment",
-    "alpha": "alpha",
-    "beta": "beta",
-    "phi": "phi",
-    "x0": "x0",
-    "T": "horizon",
-    "cutoffs": "cutoffs",
-    "grid_m": "grid_m",
-    "replicates": "replicates",
-    "seed": "seed",
-    "out": "out",
-    "ks_p_threshold": "ks_p_threshold",
-    "couple_decay_max": "couple_decay_max",
-    "min_coverage": "min_coverage",
-}
-
-
-# The keys each experiment reads beside experiment and threads, and why it
-# reads no other.
-_RUN_KEYS = ("replicates", "seed", "out")
-_SOLVE_KEYS = ("alpha", "phi", "x0", "T", "cutoffs")
-_EXPERIMENT_KEYS: dict[str, tuple[tuple[str, ...], str]] = {
-    "strong-construct": (_SOLVE_KEYS, "it compares ladder levels exactly"),
-    "ladder-monotone": (_SOLVE_KEYS, "it compares ladder levels exactly"),
-    "weak-agree": (
-        (*_SOLVE_KEYS, "ks_p_threshold"),
-        "it compares two constructions by one KS test",
-    ),
-    "uniqueness-couple": (
-        (*_SOLVE_KEYS, "couple_decay_max"),
-        "it tests the decay of coupled sup-distances",
-    ),
-    "counterexample": (
-        ("alpha", "beta", "T", "grid_m", "ks_p_threshold", "min_coverage"),
-        "it runs phi = power(beta) from x0 = 0 on exact grid increments",
-    ),
-}
+# The one config key that is not its field's name.
+_KEY_TO_FIELD = {"T": "horizon"}
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
@@ -247,7 +168,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: expected key = value, got {line!r}")
         key, _, value = stripped.partition("=")
         key = key.strip()
-        if key not in _KEY_TO_FIELD and key != "threads":
+        if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
         if key in raw:
             raise ConfigError(f"line {lineno}: duplicate config key {key!r}")
@@ -255,18 +176,18 @@ def parse_config_text(text: str) -> ExperimentConfig:
     if "experiment" not in raw:
         raise ConfigError("config must set 'experiment'")
     experiment = raw.pop("experiment")
-    if experiment not in EXPERIMENTS:
+    if experiment not in _EXPERIMENTS:
         raise ConfigError(f"unknown experiment {experiment!r}")
-    # Thread use is fixed per experiment; threads = 1 is accepted for existing configs.
+    # threads = 1 is accepted for existing configs.
     if "threads" in raw and _convert("threads", raw.pop("threads"), "threads") != 1:
-        raise ConfigError("replicates run in one thread: threads must be 1")
-    keys, reason = _EXPERIMENT_KEYS[experiment]
-    unused = [key for key in raw if key not in _RUN_KEYS + keys]
+        raise ConfigError("thread use is fixed per experiment, not configured: threads must be 1")
+    spec = _EXPERIMENTS[experiment]
+    unused = [key for key in raw if key not in _RUN_KEYS + spec.keys]
     if unused:
-        raise ConfigError(f"{experiment} does not use {', '.join(unused)}: {reason}")
-    merged: dict = dict(_EXPERIMENT_DEFAULTS.get(experiment, {}))
+        raise ConfigError(f"{experiment} does not use {', '.join(unused)}: {spec.reason}")
+    merged = dict(spec.defaults)
     for key, value in raw.items():
-        field_name = _KEY_TO_FIELD[key]
+        field_name = _KEY_TO_FIELD.get(key, key)
         merged[field_name] = _convert(field_name, value, key)
     try:
         return ExperimentConfig(experiment=experiment, **merged)
@@ -392,14 +313,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> Experim
     """Run one experiment, write its artifacts, and classify the outcome."""
     out = Path(out_dir if out_dir is not None else cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    runner = {
-        "strong-construct": _run_strong_construct,
-        "ladder-monotone": _run_ladder_monotone,
-        "weak-agree": _run_weak_agree,
-        "uniqueness-couple": _run_uniqueness_couple,
-        "counterexample": _run_counterexample_experiment,
-    }[cfg.experiment]
-    rows, artifacts = runner(cfg, out)
+    rows, artifacts = _EXPERIMENTS[cfg.experiment].run(cfg, out)
     rows = tuple(rows)
     artifacts = artifacts + (_write_summary(out, rows),)
     return ExperimentResult(
@@ -564,9 +478,7 @@ def _run_weak_agree(cfg: ExperimentConfig, out: Path):
     final, _, _, _ = _solve_replicate_ladders(cfg, "weak-agree-truncation")
     xs_trunc = final[:, 0]
     xs_time = _timechange_samples(cfg, "weak-agree-timechange")
-    ks = ks_two_sample(
-        SampleSet(xs_trunc, "truncation"), SampleSet(xs_time, "timechange")
-    )
+    ks = ks_two_sample(xs_trunc, xs_time)
     samples_csv = out / "weak_agree_samples.csv"
     with open(samples_csv, "w", encoding="utf-8") as fh:
         fh.write("replicate,x_truncation,x_timechange\n")
@@ -710,3 +622,84 @@ def _run_counterexample_experiment(cfg: ExperimentConfig, out: Path):
         ),
     ]
     return rows, (str(report_csv),)
+
+
+# --------------------------------------------------------------------------
+# The experiments
+# --------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Experiment:
+    """One experiment: its runner, the config keys it reads and its defaults."""
+
+    run: Callable[[ExperimentConfig, Path], tuple[list[SummaryRow], tuple[str, ...]]]
+    keys: tuple[str, ...]  # read beside experiment, threads and _RUN_KEYS
+    reason: str  # why it reads no other key
+    defaults: dict  # ExperimentConfig fields, applied under explicit config keys
+
+
+_RUN_KEYS = ("replicates", "seed", "out")
+_SOLVE_KEYS = ("alpha", "phi", "x0", "T", "cutoffs")
+
+_EXPERIMENTS = {
+    "strong-construct": _Experiment(
+        _run_strong_construct,
+        _SOLVE_KEYS,
+        "it compares ladder levels exactly",
+        {
+            "alpha": 0.7,
+            "phi": "shifted-arctan(2,0.6366)",
+            "cutoffs": (0.1, 0.03, 0.01, 0.003, 0.001),
+            "replicates": 8,
+        },
+    ),
+    "ladder-monotone": _Experiment(
+        _run_ladder_monotone,
+        _SOLVE_KEYS,
+        "it compares ladder levels exactly",
+        {
+            "alpha": 0.7,
+            "phi": "shifted-arctan(2,0.6366)",
+            "cutoffs": (0.1, 0.03, 0.01, 0.003, 0.001),
+            "replicates": 1000,
+        },
+    ),
+    "weak-agree": _Experiment(
+        _run_weak_agree,
+        (*_SOLVE_KEYS, "ks_p_threshold"),
+        "it compares two constructions by one KS test",
+        {
+            "alpha": 0.4,
+            "phi": "shifted-arctan(2,0.6366)",
+            "cutoffs": (0.001,),
+            "replicates": 5000,
+        },
+    ),
+    "uniqueness-couple": _Experiment(
+        _run_uniqueness_couple,
+        (*_SOLVE_KEYS, "couple_decay_max"),
+        "it tests the decay of coupled sup-distances",
+        {
+            "alpha": 0.1,
+            "phi": "shifted-arctan(2,0.6366)",
+            "horizon": 30.0,
+            "cutoffs": (0.1, 0.05, 0.025, 0.0125, 0.00625),
+            "replicates": 500,
+        },
+    ),
+    "counterexample": _Experiment(
+        _run_counterexample_experiment,
+        ("alpha", "beta", "T", "grid_m", "ks_p_threshold", "min_coverage"),
+        "it runs phi = power(beta) from x0 = 0 on exact grid increments",
+        {"alpha": 0.5, "beta": 0.5, "horizon": 4.0, "replicates": 2000},
+    ),
+}
+
+# Every config key that some experiment reads, and threads; any other is unknown.
+_KEYS = {
+    "experiment",
+    "threads",
+    *_RUN_KEYS,
+    *(key for spec in _EXPERIMENTS.values() for key in spec.keys),
+}

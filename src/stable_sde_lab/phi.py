@@ -28,7 +28,6 @@ __all__ = [
 class MonotonePhi:
     """Base for registered coefficient functions."""
 
-    family: str = "abstract"
     # Continuous, non-decreasing and positive on all of R: the assumptions
     # under which the truncation and time-change constructions apply.
     assumption_ok: bool = True
@@ -48,7 +47,6 @@ class ConstantPhi(MonotonePhi):
     """phi(x) = a with a > 0."""
 
     a: float
-    family = "constant"
 
     def __post_init__(self) -> None:
         if not (self.a > 0.0 and math.isfinite(self.a)):
@@ -69,7 +67,6 @@ class ShiftedArctanPhi(MonotonePhi):
 
     a: float
     b: float
-    family = "shifted-arctan"
 
     def __post_init__(self) -> None:
         if not (self.a > 0.0 and math.isfinite(self.a)):
@@ -92,7 +89,6 @@ class SoftRampPhi(MonotonePhi):
 
     a: float
     b: float
-    family = "soft-ramp"
 
     def __post_init__(self) -> None:
         if not (self.a > 0.0 and math.isfinite(self.a)):
@@ -120,7 +116,6 @@ class PiecewiseLinearPhi(MonotonePhi):
 
     xs: tuple[float, ...]
     ys: tuple[float, ...]
-    family = "piecewise-linear"
 
     def __post_init__(self) -> None:
         xs, ys = self.xs, self.ys
@@ -157,7 +152,6 @@ class PowerPhi(MonotonePhi):
     """
 
     beta: float
-    family = "power"
     assumption_ok = False  # vanishes at 0, so positivity fails
 
     def __post_init__(self) -> None:

@@ -3,37 +3,15 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "SampleSet",
     "KSReport",
     "ks_two_sample",
     "kolmogorov_sf",
 ]
-
-
-@dataclass(frozen=True)
-class SampleSet:
-    """A finite, NaN-free batch of real observations with provenance."""
-
-    values: np.ndarray
-    label: str = ""
-    _sorted: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1 or values.size == 0:
-            raise ValueError("SampleSet needs a non-empty 1-d batch")
-        if np.any(np.isnan(values)):
-            raise ValueError("SampleSet rejects NaN observations")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_sorted", np.sort(values))
-
-    def __len__(self) -> int:
-        return int(self.values.size)
 
 
 @dataclass(frozen=True)
@@ -67,15 +45,21 @@ def kolmogorov_sf(x: float) -> float:
     return min(1.0, max(0.0, 2.0 * total))
 
 
-def ks_two_sample(a: SampleSet, b: SampleSet) -> KSReport:
-    """Exact sup-distance between the two ECDFs by a merged sweep.
+def ks_two_sample(x, y) -> KSReport:
+    """Exact sup-distance between the ECDFs of samples x and y by a merged sweep.
 
-    Pooled duplicates are consumed in full before the gap is read, so ties
-    across samples are handled correctly.  The p-value uses the asymptotic
+    Each sample must be a non-empty, NaN-free 1-d array of reals.  Pooled
+    duplicates are consumed in full before the gap is read, so ties across
+    samples are handled correctly.  The p-value uses the asymptotic
     Kolmogorov law at effective size n*m/(n+m).
     """
-    xs = a._sorted
-    ys = b._sorted
+    xs, ys = (np.asarray(values, dtype=float) for values in (x, y))
+    for values in (xs, ys):
+        if values.ndim != 1 or values.size == 0:
+            raise ValueError("the KS test needs non-empty 1-d samples")
+        if np.any(np.isnan(values)):
+            raise ValueError("the KS test rejects NaN observations")
+    xs, ys = np.sort(xs), np.sort(ys)
     n, m = xs.size, ys.size
     pooled = np.unique(np.concatenate([xs, ys]))
     fa = np.searchsorted(xs, pooled, side="right") / n

@@ -27,7 +27,7 @@ __all__ = [
     "sup_gap",
 ]
 
-DEFAULT_OVERFLOW_GUARD = 1e300
+OVERFLOW_GUARD = 1e300
 
 
 @dataclass(frozen=True)
@@ -111,13 +111,12 @@ def solve_truncated(
     phi: MonotonePhi,
     x0: float,
     driver: JumpPath,
-    overflow_guard: float = DEFAULT_OVERFLOW_GUARD,
 ) -> SolutionPath:
     """Exact event-driven solve of dX = phi(X-) dZ along a truncated driver.
 
     Requires an admissible phi (positive families only; the power family
     belongs to the counterexample lab) and a finite-activity driver
-    (cutoff > 0).  States above overflow_guard are clamped and counted
+    (cutoff > 0).  States above OVERFLOW_GUARD are clamped and counted
     instead of asserting non-explosion.
     """
     if not phi.assumption_ok:
@@ -140,8 +139,8 @@ def solve_truncated(
                 f"phi evaluated non-finite at state {x!r} (event {i})"
             )
         x = x + speed * dz
-        if x > overflow_guard:
-            x = overflow_guard
+        if x > OVERFLOW_GUARD:
+            x = OVERFLOW_GUARD
             guard_hits += 1
         post[i] = x
     return SolutionPath(
@@ -161,7 +160,6 @@ def solve_ladders(
     offsets: np.ndarray,
     cutoffs: list[float] | tuple[float, ...],
     pairs: list[tuple[int, int]] | tuple[tuple[int, int], ...] = (),
-    overflow_guard: float = DEFAULT_OVERFLOW_GUARD,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Every ladder level of a block of base paths, in one event loop.
 
@@ -239,10 +237,10 @@ def solve_ladders(
                     raise err
             new = speed * dz
             new += xs
-            if not new.max() <= overflow_guard:  # NaN, too, takes the exact branch
-                over = hit & (new > overflow_guard)
+            if not new.max() <= OVERFLOW_GUARD:  # NaN, too, takes the exact branch
+                over = hit & (new > OVERFLOW_GUARD)
                 guard_hits[:m] += over
-                np.copyto(new, overflow_guard, where=over)
+                np.copyto(new, OVERFLOW_GUARD, where=over)
             np.copyto(xs, new, where=hit)
             finer_below = xs[:, 1:] < xs[:, :-1]
             if finer_below.any():

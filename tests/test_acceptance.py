@@ -17,7 +17,6 @@ from scipy.integrate import quad
 
 from stable_sde_lab import (
     ConstantPhi,
-    SampleSet,
     ShiftedArctanPhi,
     StableParams,
     build_clock,
@@ -132,7 +131,7 @@ def test_c04_weak_agreement_across_seeds():
         assert cfg.phi_object() == ARCTAN
         xa = _solve_replicate_ladders(cfg, "weak-agree-truncation")[0][:, 0]
         xb = _timechange_samples(cfg, "weak-agree-timechange")
-        p = ks_two_sample(SampleSet(xa), SampleSet(xb)).p_value
+        p = ks_two_sample(xa, xb).p_value
         p_values.append(p)
         passes += p > 0.01
     elapsed = time.perf_counter() - start

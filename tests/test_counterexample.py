@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from stable_sde_lab import (
     BEYOND_HORIZON,
-    SampleSet,
     SamplerIntegrityError,
     StableParams,
     driver_law_check,
@@ -137,7 +136,7 @@ class TestDriverLaw:
         rng = np.random.default_rng(11)
         a = sample_exact_increment(params, 1.0, rng, size=2000)
         b = sample_exact_increment(params, 1.0, rng, size=2000)
-        assert ks_two_sample(SampleSet(a), SampleSet(b)).p_value > 0.005
+        assert ks_two_sample(a, b).p_value > 0.005
 
     def test_canonical_parameters_pass(self):
         rep = driver_law_check(
@@ -270,6 +269,14 @@ class TestWorkerCount:
         with pytest.raises(ValueError) as excinfo:
             _map_runs(fn, list(range(10)))
         assert excinfo.value.args == (3,)
+
+    def test_platform_without_affinity_counts_cpus(self, monkeypatch):
+        # macOS and Windows have no os.sched_getaffinity.
+        _with_cpus(monkeypatch, 1)
+        one_cpu = self.CHECKS["scaling-law"](np.random.default_rng(23))
+        monkeypatch.delattr(counterexample.os, "sched_getaffinity")
+        monkeypatch.setattr(counterexample.os, "cpu_count", lambda: 3)
+        assert self.CHECKS["scaling-law"](np.random.default_rng(23)) == one_cpu
 
 
 def _bits(x) -> bytes | None:

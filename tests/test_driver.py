@@ -22,7 +22,7 @@ from stable_sde_lab import (
     thin_path,
 )
 from stable_sde_lab.driver import _grid_times, _sample_jumps, _standard_stable
-from stable_sde_lab.stats import SampleSet, ks_two_sample
+from stable_sde_lab.stats import ks_two_sample
 
 
 def quadrature_tail_mass(alpha: float, c: float, eps: float) -> float:
@@ -235,13 +235,9 @@ class TestThinning:
             direct = sample_truncated_path(params, 1.0, 0.2, rng)
             thinned_totals[i], direct_totals[i] = coarse.total, direct.total
             thinned_counts[i], direct_counts[i] = len(coarse), len(direct)
-        ks_totals = ks_two_sample(
-            SampleSet(thinned_totals, "thinned"), SampleSet(direct_totals, "direct")
-        )
+        ks_totals = ks_two_sample(thinned_totals, direct_totals)
         assert ks_totals.p_value > 0.01
-        ks_counts = ks_two_sample(
-            SampleSet(thinned_counts, "thinned"), SampleSet(direct_counts, "direct")
-        )
+        ks_counts = ks_two_sample(thinned_counts, direct_counts)
         assert ks_counts.p_value > 0.01
 
 
@@ -269,7 +265,7 @@ class TestExactIncrement:
         rng = np.random.default_rng(17)
         small = sample_exact_increment(params, 0.25, rng, size=4000)
         scaled = 0.25 ** (1.0 / 0.5) * sample_exact_increment(params, 1.0, rng, size=4000)
-        report = ks_two_sample(SampleSet(small, "dt"), SampleSet(scaled, "scaled"))
+        report = ks_two_sample(small, scaled)
         assert report.p_value > 0.01
 
     def test_small_dt_medians_shrink(self):

@@ -131,7 +131,7 @@ class TestConfigParsing:
         # Thread use is fixed per experiment; existing configs may still say threads = 1.
         assert parse_config_text("experiment = weak-agree\nthreads = 1\n")
         for value in ("2", "0"):
-            with pytest.raises(ConfigError, match="one thread"):
+            with pytest.raises(ConfigError, match="fixed per experiment"):
                 parse_config_text(f"experiment = weak-agree\nthreads = {value}\n")
 
     def test_counterexample_grid_steps_round_like_the_checks(self):
@@ -649,3 +649,23 @@ class TestExports:
                     ):
                         stale.append(f"{node.module}.{alias.name}")
         assert not stale
+
+
+class TestReadme:
+    def test_key_table_lists_what_each_experiment_reads(self):
+        # README's "experiment | reads" table, one row per group of experiments.
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        lines = readme.read_text(encoding="utf-8").splitlines()
+
+        def cells(line):
+            return [cell.strip() for cell in line.strip().strip("|").split("|")]
+
+        start = next(i for i, line in enumerate(lines) if cells(line) == ["experiment", "reads"])
+        rows = {}
+        for line in lines[start + 2 :]:
+            if not line.startswith("|"):
+                break
+            names, keys = cells(line)
+            for name in names.split(","):
+                rows[name.strip()] = tuple(key.strip() for key in keys.strip("`").split(","))
+        assert rows == {name: spec.keys for name, spec in harness._EXPERIMENTS.items()}

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import kolmogorov as scipy_kolmogorov
 
-from stable_sde_lab import SampleSet, ks_two_sample
+from stable_sde_lab import ks_two_sample
 from stable_sde_lab.stats import kolmogorov_sf
 
 
@@ -23,22 +23,19 @@ def brute_force_ks(xs, ys):
 
 class TestKS:
     def test_identical_multisets_give_zero(self):
-        s = SampleSet(np.array([1.0, 2.0, 2.0, 5.0]))
-        report = ks_two_sample(s, SampleSet(np.array([1.0, 2.0, 2.0, 5.0])))
+        report = ks_two_sample(np.array([1.0, 2.0, 2.0, 5.0]), np.array([1.0, 2.0, 2.0, 5.0]))
         assert report.statistic == 0.0
         assert report.p_value == 1.0
 
     def test_hand_enumerated_example(self):
         # F jumps at 0 and 1; G jumps at 0.5 and 1.5; the largest gap is 1/2.
-        report = ks_two_sample(
-            SampleSet(np.array([0.0, 1.0])), SampleSet(np.array([0.5, 1.5]))
-        )
+        report = ks_two_sample(np.array([0.0, 1.0]), np.array([0.5, 1.5]))
         assert report.statistic == 0.5
 
     def test_disjoint_uniforms(self):
         rng = np.random.default_rng(0)
-        a = SampleSet(rng.random(1000))
-        b = SampleSet(rng.random(1000) + 0.5)
+        a = rng.random(1000)
+        b = rng.random(1000) + 0.5
         report = ks_two_sample(a, b)
         assert abs(report.statistic - 0.5) < 0.06
         assert report.p_value < 1e-10
@@ -49,7 +46,7 @@ class TestKS:
             n, m = rng.integers(1, 51), rng.integers(1, 51)
             xs = np.round(rng.normal(size=n), 1)  # rounding forces ties
             ys = np.round(rng.normal(size=m), 1)
-            report = ks_two_sample(SampleSet(xs), SampleSet(ys))
+            report = ks_two_sample(xs, ys)
             assert report.statistic == pytest.approx(brute_force_ks(xs, ys), abs=1e-15)
 
     @given(seed=st.integers(min_value=0, max_value=2**31))
@@ -59,11 +56,9 @@ class TestKS:
         rng = np.random.default_rng(seed)
         a = rng.normal(size=60)
         b = rng.normal(size=40) + 0.3
-        base = ks_two_sample(SampleSet(a), SampleSet(b)).statistic
+        base = ks_two_sample(a, b).statistic
         for transform in (np.exp, np.arctan, lambda v: v**3 + 5.0 * v):
-            moved = ks_two_sample(
-                SampleSet(transform(a)), SampleSet(transform(b))
-            ).statistic
+            moved = ks_two_sample(transform(a), transform(b)).statistic
             assert moved == pytest.approx(base, abs=1e-12)
 
     def test_p_value_monotone_in_statistic(self):
@@ -74,12 +69,17 @@ class TestKS:
         assert all(b < a for a, b in zip(ps, ps[1:]))
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            SampleSet(np.array([]))
+        # Either sample; a 2-d batch is no sample either.
+        for bad in (np.array([]), np.ones((2, 2))):
+            for x, y in ((bad, np.array([1.0])), (np.array([1.0]), bad)):
+                with pytest.raises(ValueError):
+                    ks_two_sample(x, y)
 
     def test_nan_rejected(self):
-        with pytest.raises(ValueError):
-            SampleSet(np.array([1.0, float("nan")]))
+        bad = np.array([1.0, float("nan")])
+        for x, y in ((bad, np.array([1.0])), (np.array([1.0]), bad)):
+            with pytest.raises(ValueError):
+                ks_two_sample(x, y)
 
 
 class TestKolmogorovSF:
