@@ -243,56 +243,41 @@ def _inverse_time(
     return float(times[i] + (t - values[i]) / ((values[i + 1] - values[i]) / ds[i]))
 
 
-def _recovered_noise(
-    alpha: float, beta: float, times: np.ndarray, ds: np.ndarray, z: np.ndarray, t: float
-) -> float | None:
-    """V_t of derive_run on the grid (times, z), bit for bit; None if B(T) <= t.
-
-    Inverts the clock on its values and sums the recovered-noise increments
-    only up to the inverted grid index; the partial cumulative sum is
-    sequential, so it ends on the same bits.
-    """
-    g = _inverse_time(times, ds, _clock_values(alpha, beta, times, ds, z)[0], t)
-    if g is None:
-        return None
-    idx = int(np.searchsorted(times, g, side="right")) - 1
-    noise_head = z[1] ** (1.0 - beta) / (1.0 - beta)
-    if idx < 2:
-        return float(noise_head) if idx == 1 else 0.0
-    return float(noise_head + np.cumsum(_noise_increments(z[: idx + 1], beta))[-1])
-
-
-def _nonuniqueness_outcome(
+def _run_outcome(
     alpha: float,
     beta: float,
     times: np.ndarray,
     ds: np.ndarray,
     z: np.ndarray,
-    t_eval: float,
+    t: float,
     replay: bool,
-) -> tuple[float, float | None, bool, bool]:
-    """One run of nonuniqueness_demo: zero residual, replay residual, covered, positive.
+) -> tuple[float | None, float, float | None, bool, bool]:
+    """One grid run of nonuniqueness_demo: V_t, zero residual, replay residual, covered, positive.
 
-    Bit for bit what the demo reads from derive_run on the grid (times, z);
-    the replay residual is None unless replay is set.
+    Bit for bit what the demo reads from derive_run on the grid (times, z):
+    one clock pass, then one recovered-noise running sum.  V_t is None if
+    B(T) <= t; the replay residual is None unless replay is set.
     """
     values = _clock_values(alpha, beta, times, ds, z)[0]
-    noise_inc = _noise_increments(z, beta)
+    noise = _noise_increments(z, beta)
+    # Raw increments: differences of the running sum of the recovered noise
+    # lose digits to cancellation.
+    residual = _replay_relative_residual(z, beta, noise) if replay else None
+    np.cumsum(noise, out=noise)  # sequential, so every prefix ends on derive_run's bits
+    noise_head = z[1] ** (1.0 - beta) / (1.0 - beta)
     # Zero path: increments phi(0) * dV vanish term by term.  The clock has
     # passed, so z[1:-1] is finite and positive and every increment lies in
     # [0, inf]: the running sum of derive_run's noise never decreases, and a
     # term 0 * dV is NaN exactly where that sum has reached inf.
-    noise_end = z[1] ** (1.0 - beta) / (1.0 - beta) + np.cumsum(noise_inc)[-1]
-    zero = 0.0 if math.isfinite(noise_end) else math.nan
-    # Raw increments: differences of the running sum of the recovered noise
-    # lose digits to cancellation.
-    residual = _replay_relative_residual(z, beta, noise_inc) if replay else None
-    g = _inverse_time(times, ds, values, t_eval)
+    zero = 0.0 if math.isfinite(noise_head + noise[-1]) else math.nan
+    g = _inverse_time(times, ds, values, t)
     if g is None:
-        return zero, residual, False, False
+        return None, zero, residual, False, False
     if g > times[-1]:  # GridPath.value_at's range check
         raise ValueError(f"s={g} outside [0, {times[-1]}]")
-    return zero, residual, True, bool(z[np.searchsorted(times, g, side="right") - 1] > 0.0)
+    idx = int(np.searchsorted(times, g, side="right")) - 1
+    v = noise_head + noise[idx - 2] if idx >= 2 else (noise_head if idx == 1 else 0.0)
+    return float(v), zero, residual, True, bool(z[idx] > 0.0)
 
 
 def _check_grid(
@@ -433,49 +418,12 @@ def driver_law_check(
 
     Runs whose clock does not reach T_EVAL are counted and excluded; the
     coverage fraction is part of the report, and coverage below 0.5 flags the
-    result inconclusive (horizon too short) rather than failing it.
+    result inconclusive (horizon too short) rather than failing it.  It is
+    the driver_law row of nonuniqueness_demo, which reads V from its runs.
     """
     if n < 1000:
         raise ValueError("need at least 1000 replicates for the KS regime")
-    m = int(round(m_per_unit * horizon))
-    times, ds, params = _check_grid(alpha, beta, horizon, m)
-    run_parent, exact_parent = rng.spawn(2)
-    values = _grid_runs(
-        "driver-law",
-        lambda g: _recovered_noise(
-            alpha, beta, times, ds, _grid_values(params, horizon, m, g), T_EVAL
-        ),
-        run_parent.spawn(n),
-    )
-    recovered = [v for v in values if v is not None]
-    coverage = len(recovered) / n
-    exact = sample_exact_increment(params, T_EVAL, exact_parent, size=n)
-    if len(recovered) < 2:
-        return CheckReport(
-            check="driver-law",
-            statistic=1.0,
-            p_value=0.0,
-            coverage=coverage,
-            n=n,
-            alpha=alpha,
-            beta=beta,
-            grid_m=m,
-            seed=seed,
-            inconclusive=True,
-        )
-    ks = ks_two_sample(recovered, exact)
-    return CheckReport(
-        check="driver-law",
-        statistic=ks.statistic,
-        p_value=ks.p_value,
-        coverage=coverage,
-        n=n,
-        alpha=alpha,
-        beta=beta,
-        grid_m=m,
-        seed=seed,
-        inconclusive=coverage < 0.5,
-    )
+    return nonuniqueness_demo(alpha, beta, horizon, n, rng, m_per_unit, seed=seed).driver_law
 
 
 @dataclass(frozen=True)
@@ -488,6 +436,7 @@ class NonUniquenessReport:
     replay_residual: float  # max relative gap between the two solution constructions
     n: int
     replay_worst_replicate: int  # spawned-stream index of the run with that gap
+    driver_law: CheckReport  # V at T_EVAL of the same runs against exact driver samples
 
 
 def nonuniqueness_demo(
@@ -498,6 +447,7 @@ def nonuniqueness_demo(
     rng: np.random.Generator,
     m_per_unit: int = 10_000,
     replay_runs: int = 16,
+    seed: int | None = None,
 ) -> NonUniquenessReport:
     """Zero solution versus the time-changed solution, on the same runs.
 
@@ -505,37 +455,51 @@ def nonuniqueness_demo(
     while the time-changed path is strictly positive at T_EVAL on covered
     runs.  The replay residual re-solves X <- X + phi(X)*dV event-wise along
     the grid on the first replay_runs runs and reports the worst relative gap
-    against the time-change values.
+    against the time-change values.  The recovered driver V of the same runs
+    at T_EVAL is held against exact driver samples (driver_law_check).
     """
     m = int(round(m_per_unit * horizon))
     times, ds, params = _check_grid(alpha, beta, horizon, m)
 
     def one(g: np.random.Generator, replay: bool):
         z = _grid_values(params, horizon, m, g)
-        return _nonuniqueness_outcome(alpha, beta, times, ds, z, T_EVAL, replay)
+        return _run_outcome(alpha, beta, times, ds, z, T_EVAL, replay)
 
-    streams = rng.spawn(n)
-    runs = _grid_runs("nonuniqueness", lambda g: one(g, True), streams[:replay_runs])
-    runs += _grid_runs(
-        "nonuniqueness", lambda g: one(g, False), streams[replay_runs:], replay_runs
-    )
+    run_parent, exact_parent = rng.spawn(2)
+    streams = run_parent.spawn(n)
+    runs = _grid_runs("driver-law", lambda g: one(g, True), streams[:replay_runs])
+    runs += _grid_runs("driver-law", lambda g: one(g, False), streams[replay_runs:], replay_runs)
+    exact = sample_exact_increment(params, T_EVAL, exact_parent, size=n)
+    recovered = [r[0] for r in runs if r[0] is not None]
     # np.max and np.argmax let NaN through, where Python's max drops it;
     # argmax also keeps the first of equal maxima.
-    zero_residual = float(np.max([r[0] for r in runs]))
-    replays = [r[1] for r in runs[:replay_runs]]
+    zero_residual = float(np.max([r[1] for r in runs]))
+    replays = [r[2] for r in runs[:replay_runs]]
     replay_worst = int(np.argmax(replays)) if replays else 0
-    replay_residual = replays[replay_worst] if replays else 0.0
-    covered = sum(r[2] for r in runs)
-    positive = sum(r[3] for r in runs)
+    covered = sum(r[3] for r in runs)
     coverage = covered / n
-    positive_fraction = positive / covered if covered else 0.0
+    # Fewer than two recovered values give no KS test: inconclusive.
+    ks = ks_two_sample(recovered, exact) if covered >= 2 else None
+    law = CheckReport(
+        check="driver-law",
+        statistic=1.0 if ks is None else ks.statistic,
+        p_value=0.0 if ks is None else ks.p_value,
+        coverage=coverage,
+        n=n,
+        alpha=alpha,
+        beta=beta,
+        grid_m=m,
+        seed=seed,
+        inconclusive=ks is None or coverage < 0.5,
+    )
     return NonUniquenessReport(
         zero_solution_residual=zero_residual,
-        positive_fraction=positive_fraction,
+        positive_fraction=sum(r[4] for r in runs) / covered if covered else 0.0,
         coverage=coverage,
-        replay_residual=replay_residual,
+        replay_residual=replays[replay_worst] if replays else 0.0,
         n=n,
         replay_worst_replicate=replay_worst,
+        driver_law=law,
     )
 
 

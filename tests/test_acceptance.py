@@ -23,7 +23,6 @@ from stable_sde_lab import (
     build_ladder,
     clock_roundtrip_residual,
     coupled_pair_distance,
-    driver_law_check,
     invert_clock,
     ks_two_sample,
     ladder_violations,
@@ -255,11 +254,15 @@ def test_c08_nonuniqueness():
 
 @pytest.mark.slow
 def test_c09_recovered_driver_law_across_seeds():
+    # The runs of the driver-law check are the non-uniqueness demo's: one
+    # pass gives its KS row and the demo's invariants on every seed.
     passes = 0
     coverages = []
     p_values = []
+    zero_residuals = []
+    positive_fractions = []
     for master in MASTER_SEEDS:
-        rep = driver_law_check(
+        demo = nonuniqueness_demo(
             0.5,
             0.5,
             4.0,
@@ -268,19 +271,28 @@ def test_c09_recovered_driver_law_across_seeds():
             m_per_unit=10_000,
             seed=master,
         )
+        rep = demo.driver_law
         p_values.append(rep.p_value)
         coverages.append(rep.coverage)
+        zero_residuals.append(demo.zero_solution_residual)
+        positive_fractions.append(demo.positive_fraction)
         passes += rep.p_value > 0.01
     coverage_ok = min(coverages) >= 0.8
-    ok = passes >= 8 and coverage_ok
+    zero_ok = all(r == 0.0 for r in zero_residuals)
+    positive_ok = min(positive_fractions) >= 0.99
+    ok = passes >= 8 and coverage_ok and zero_ok and positive_ok
     report(
         9,
         ok,
         f"{passes}/10 seeds with KS p > 0.01 (min p {min(p_values):.4f}); "
-        f"min coverage {min(coverages):.3f} (>= 0.8)",
+        f"min coverage {min(coverages):.3f} (>= 0.8); zero-solution residuals "
+        f"{sorted(set(zero_residuals))} (== 0); min positive fraction "
+        f"{min(positive_fractions):.4f} (>= 0.99)",
     )
     assert passes >= 8
     assert coverage_ok
+    assert zero_ok
+    assert positive_ok
 
 
 # The criterion-10 configs, one file each.  CI runs the same files against the

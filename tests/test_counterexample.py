@@ -24,9 +24,8 @@ from stable_sde_lab.counterexample import (
     _clock_total,
     _map_runs,
     _noise_increments,
-    _nonuniqueness_outcome,
-    _recovered_noise,
     _replay_relative_residual,
+    _run_outcome,
     derive_run,
 )
 from stable_sde_lab.driver import GridPath, _grid_values, sample_grid_path
@@ -175,7 +174,7 @@ class TestNonUniqueness:
     def test_names_the_worst_replay_replicate(self):
         rng = np.random.default_rng(15)
         rep = nonuniqueness_demo(0.5, 0.5, 4.0, 40, rng, m_per_unit=500)
-        streams = np.random.default_rng(15).spawn(40)
+        streams = np.random.default_rng(15).spawn(2)[0].spawn(40)
         residuals = []
         for g in streams[:16]:
             run = run_counterexample(0.5, 0.5, 4.0, 2000, g)
@@ -291,19 +290,21 @@ def _outcome(fn):
         return type(exc)
 
 
-def _demo_reference(run, beta: float, t_eval: float):
+def _run_reference(run, beta: float, t: float):
     """One run's outcome in nonuniqueness_demo, read off the full derive_run path."""
     z = run.grid.values
     zero = float(np.max(np.abs(PowerPhi(beta).eval(0.0) * np.diff(run.noise_values))))
     residual = _replay_relative_residual(z, beta, _noise_increments(z, beta))
-    covered = run.covers(t_eval)
-    return zero, residual, covered, covered and run.solution_at(t_eval) > 0.0
+    if not run.covers(t):
+        return None, zero, residual, False, False
+    return run.recovered_noise_at(t), zero, residual, True, run.solution_at(t) > 0.0
 
 
-def _assert_same_demo_outcome(got, want):
-    zero, residual, covered, positive = got
-    assert _bits(zero) == _bits(want[0]) and _bits(residual) == _bits(want[1])
-    assert covered is want[2] and positive is want[3]
+def _assert_same_run_outcome(got, want):
+    noise, zero, residual, covered, positive = got
+    assert _bits(noise) == _bits(want[0])
+    assert _bits(zero) == _bits(want[1]) and _bits(residual) == _bits(want[2])
+    assert covered is want[3] and positive is want[4]
 
 
 unit_open = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
@@ -333,23 +334,18 @@ class TestLeanPaths:
                 lambda: run_counterexample(alpha, beta, horizon, m, np.random.default_rng(seed))
             )
             total = _outcome(lambda: lean(lambda *grid: _clock_total(alpha, beta, *grid)))
-            noise = _outcome(lambda: lean(lambda *grid: _recovered_noise(alpha, beta, *grid, t)))
-            demo = _outcome(
-                lambda: lean(lambda *grid: _nonuniqueness_outcome(alpha, beta, *grid, t, True))
-            )
+            run = _outcome(lambda: lean(lambda *grid: _run_outcome(alpha, beta, *grid, t, True)))
             want = full if isinstance(full, type) else _outcome(
-                lambda: _demo_reference(full, beta, t)
+                lambda: _run_reference(full, beta, t)
             )
         if isinstance(full, type):
-            assert total is full and noise is full and demo is full
+            assert total is full and run is full
             return
         assert _bits(total) == _bits(full.clock_total)
-        expected = full.recovered_noise_at(t) if full.covers(t) else None
-        assert _bits(noise) == _bits(expected)
         if isinstance(want, type):
-            assert demo is want
+            assert run is want
         else:
-            _assert_same_demo_outcome(demo, want)
+            _assert_same_run_outcome(run, want)
 
     @given(
         m=st.integers(min_value=100, max_value=2000),
@@ -385,15 +381,46 @@ class TestLeanPaths:
             z = np.concatenate(([0.0], np.cumsum(inc)))
             full = _outcome(lambda: derive_run(0.5, 0.5, GridPath(times=times, values=z)))
             total = _outcome(lambda: _clock_total(0.5, 0.5, times, ds, z))
-            noise = _outcome(lambda: _recovered_noise(0.5, 0.5, times, ds, z, 0.5))
-            demo = _outcome(lambda: _nonuniqueness_outcome(0.5, 0.5, times, ds, z, t_eval, True))
+            run = _outcome(lambda: _run_outcome(0.5, 0.5, times, ds, z, t_eval, True))
             want = full if isinstance(full, type) else _outcome(
-                lambda: _demo_reference(full, 0.5, t_eval)
+                lambda: _run_reference(full, 0.5, t_eval)
             )
         if expected is not None:
-            assert full is expected and total is expected and noise is expected
-            assert demo is expected
+            assert full is expected and total is expected and run is expected
             return
         assert _bits(total) == _bits(full.clock_total)
-        assert math.isnan(want[0]) and math.isnan(want[1])
-        _assert_same_demo_outcome(demo, want)
+        assert math.isnan(want[1]) and math.isnan(want[2])
+        _assert_same_run_outcome(run, want)
+
+    def test_reports_read_the_reference_runs(self, monkeypatch):
+        # The driver-law KS test takes V at t = 1 of derive_run over the
+        # demo's run streams, and both reports count the same covered runs.
+        alpha, beta, horizon, n, m_per_unit = 0.5, 0.5, 2.0, 1000, 100
+        inputs = []
+
+        def recording_ks(x, y):
+            inputs.append((np.asarray(x), np.asarray(y)))
+            return ks_two_sample(x, y)
+
+        monkeypatch.setattr(counterexample, "ks_two_sample", recording_ks)
+        rep = nonuniqueness_demo(
+            alpha, beta, horizon, n, np.random.default_rng(29), m_per_unit=m_per_unit, seed=29
+        )
+        run_parent, exact_parent = np.random.default_rng(29).spawn(2)
+        params = StableParams.default(alpha)
+        m = int(round(m_per_unit * horizon))
+        runs = [
+            derive_run(alpha, beta, sample_grid_path(params, horizon, m, g))
+            for g in run_parent.spawn(n)
+        ]
+        recovered = np.array([r.recovered_noise_at(1.0) for r in runs if r.covers(1.0)])
+        exact = sample_exact_increment(params, 1.0, exact_parent, size=n)
+        [(got_recovered, got_exact)] = inputs
+        assert got_recovered.tobytes() == recovered.tobytes()
+        assert got_exact.tobytes() == exact.tobytes()
+        assert rep.driver_law.coverage == rep.coverage == len(recovered) / n
+        assert rep.driver_law.seed == 29 and not rep.driver_law.inconclusive
+        law = driver_law_check(
+            alpha, beta, horizon, n, np.random.default_rng(29), m_per_unit=m_per_unit, seed=29
+        )
+        assert law == rep.driver_law

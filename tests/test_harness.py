@@ -216,7 +216,7 @@ class TestExperiments:
         assert result.exit_code == EXIT_PASS
         replay = next(r for r in result.rows if r.name == "sde-replay-relative-residual")
         assert replay.detail.startswith("replicate ")
-        assert "of stream 'counterexample-nonuniqueness' (stream seed " in replay.detail
+        assert "of stream 'counterexample-driver-law' (stream seed " in replay.detail
         report = tmp_path / "ce" / "counterexample_report.csv"
         header = report.read_text().splitlines()[0]
         assert header == "check,statistic,p_value,coverage,n,alpha,beta,grid_m,seed"
@@ -229,7 +229,7 @@ class TestExperiments:
         # is inf, so the zero residual (0 * inf) and the replay residual
         # (inf - inf) are NaN, and both must reach the rows.
         monkeypatch.setattr(counterexample.os, "sched_getaffinity", lambda pid: {0})
-        real = counterexample._nonuniqueness_outcome
+        real = counterexample._run_outcome
         calls = []
 
         def corrupt_second(alpha, beta, times, ds, z, *args):
@@ -239,7 +239,7 @@ class TestExperiments:
                 z[-1] = np.inf
             return real(alpha, beta, times, ds, z, *args)
 
-        monkeypatch.setattr(counterexample, "_nonuniqueness_outcome", corrupt_second)
+        monkeypatch.setattr(counterexample, "_run_outcome", corrupt_second)
         result = _run(
             "experiment = counterexample\nreplicates = 1000\ngrid_m = 100\n"
             "T = 4.0\nseed = 5\n",
@@ -349,20 +349,23 @@ class TestGridRunNaming:
         "spawn_key, tag, run",
         [
             ((1, 3), "counterexample-scaling", "scaling-law t2=2 run 3"),
-            ((17,), "counterexample-nonuniqueness", "nonuniqueness run 17"),
+            ((0, 17), "counterexample-driver-law", "driver-law run 17"),
         ],
     )
     def test_failed_run_is_named(
         self, tmp_path, monkeypatch, capsys, value, exit_code, spawn_key, tag, run
     ):
         # The sampler returns a bad increment in the run of one spawned
-        # stream: child 3 of the scaling check's second horizon, or child 17
-        # of the non-uniqueness demo.
+        # stream of one tag: child 3 of the scaling check's second horizon,
+        # or child 17 of the runs that the driver-law check and the
+        # non-uniqueness demo share (the scaling check's first horizon has
+        # a child (0, 17) too).
         real = driver.sample_exact_increment
 
         def sampler(params, dt, rng, size=None):
             out = real(params, dt, rng, size)
-            if rng.bit_generator.seed_seq.spawn_key == spawn_key:
+            seed_seq = rng.bit_generator.seed_seq
+            if seed_seq.spawn_key == spawn_key and seed_seq.entropy == derive_seed(5, 0, tag):
                 out[5] = value
             return out
 
