@@ -142,11 +142,13 @@ def _fit_head_coefficient(times: np.ndarray, partial: np.ndarray, beta: float) -
 
 
 def _clock_values(
-    alpha: float, beta: float, times: np.ndarray, ds: np.ndarray, z: np.ndarray
+    alpha: float, beta: float, times: np.ndarray, ds: np.ndarray, z: np.ndarray, buffers=None
 ) -> tuple[np.ndarray, float, float]:
     """Singular clock values B(s_k), head coefficient and head value.
 
     z holds the driver values on the grid times (ds = np.diff(times)).
+    buffers, two arrays of times.size, take the clock terms and the returned
+    values; fresh ones are allocated when it is None.
     Raises what the full construction raises: ValueError on bad parameters,
     on a decreasing driver (which ``GridPath`` would reject) or on a clock
     that is not finite and strictly increasing (which ``Clock`` would
@@ -170,12 +172,12 @@ def _clock_values(
     # the singular head, replaced by the fitted correction.  The exponents
     # are fused (z**(-alpha*beta) rather than (z**beta)**(-alpha)): one pass
     # instead of two, within 1 ulp of PowerPhi(beta).eval(z) ** -alpha.
-    values = np.empty(times.size)
+    # The running sum goes to its own array: in place, np.cumsum holds the GIL.
+    terms, values = np.empty((2, times.size)) if buffers is None else buffers
     values[:2] = 0.0
-    partial = values[2:]
-    np.power(z[1:-1], -alpha * beta, out=partial)
-    partial *= ds[1:]
-    np.cumsum(partial, out=partial)
+    np.power(z[1:-1], -alpha * beta, out=terms[2:])
+    terms[2:] *= ds[1:]
+    np.cumsum(terms[2:], out=values[2:])
     head_coeff = _fit_head_coefficient(times, values, beta)
     head_value = head_coeff * times[1] ** (1.0 - beta)
     values += head_value
@@ -223,10 +225,10 @@ def derive_run(alpha: float, beta: float, grid: GridPath) -> CounterexampleRun:
 
 
 def _clock_total(
-    alpha: float, beta: float, times: np.ndarray, ds: np.ndarray, z: np.ndarray
+    alpha: float, beta: float, times: np.ndarray, ds: np.ndarray, z: np.ndarray, buffers=None
 ) -> float:
     """B(T) of derive_run on the grid (times, z), bit for bit, without the full run."""
-    return float(_clock_values(alpha, beta, times, ds, z)[0][-1])
+    return float(_clock_values(alpha, beta, times, ds, z, buffers)[0][-1])
 
 
 def _inverse_time(
@@ -251,32 +253,45 @@ def _run_outcome(
     z: np.ndarray,
     t: float,
     replay: bool,
+    buffers=None,
 ) -> tuple[float | None, float, float | None, bool, bool]:
     """One grid run of nonuniqueness_demo: V_t, zero residual, replay residual, covered, positive.
 
     Bit for bit what the demo reads from derive_run on the grid (times, z):
-    one clock pass, then one recovered-noise running sum.  V_t is None if
-    B(T) <= t; the replay residual is None unless replay is set.
+    one clock pass, then the recovered-noise running sum as far as it is
+    read.  V_t is None if B(T) <= t; the replay residual is None unless
+    replay is set.  buffers are those of _clock_values.
     """
-    values = _clock_values(alpha, beta, times, ds, z)[0]
-    noise = _noise_increments(z, beta)
+    buffers = np.empty((2, times.size)) if buffers is None else buffers
+    values = _clock_values(alpha, beta, times, ds, z, buffers)[0]
+    g = _inverse_time(times, ds, values, t)
+    if g is not None and g > times[-1]:  # GridPath.value_at's range check
+        raise ValueError(f"s={g} outside [0, {times[-1]}]")
+    idx = 0 if g is None else int(np.searchsorted(times, g, side="right")) - 1
+    noise_head = float(z[1] ** (1.0 - beta) / (1.0 - beta))
+    # Zero path: increments phi(0) * dV vanish term by term, so derive_run's
+    # residual is 0 unless its noise running sum reaches inf (0 * inf is
+    # NaN).  Bound: the clock has passed, so z is positive and non-decreasing,
+    # and with a = z[1]**-beta each increment z[j]**-beta * (z[j+1] - z[j])
+    # is at most a * z[-1] up to a few roundings, so under 4 * a * z[-1].  A
+    # sequential sum of fewer than m such terms gains at most a factor
+    # (1 + 2**-53)**m < 2 from rounding: under 8 * m * a * z[-1].  If that
+    # plus the head is below 1e300, 1e8 short of overflow, the sum ends
+    # finite.  A NaN or inf bound fails the test.
+    bounded = noise_head + 8.0 * times.size * float(z[1] ** -beta) * float(z[-1]) < 1e300
+    # Increments read: up to the inverted index, or all of them.
+    k = max(idx - 1, 0) if bounded and not replay else times.size - 2
+    noise, sums = buffers[0][:k], buffers[1][:k]  # the clock values are no longer read
+    np.power(z[1 : k + 1], -beta, out=noise)
+    noise *= np.subtract(z[2 : k + 2], z[1 : k + 1], out=sums)
     # Raw increments: differences of the running sum of the recovered noise
     # lose digits to cancellation.
     residual = _replay_relative_residual(z, beta, noise) if replay else None
-    np.cumsum(noise, out=noise)  # sequential, so every prefix ends on derive_run's bits
-    noise_head = z[1] ** (1.0 - beta) / (1.0 - beta)
-    # Zero path: increments phi(0) * dV vanish term by term.  The clock has
-    # passed, so z[1:-1] is finite and positive and every increment lies in
-    # [0, inf]: the running sum of derive_run's noise never decreases, and a
-    # term 0 * dV is NaN exactly where that sum has reached inf.
-    zero = 0.0 if math.isfinite(noise_head + noise[-1]) else math.nan
-    g = _inverse_time(times, ds, values, t)
+    np.cumsum(noise, out=sums)  # sequential, so every prefix ends on derive_run's bits
+    zero = 0.0 if bounded or math.isfinite(noise_head + sums[-1]) else math.nan
     if g is None:
         return None, zero, residual, False, False
-    if g > times[-1]:  # GridPath.value_at's range check
-        raise ValueError(f"s={g} outside [0, {times[-1]}]")
-    idx = int(np.searchsorted(times, g, side="right")) - 1
-    v = noise_head + noise[idx - 2] if idx >= 2 else (noise_head if idx == 1 else 0.0)
+    v = noise_head + sums[idx - 2] if idx >= 2 else (noise_head if idx == 1 else 0.0)
     return float(v), zero, residual, True, bool(z[idx] > 0.0)
 
 
@@ -307,48 +322,56 @@ def run_counterexample(
     return derive_run(alpha, beta, sample_grid_path(params, horizon, m, rng))
 
 
-def _map_runs(fn, generators: list[np.random.Generator]) -> list:
-    """``[fn(g) for g in generators]``, on one worker thread per usable CPU.
+def _map_runs(fn, items: list, buffers=tuple) -> list:
+    """``[fn(x, *buffers()) for x in items]``, on one worker thread per usable CPU.
 
-    Each run draws only from its own spawned generator and spends its time in
-    numpy RNG fills and ufuncs, which release the GIL, so the runs share the
-    cores and the result does not depend on the worker count.  Each worker
-    loops over one contiguous chunk (one task per run would hold more runs'
-    arrays at once); chunks are read back in spawn order, so the first failing
-    run in spawn order raises.  numpy's errstate does not reach the workers:
-    fn must set its own.
+    Each worker loops over one contiguous chunk (one task per run would hold
+    more runs' arrays at once) and calls buffers() once for it: its runs
+    write their arrays there, and the buffers are dropped when the map ends.
+    A run draws only from its own spawned generator, so the result does not
+    depend on the worker count.  Its time goes to numpy RNG fills and ufuncs,
+    which mostly release the GIL; numpy 2.4 holds it through an in-place
+    accumulate such as np.cumsum(x, out=x), so no run sums in place.  Chunks
+    are read back in spawn order, so the first failing run in spawn order
+    raises.  numpy's errstate does not reach the workers: fn must set its own.
     """
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:  # macOS and Windows have no affinity call
         cpus = os.cpu_count() or 1
-    workers = min(cpus, len(generators))
+    workers = min(cpus, len(items))
+
+    def chunk_runs(chunk: list) -> list:
+        own = buffers()
+        return [fn(x, *own) for x in chunk]
+
     if workers <= 1:
-        return [fn(g) for g in generators]
+        return chunk_runs(items)
     # Imported here so that the experiments without grid runs do not load it.
     from concurrent.futures import ThreadPoolExecutor
 
-    bounds = [len(generators) * w // workers for w in range(workers + 1)]
-    chunks = [generators[a:b] for a, b in zip(bounds, bounds[1:])]
+    bounds = [len(items) * w // workers for w in range(workers + 1)]
+    chunks = [items[a:b] for a, b in zip(bounds, bounds[1:])]
     with ThreadPoolExecutor(workers) as pool:
-        parts = pool.map(lambda chunk: [fn(g) for g in chunk], chunks)
-        return [out for part in parts for out in part]
+        return [out for part in pool.map(chunk_runs, chunks) for out in part]
 
 
-def _grid_runs(check: str, fn, generators: list[np.random.Generator], start: int = 0) -> list:
-    """_map_runs(fn, generators); a failing run is named by check and spawn index.
+def _grid_runs(check: str, fn, generators: list, m: int, start: int = 0) -> list:
+    """_map_runs over fn(g, buf); a failing run is named by check and spawn index.
 
-    generators[k] is spawn index start + k.  The error keeps its type.
+    buf holds a worker's three arrays of m + 1: the driver values, then the
+    two buffers of _clock_values.  generators[k] is spawn index start + k.
+    The error keeps its type.
     """
 
-    def named(item):
+    def named(item, buf):
         k, g = item
         try:
-            return fn(g)
+            return fn(g, buf)
         except (ValueError, SamplerIntegrityError) as exc:
             raise type(exc)(f"{check} run {k}: {exc}") from exc
 
-    return _map_runs(named, list(enumerate(generators, start)))
+    return _map_runs(named, list(enumerate(generators, start)), lambda: (np.empty((3, m + 1)),))
 
 
 def _clock_totals(
@@ -358,8 +381,11 @@ def _clock_totals(
     times, ds, params = _check_grid(alpha, beta, horizon, m)
     return _grid_runs(
         check,
-        lambda g: _clock_total(alpha, beta, times, ds, _grid_values(params, horizon, m, g)),
+        lambda g, buf: _clock_total(
+            alpha, beta, times, ds, _grid_values(params, horizon, m, g, buf[0]), buf[1:]
+        ),
         generators,
+        m,
     )
 
 
@@ -461,14 +487,14 @@ def nonuniqueness_demo(
     m = int(round(m_per_unit * horizon))
     times, ds, params = _check_grid(alpha, beta, horizon, m)
 
-    def one(g: np.random.Generator, replay: bool):
-        z = _grid_values(params, horizon, m, g)
-        return _run_outcome(alpha, beta, times, ds, z, T_EVAL, replay)
+    def one(g: np.random.Generator, buf: np.ndarray, replay: bool = False):
+        z = _grid_values(params, horizon, m, g, buf[0])
+        return _run_outcome(alpha, beta, times, ds, z, T_EVAL, replay, buf[1:])
 
     run_parent, exact_parent = rng.spawn(2)
     streams = run_parent.spawn(n)
-    runs = _grid_runs("driver-law", lambda g: one(g, True), streams[:replay_runs])
-    runs += _grid_runs("driver-law", lambda g: one(g, False), streams[replay_runs:], replay_runs)
+    runs = _grid_runs("driver-law", lambda g, buf: one(g, buf, True), streams[:replay_runs], m)
+    runs += _grid_runs("driver-law", one, streams[replay_runs:], m, replay_runs)
     exact = sample_exact_increment(params, T_EVAL, exact_parent, size=n)
     recovered = [r[0] for r in runs if r[0] is not None]
     # np.max and np.argmax let NaN through, where Python's max drops it;

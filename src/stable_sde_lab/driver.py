@@ -313,10 +313,10 @@ def _grid_times(horizon: float, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _grid_values(
-    params: StableParams, horizon: float, m: int, rng: np.random.Generator
+    params: StableParams, horizon: float, m: int, rng: np.random.Generator, out=None
 ) -> np.ndarray:
-    """Driver values on the grid of _grid_times(horizon, m): 0, then cumulative sums."""
-    values = np.empty(m + 1)
+    """Driver values on the grid of _grid_times(horizon, m), into out if given: 0, then cumsums."""
+    values = np.empty(m + 1) if out is None else out
     values[0] = 0.0
     np.cumsum(sample_exact_increment(params, horizon / m, rng, size=m), out=values[1:])
     return values

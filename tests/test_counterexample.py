@@ -4,7 +4,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stable_sde_lab import (
@@ -307,6 +307,12 @@ def _assert_same_run_outcome(got, want):
     assert covered is want[3] and positive is want[4]
 
 
+def _assert_same_runs(runs, want):
+    """runs: one run's outcome with the replay, then without it."""
+    _assert_same_run_outcome(runs[0], want)
+    _assert_same_run_outcome(runs[1], (*want[:2], None, *want[3:]))
+
+
 unit_open = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
 
 
@@ -322,6 +328,14 @@ class TestLeanPaths:
         t=st.floats(min_value=0.0, max_value=5.0),
     )
     @settings(max_examples=80, deadline=None)
+    # On this grid B(s_1), B(s_2), B(s_3) are 0.221, 0.291, 0.358: t inverts
+    # to grid index 0 (at s = 0, then inside the head interval), 1 and 2,
+    # where the recovered noise is 0, its head term, and one or two
+    # increments past it.
+    @example(alpha=0.5, beta=0.5, horizon=1.0, m=100, seed=1, t=0.0)
+    @example(alpha=0.5, beta=0.5, horizon=1.0, m=100, seed=1, t=0.1)
+    @example(alpha=0.5, beta=0.5, horizon=1.0, m=100, seed=1, t=0.25)
+    @example(alpha=0.5, beta=0.5, horizon=1.0, m=100, seed=1, t=0.32)
     def test_bit_equal_to_full_run(self, alpha, beta, horizon, m, seed, t):
         def lean(fn):
             # What a check does per run: one shared time grid, then z alone.
@@ -334,24 +348,29 @@ class TestLeanPaths:
                 lambda: run_counterexample(alpha, beta, horizon, m, np.random.default_rng(seed))
             )
             total = _outcome(lambda: lean(lambda *grid: _clock_total(alpha, beta, *grid)))
-            run = _outcome(lambda: lean(lambda *grid: _run_outcome(alpha, beta, *grid, t, True)))
+            runs = [
+                _outcome(lambda: lean(lambda *grid: _run_outcome(alpha, beta, *grid, t, replay)))
+                for replay in (True, False)
+            ]
             want = full if isinstance(full, type) else _outcome(
                 lambda: _run_reference(full, beta, t)
             )
         if isinstance(full, type):
-            assert total is full and run is full
+            assert total is full and runs == [full, full]
             return
         assert _bits(total) == _bits(full.clock_total)
         if isinstance(want, type):
-            assert run is want
+            assert runs == [want, want]
         else:
-            _assert_same_run_outcome(run, want)
+            _assert_same_runs(runs, want)
 
     @given(
         m=st.integers(min_value=100, max_value=2000),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
         position=st.floats(min_value=0.0, max_value=1.0),
-        corruption=st.sampled_from(["zero-first", "nan", "inf", "inf-last", "decrease"]),
+        corruption=st.sampled_from(
+            ["zero-first", "nan", "inf", "inf-last", "huge-last", "decrease"]
+        ),
         t_eval=st.floats(min_value=0.0, max_value=2.0),
     )
     @settings(max_examples=80, deadline=None)
@@ -373,6 +392,10 @@ class TestLeanPaths:
         elif corruption == "inf-last":
             # Unread by the clock, read by the recovered noise: NaN residuals.
             inc[-1] = np.inf
+        elif corruption == "huge-last":
+            # Finite, but past the bound that lets a run skip the noise sum
+            # beyond t: the full sum decides the zero residual.
+            inc[-1] = 1e300
         else:
             inc[int(position * (m - 1))] *= -1.0
             expected = ValueError
@@ -381,16 +404,46 @@ class TestLeanPaths:
             z = np.concatenate(([0.0], np.cumsum(inc)))
             full = _outcome(lambda: derive_run(0.5, 0.5, GridPath(times=times, values=z)))
             total = _outcome(lambda: _clock_total(0.5, 0.5, times, ds, z))
-            run = _outcome(lambda: _run_outcome(0.5, 0.5, times, ds, z, t_eval, True))
+            runs = [
+                _outcome(lambda: _run_outcome(0.5, 0.5, times, ds, z, t_eval, replay))
+                for replay in (True, False)
+            ]
             want = full if isinstance(full, type) else _outcome(
                 lambda: _run_reference(full, 0.5, t_eval)
             )
         if expected is not None:
-            assert full is expected and total is expected and run is expected
+            assert full is expected and total is expected and runs == [expected, expected]
             return
         assert _bits(total) == _bits(full.clock_total)
-        assert math.isnan(want[1]) and math.isnan(want[2])
-        _assert_same_run_outcome(run, want)
+        if corruption == "inf-last":
+            assert math.isnan(want[1]) and math.isnan(want[2])
+        _assert_same_runs(runs, want)
+
+    @pytest.mark.parametrize("replay", [False, True])
+    def test_worker_buffers_keep_nothing_between_runs(self, replay):
+        # One worker's buffers take a good grid, then a grid whose run fills
+        # them with inf and raises, then another good grid: the last run
+        # gives what it gives on fresh buffers.
+        alpha, beta, horizon, m = 0.5, 0.5, 4.0, 400
+        times, ds, params = _check_grid(alpha, beta, horizon, m)
+        buf = np.empty((3, m + 1))
+
+        def run(z, buffers):
+            return (
+                _clock_total(alpha, beta, times, ds, z, buffers),
+                _run_outcome(alpha, beta, times, ds, z, 1.0, replay, buffers),
+            )
+
+        run(_grid_values(params, horizon, m, np.random.default_rng(1), buf[0]), buf[1:])
+        buf[0, m // 2 :] = np.inf
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="finite"):
+            run(buf[0], buf[1:])
+        z = _grid_values(params, horizon, m, np.random.default_rng(2), buf[0])
+        total, outcome = run(z, buf[1:])
+        want_total, want = run(z.copy(), None)
+        assert outcome[3], "the run must cover t = 1 to read the noise prefix"
+        assert _bits(total) == _bits(want_total)
+        _assert_same_run_outcome(outcome, want)
 
     def test_reports_read_the_reference_runs(self, monkeypatch):
         # The driver-law KS test takes V at t = 1 of derive_run over the
