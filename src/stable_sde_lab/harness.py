@@ -21,6 +21,7 @@ import math
 import statistics
 from collections.abc import Callable
 from dataclasses import dataclass, replace
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +41,7 @@ from .driver import (
     thin_path,  # unused here: bench/spans.py looks it up in this module by name
 )
 from .phi import MonotonePhi, parse_phi
-from .seeding import derive_seed, replicate_rng
+from .seeding import derive_seed, replicate_rng, replicate_rngs
 from .stats import ks_two_sample
 from .timechange import solve_time_change
 from .truncation import (
@@ -117,6 +118,9 @@ class ExperimentConfig:
             raise ConfigError("cutoffs must be strictly decreasing")
         if self.replicates < 1:
             raise ConfigError("replicates must be >= 1")
+        # Seeds are 64-bit words: a seed outside them would alias one inside.
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"seed must lie in 0 ... 2**64 - 1, got {self.seed}")
         if self.grid_m < 100:
             raise ConfigError("grid_m must be >= 100")
         if self.experiment == "weak-agree" and len(self.cutoffs) > 1:
@@ -279,14 +283,13 @@ def _solve_replicate_ladders(
     """
     phi = cfg.phi_object()
     params = StableParams.default(cfg.alpha)
+    rngs = replicate_rngs(cfg.seed, range(cfg.replicates), tag)
 
     def block(start: int):
         replicates = range(start, min(start + _BLOCK, cfg.replicates))
         sizes = [
-            _sample_jumps(
-                params, cfg.horizon, cfg.cutoffs[-1], replicate_rng(cfg.seed, r, tag)
-            )[1]
-            for r in replicates
+            _sample_jumps(params, cfg.horizon, cfg.cutoffs[-1], rng)[1]
+            for rng in islice(rngs, len(replicates))
         ]
         offsets = np.cumsum([0] + [s.size for s in sizes])
         try:
@@ -462,8 +465,7 @@ def _timechange_samples(cfg: ExperimentConfig, tag: str) -> np.ndarray:
     params = StableParams.default(cfg.alpha)
     (eps,) = cfg.cutoffs
     xs = np.empty(cfg.replicates)
-    for r in range(cfg.replicates):
-        rng = replicate_rng(cfg.seed, r, tag)
+    for r, rng in enumerate(replicate_rngs(cfg.seed, range(cfg.replicates), tag)):
         try:
             xs[r] = _timechange_marginal(
                 phi, cfg.x0, params, eps, cfg.horizon, rng, 2.0 * cfg.horizon

@@ -1,9 +1,14 @@
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stable_sde_lab
 from stable_sde_lab import (
@@ -37,7 +42,7 @@ from stable_sde_lab.harness import (
     parse_config_text,
     run_experiment,
 )
-from stable_sde_lab.seeding import derive_seed, replicate_rng
+from stable_sde_lab.seeding import _seed_words, derive_seed, replicate_rng, replicate_rngs
 
 
 class TestDeriveSeed:
@@ -68,6 +73,82 @@ class TestDeriveSeed:
         replicate_rng(5, 3, "other-stage").random(1000)
         b = replicate_rng(5, 3, "driver").random(4)
         assert np.array_equal(a, b)
+
+
+_SEED64 = st.integers(0, 2**64 - 1)
+
+
+class TestReplicateRngs:
+    """replicate_rngs gives the generators that replicate_rng gives, in one pass."""
+
+    @staticmethod
+    def assert_reference_states(master, replicates, tag):
+        rngs = list(replicate_rngs(master, replicates, tag))
+        assert len(rngs) == len(replicates)
+        for r, rng in zip(replicates, rngs):
+            assert rng.bit_generator.state == replicate_rng(master, r, tag).bit_generator.state
+
+    @pytest.mark.parametrize("master", [0, 2**63, 2**64 - 1])
+    def test_states_equal_the_reference(self, master):
+        self.assert_reference_states(master, range(3, 3 + 2 * _BLOCK + 7), "ladder-driver")
+
+    @given(
+        master=_SEED64,
+        start=st.integers(0, 2**40),
+        count=st.integers(0, 12),
+        tag=st.sampled_from(["", "weak-agree-truncation", "weak-agree-timechange"]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_states_equal_the_reference_at_drawn_seeds(self, master, start, count, tag):
+        self.assert_reference_states(master, range(start, start + count), tag)
+
+    # numpy hashes a seed below 2**32 as one entropy word, a larger one as two.
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+    def test_seed_words_at_edge_seeds(self, seed):
+        want = np.random.SeedSequence(seed).generate_state(4, np.uint64)
+        assert _seed_words(np.array([seed], np.uint64)).tobytes() == want.tobytes()
+
+    @given(st.lists(_SEED64, min_size=1, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_seed_words_at_drawn_seeds(self, seeds):
+        want = [np.random.SeedSequence(s).generate_state(4, np.uint64) for s in seeds]
+        assert _seed_words(np.array(seeds, np.uint64)).tobytes() == np.array(want).tobytes()
+
+    def test_generators_are_distinct(self):
+        # Drawn from out of order, and again after other generators of the
+        # call have drawn, each generator still follows its own stream.
+        params = StableParams.default(0.4)
+        master, tag, replicates = 11, "weak-agree-timechange", range(5, 13)
+        rngs = list(replicate_rngs(master, replicates, tag))
+        refs = [replicate_rng(master, r, tag) for r in replicates]
+        for i in (3, 0, 7, 3, 5, 1, 0, 2, 6, 4, 7):
+            horizon = 1.0 + i
+            got = sample_truncated_path(params, horizon, 0.01, rngs[i])
+            want = sample_truncated_path(params, horizon, 0.01, refs[i])
+            assert got.sizes.tobytes() == want.sizes.tobytes()
+            got = driver.extend_truncated_path(params, got, 2.0 * horizon, rngs[i])
+            want = driver.extend_truncated_path(params, want, 2.0 * horizon, refs[i])
+            assert got.times.tobytes() == want.times.tobytes()
+            assert got.sizes.tobytes() == want.sizes.tobytes()
+        for rng, ref in zip(rngs, refs):
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_only_the_reference_spawns(self):
+        (rng,) = replicate_rngs(3, range(1), "tag")
+        with pytest.raises(TypeError):
+            rng.spawn(1)
+        assert len(replicate_rng(3, 0, "tag").spawn(2)) == 2
+
+    def test_importing_the_lab_loads_no_numpy_random(self):
+        # numpy.random is loaded when the first stream is drawn, not on import.
+        src = str(Path(stable_sde_lab.__file__).resolve().parents[1])
+        code = (
+            "import sys, stable_sde_lab, stable_sde_lab.harness, stable_sde_lab.cli; "
+            "sys.exit('numpy.random' in sys.modules)"
+        )
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestConfigParsing:
@@ -133,6 +214,15 @@ class TestConfigParsing:
         for value in ("2", "0"):
             with pytest.raises(ConfigError, match="fixed per experiment"):
                 parse_config_text(f"experiment = weak-agree\nthreads = {value}\n")
+
+    def test_seed_must_be_a_64_bit_word(self):
+        # Out of range, a seed aliased one in range: -1 drew the streams of
+        # 2**64 - 1, and 2**64 + 1 those of 1.
+        for seed in (0, 2**64 - 1):
+            assert parse_config_text(f"experiment = weak-agree\nseed = {seed}\n").seed == seed
+        for seed in (-1, 2**64, 2**64 + 1):
+            with pytest.raises(ConfigError, match="seed must lie in"):
+                parse_config_text(f"experiment = weak-agree\nseed = {seed}\n")
 
     def test_counterexample_grid_steps_round_like_the_checks(self):
         # round(199 * 0.5) = round(99.5) = 100 steps, as the checks count them.
@@ -509,6 +599,18 @@ class TestCLI:
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("experiment = ladder-monotone\nreplicates = 20\n")
         assert cli_main(["run", "--config", str(cfg), "--threads", "2"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**64 + 1)])
+    def test_out_of_range_seed_exits_3(self, tmp_path, capsys, seed):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            f"experiment = weak-agree\nreplicates = 10\nout = {tmp_path / 'never'}\n"
+        )
+        assert cli_main(["run", "--config", str(cfg), "--seed", seed]) == EXIT_CONFIG
+        assert "seed must lie in" in capsys.readouterr().err
+        cfg.write_text(cfg.read_text() + f"seed = {seed}\n")
+        assert cli_main(["run", "--config", str(cfg)]) == EXIT_CONFIG
+        assert not (tmp_path / "never").exists()
 
     def test_help_exits_0(self, capsys):
         assert cli_main(["run", "--help"]) == EXIT_PASS
