@@ -21,7 +21,6 @@ import math
 import statistics
 from collections.abc import Callable
 from dataclasses import dataclass, replace
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -257,12 +256,14 @@ def _write_summary(out_dir: Path, rows: tuple[SummaryRow, ...]) -> str:
     return str(path)
 
 
-# Replicates per solve_ladders call.  The kernel's cost per event rank is
-# mostly fixed numpy overhead, so larger blocks run faster.  But a block's
-# jump sizes are held twice while they are joined into one array, 16 bytes a
-# jump: with about 1,000 jumps per replicate, 40 replicates keep a run's peak
-# memory where the one-replicate-at-a-time solve had it.
-_BLOCK = 40
+# Jump sizes per solve_ladders call.  The kernel's cost per event rank is
+# mostly fixed numpy overhead, so a block takes as many whole replicates as
+# fit in this budget: one float64 buffer of 1 MiB, reused for every block,
+# bounds a run's jump memory whatever its replicate count.  A replicate with
+# more jumps than the budget is solved alone, from its own array.  A larger
+# budget means fewer blocks on a large run, and 8 more bytes of peak memory
+# for each jump it adds to a block.
+_BLOCK_JUMPS = 1 << 17
 
 
 def _replicate_error(exc: Exception, cfg: ExperimentConfig, replicate: int, tag: str):
@@ -277,27 +278,53 @@ def _solve_replicate_ladders(
     """Final states, guard hits, ladder violations and pair gaps of every replicate.
 
     Replicate r's base path is sampled at the finest cutoff from its own
-    stream (master seed, r, tag), and blocks of replicates are solved at
-    every cutoff by one solve_ladders call.  The solve reads only the jump
-    sizes, which it checks; the times are dropped as they are drawn.
+    stream (master seed, r, tag), and blocks of replicates, in replicate
+    order and up to _BLOCK_JUMPS jumps each, are solved at every cutoff by
+    one solve_ladders call.  The solve reads only the jump sizes, which it
+    checks; the times are dropped as they are drawn.  A failure names the
+    first replicate that fails and its derived seed.
     """
     phi = cfg.phi_object()
     params = StableParams.default(cfg.alpha)
-    rngs = replicate_rngs(cfg.seed, range(cfg.replicates), tag)
 
-    def block(start: int):
-        replicates = range(start, min(start + _BLOCK, cfg.replicates))
-        sizes = [
-            _sample_jumps(params, cfg.horizon, cfg.cutoffs[-1], rng)[1]
-            for rng in islice(rngs, len(replicates))
-        ]
-        offsets = np.cumsum([0] + [s.size for s in sizes])
+    def solve(first: int, sizes: np.ndarray, offsets) -> tuple[np.ndarray, ...]:
         try:
-            return solve_ladders(phi, cfg.x0, np.concatenate(sizes), offsets, cfg.cutoffs, pairs)
+            return solve_ladders(phi, cfg.x0, sizes, offsets, cfg.cutoffs, pairs)
         except FloatingPointError as exc:
-            raise _replicate_error(exc, cfg, replicates[exc.path], tag) from exc
+            # The block stops at the first event rank where a path fails, but a
+            # path before the one it names may fail at a later rank: solve the
+            # paths before it again until they pass.
+            error = exc
+            while error.path:
+                n = error.path
+                try:
+                    solve_ladders(
+                        phi, cfg.x0, sizes[: offsets[n]], offsets[: n + 1], cfg.cutoffs, pairs
+                    )
+                except FloatingPointError as earlier:
+                    error = earlier
+                else:
+                    break
+            raise _replicate_error(error, cfg, first + error.path, tag) from error
 
-    blocks = [block(start) for start in range(0, cfg.replicates, _BLOCK)]
+    blocks = []
+    buffer = np.empty(_BLOCK_JUMPS)
+    first, offsets = 0, [0]  # the open block: its first replicate, its paths in buffer
+    for r, rng in enumerate(replicate_rngs(cfg.seed, range(cfg.replicates), tag)):
+        sizes = _sample_jumps(params, cfg.horizon, cfg.cutoffs[-1], rng)[1]
+        end = offsets[-1] + sizes.size
+        if end > _BLOCK_JUMPS:
+            if r > first:
+                blocks.append(solve(first, buffer[: offsets[-1]], offsets))
+            first, offsets, end = r, [0], sizes.size
+            if sizes.size > _BLOCK_JUMPS:
+                blocks.append(solve(r, sizes, [0, end]))
+                first = r + 1
+                continue
+        buffer[offsets[-1] : end] = sizes
+        offsets.append(end)
+    if cfg.replicates > first:
+        blocks.append(solve(first, buffer[: offsets[-1]], offsets))
     return tuple(np.concatenate(parts) for parts in zip(*blocks))
 
 

@@ -16,6 +16,7 @@ from stable_sde_lab import (
     StableParams,
     ladder_violations,
     sample_truncated_path,
+    solve_ladders,
     solve_time_change,
     solve_truncated,
     sup_gap,
@@ -24,7 +25,6 @@ from stable_sde_lab import (
 from stable_sde_lab import SamplerIntegrityError, cli, counterexample, driver, harness
 from stable_sde_lab.cli import main as cli_main
 from stable_sde_lab.harness import (
-    _BLOCK,
     EXIT_CONFIG,
     EXIT_CRASH,
     EXIT_INVARIANT,
@@ -90,7 +90,7 @@ class TestReplicateRngs:
 
     @pytest.mark.parametrize("master", [0, 2**63, 2**64 - 1])
     def test_states_equal_the_reference(self, master):
-        self.assert_reference_states(master, range(3, 3 + 2 * _BLOCK + 7), "ladder-driver")
+        self.assert_reference_states(master, range(3, 90), "ladder-driver")
 
     @given(
         master=_SEED64,
@@ -246,9 +246,44 @@ class TestExitCodes:
         assert _exit_code((ok, stat_bad, inv_bad)) == EXIT_INVARIANT
 
 
+C10 = Path(__file__).parent / "c10"
+
+
 def _run(text, tmp_path, name):
     cfg = parse_config_text(text)
     return run_experiment(cfg, out_dir=str(tmp_path / name))
+
+
+def _record_blocks(monkeypatch, budget):
+    """Set the jump budget; the path lengths of each solve_ladders call, in order."""
+    monkeypatch.setattr(harness, "_BLOCK_JUMPS", budget)
+    calls = []
+
+    def recording(phi, x0, sizes, offsets, *args):
+        calls.append(np.diff(offsets))
+        return solve_ladders(phi, x0, sizes, offsets, *args)
+
+    monkeypatch.setattr(harness, "solve_ladders", recording)
+    return calls
+
+
+def _assert_every_block_edge(calls, budget):
+    # Three blocks or more; a replicate with no jumps; a block of several
+    # replicates that fills the budget exactly; a replicate over it, alone.
+    assert len(calls) >= 3
+    assert any((lengths == 0).any() for lengths in calls)
+    assert any(lengths.size > 1 and lengths.sum() == budget for lengths in calls)
+    assert any(lengths.size == 1 and lengths[0] > budget for lengths in calls)
+    assert all(lengths.size == 1 or lengths.sum() <= budget for lengths in calls)
+
+
+def _fails_alone(cfg, replicate):
+    try:
+        with np.errstate(over="ignore"):
+            _build_replicate_ladder(cfg, replicate)
+    except FloatingPointError:
+        return True
+    return False
 
 
 class TestExperiments:
@@ -359,32 +394,52 @@ class TestExperiments:
         for fa, fb in zip(sorted(a.artifacts), sorted(b.artifacts)):
             assert open(fa, "rb").read() == open(fb, "rb").read()
 
-    def test_block_boundaries(self):
-        # Two full replicate blocks and a partial one: every replicate's row
-        # of the blocked kernel equals its own ladder from the scalar solver.
-        n = 2 * _BLOCK + 7
-        cfg = parse_config_text(f"experiment = ladder-monotone\nreplicates = {n}\nseed = 6\n")
-        final, guard_hits, violations, gaps = _solve_replicate_ladders(cfg, "ladder-driver")
-        assert final.shape == guard_hits.shape == (n, len(cfg.cutoffs))
-        assert violations.shape == (n,) and gaps.shape == (n, 0)
-        for r in range(n):
-            ladder = _build_replicate_ladder(cfg, r)
-            want = np.array([sol.final for sol in ladder.solutions])
-            assert want.tobytes() == final[r].tobytes()
-            assert [sol.guard_hits for sol in ladder.solutions] == guard_hits[r].tolist()
-            assert ladder_violations(ladder) == violations[r]
+    def test_block_boundaries(self, monkeypatch):
+        # Every replicate's row of the blocked kernel equals its own ladder
+        # from the scalar solver: at about 1,000 jumps a replicate, all in one
+        # block, and at up to 8 jumps a replicate, in blocks of at most 7.
+        n = 87
+        for text, budget in [("", None), ("cutoffs = 0.5, 0.1, 0.03\n", 7)]:
+            cfg = parse_config_text(
+                f"experiment = ladder-monotone\nreplicates = {n}\nseed = 6\n" + text
+            )
+            calls = _record_blocks(monkeypatch, budget or harness._BLOCK_JUMPS)
+            final, guard_hits, violations, gaps = _solve_replicate_ladders(cfg, "ladder-driver")
+            if budget:
+                _assert_every_block_edge(calls, budget)
+            else:
+                assert len(calls) == 1
+            assert final.shape == guard_hits.shape == (n, len(cfg.cutoffs))
+            assert violations.shape == (n,) and gaps.shape == (n, 0)
+            for r in range(n):
+                ladder = _build_replicate_ladder(cfg, r)
+                want = np.array([sol.final for sol in ladder.solutions])
+                assert want.tobytes() == final[r].tobytes()
+                assert [sol.guard_hits for sol in ladder.solutions] == guard_hits[r].tolist()
+                assert ladder_violations(ladder) == violations[r]
 
-    def test_weak_agree_truncation_side_equals_scalar_solve(self, tmp_path):
-        n = 2 * _BLOCK + 7
-        cfg = parse_config_text(f"experiment = weak-agree\nreplicates = {n}\nseed = 6\n")
-        run_experiment(cfg, out_dir=str(tmp_path))
-        samples = np.loadtxt(tmp_path / "weak_agree_samples.csv", delimiter=",", skiprows=1)
-        params = StableParams.default(cfg.alpha)
-        phi = cfg.phi_object()
-        for r in range(n):
-            rng = replicate_rng(cfg.seed, r, "weak-agree-truncation")
-            path = sample_truncated_path(params, cfg.horizon, cfg.cutoffs[0], rng)
-            assert samples[r, 1] == solve_truncated(phi, cfg.x0, path).final
+    def test_weak_agree_truncation_side_equals_scalar_solve(self, tmp_path, monkeypatch):
+        # At about 16 jumps a replicate, all in one block, and at up to 5
+        # jumps a replicate, in blocks of at most 4.
+        n = 87
+        for text, budget in [("", None), ("cutoffs = 0.1\n", 4)]:
+            cfg = parse_config_text(
+                f"experiment = weak-agree\nreplicates = {n}\nseed = 6\n" + text
+            )
+            calls = _record_blocks(monkeypatch, budget or harness._BLOCK_JUMPS)
+            out = tmp_path / str(budget)
+            run_experiment(cfg, out_dir=str(out))
+            if budget:
+                _assert_every_block_edge(calls, budget)
+            else:
+                assert len(calls) == 1
+            samples = np.loadtxt(out / "weak_agree_samples.csv", delimiter=",", skiprows=1)
+            params = StableParams.default(cfg.alpha)
+            phi = cfg.phi_object()
+            for r in range(n):
+                rng = replicate_rng(cfg.seed, r, "weak-agree-truncation")
+                path = sample_truncated_path(params, cfg.horizon, cfg.cutoffs[0], rng)
+                assert samples[r, 1] == solve_truncated(phi, cfg.x0, path).final
 
     def test_nonfinite_phi_names_replicate_and_seed(self, tmp_path):
         # phi(10) = 1 + 1e308 * 10 overflows at the first jump of any replicate.
@@ -398,19 +453,22 @@ class TestExperiments:
             assert str(info.value).startswith(f"replicate 0 (seed {derive_seed(3, 0, tag)}): ")
 
     @pytest.mark.parametrize(
-        "text",
+        "text, budget",
         [
-            # Two full replicate blocks and a partial one; non-adjacent pairs.
-            f"cutoffs = 0.1, 0.07, 0.02\nreplicates = {2 * _BLOCK + 7}\nseed = 6\n",
+            # Non-adjacent pairs.
+            ("cutoffs = 0.1, 0.07, 0.02\nreplicates = 87\nseed = 6\n", None),
+            # Up to 5 jumps a replicate, in blocks of at most 4.
+            ("T = 1\ncutoffs = 0.1, 0.07, 0.02\nreplicates = 87\nseed = 6\n", 4),
             # The overflow guard clamps the states of both levels of a pair.
-            "phi = soft-ramp(1,1)\nx0 = 1e298\nreplicates = 30\nseed = 5\n",
+            ("phi = soft-ramp(1,1)\nx0 = 1e298\nreplicates = 30\nseed = 5\n", None),
         ],
-        ids=["uneven", "guard"],
+        ids=["uneven", "edges", "guard"],
     )
-    def test_couple_gaps_equal_scalar_sup_gaps(self, text):
+    def test_couple_gaps_equal_scalar_sup_gaps(self, monkeypatch, text, budget):
         # The eps and eps/2 solutions of each replicate, solved one at a time
         # on thinnings of one base path at min(cutoffs) / 2.
         cfg = parse_config_text("experiment = uniqueness-couple\n" + text)
+        calls = _record_blocks(monkeypatch, budget or harness._BLOCK_JUMPS)
         params = StableParams.default(cfg.alpha)
         phi = cfg.phi_object()
         want = []
@@ -425,6 +483,40 @@ class TestExperiments:
                 for eps in cfg.cutoffs
             ])
         assert _couple_gaps(cfg).tobytes() == np.array(want).tobytes()
+        if budget:
+            _assert_every_block_edge(calls, budget)
+
+    def test_blocks_hold_at_most_the_budget(self, monkeypatch):
+        # A run of several blocks at the real budget: each holds whole
+        # replicates, in order, up to the budget, and the next would overflow it.
+        budget = harness._BLOCK_JUMPS
+        calls = _record_blocks(monkeypatch, budget)
+        cfg = parse_config_text((C10 / "couple-blocks.cfg").read_text())
+        _couple_gaps(cfg)
+        assert len(calls) >= 3
+        assert sum(lengths.size for lengths in calls) == cfg.replicates
+        assert all(lengths.size == 1 or lengths.sum() <= budget for lengths in calls)
+        for lengths, following in zip(calls, calls[1:]):
+            assert lengths.sum() + following[0] > budget
+
+    # At the default budget the 40 replicates are one block.  It names
+    # replicate 30 at seed 1, and solving the replicates before it again
+    # names 3; at seed 2 the names run 9, 3, 0, and at seed 26 they run 3, 2.
+    @pytest.mark.parametrize("seed", [1, 2, 26])
+    def test_failure_names_the_first_failing_replicate(self, monkeypatch, seed):
+        # phi overflows on many replicates, at event ranks out of replicate
+        # order; a block stops at the first rank where one of its paths fails.
+        cfg = parse_config_text(
+            "experiment = ladder-monotone\nphi = soft-ramp(1,1e9)\nT = 5\n"
+            f"cutoffs = 0.1, 0.01\nreplicates = 40\nseed = {seed}\n"
+        )
+        first = next(r for r in range(cfg.replicates) if _fails_alone(cfg, r))
+        prefix = f"replicate {first} (seed {derive_seed(seed, first, 'ladder-driver')}): "
+        for budget in (harness._BLOCK_JUMPS, 500):
+            monkeypatch.setattr(harness, "_BLOCK_JUMPS", budget)
+            with np.errstate(over="ignore"), pytest.raises(FloatingPointError) as info:
+                _solve_replicate_ladders(cfg, "ladder-driver")
+            assert str(info.value).startswith(prefix)
 
 
 class TestGridRunNaming:
@@ -479,7 +571,7 @@ class TestTimeChangeSide:
     @pytest.mark.parametrize(
         "text, extended, empty",
         [
-            (f"replicates = {2 * _BLOCK + 7}\nseed = 6\n", 0, 0),
+            ("replicates = 87\nseed = 6\n", 0, 0),
             # Clocks that end before T: their drivers are extended.
             ("phi = shifted-arctan(3,1)\nreplicates = 200\nseed = 3\n", 44, 0),
             # Jumps >= 3 only: drivers with no jump at all.
