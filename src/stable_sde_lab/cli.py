@@ -70,9 +70,6 @@ def _main(argv: list[str] | None) -> int:
         return EXIT_CONFIG
     try:
         result = run_experiment(cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except (FloatingPointError, SamplerIntegrityError) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT

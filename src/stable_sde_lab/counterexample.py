@@ -56,6 +56,7 @@ __all__ = [
 
 HEAD_FIT_DECADE = 10  # head coefficient fitted on grid points with s <= 10*s_1
 T_EVAL = 1.0  # the time at which the driver-law and non-uniqueness checks read a run
+REPLAY_RUNS = 16  # the first runs of nonuniqueness_demo, in spawn order, that replay the solve
 
 
 @dataclass(frozen=True)
@@ -224,13 +225,6 @@ def derive_run(alpha: float, beta: float, grid: GridPath) -> CounterexampleRun:
     )
 
 
-def _clock_total(
-    alpha: float, beta: float, times: np.ndarray, ds: np.ndarray, z: np.ndarray, buffers=None
-) -> float:
-    """B(T) of derive_run on the grid (times, z), bit for bit, without the full run."""
-    return float(_clock_values(alpha, beta, times, ds, z, buffers)[0][-1])
-
-
 def _inverse_time(
     times: np.ndarray, ds: np.ndarray, values: np.ndarray, t: float
 ) -> float | None:
@@ -322,28 +316,36 @@ def run_counterexample(
     return derive_run(alpha, beta, sample_grid_path(params, horizon, m, rng))
 
 
-def _map_runs(fn, items: list, buffers=tuple) -> list:
-    """``[fn(x, *buffers()) for x in items]``, on one worker thread per usable CPU.
+def _map_runs(check: str, fn, generators: list, m: int) -> list:
+    """``[fn(k, g, buf) for k, g in enumerate(generators)]`` on one thread per usable CPU.
 
     Each worker loops over one contiguous chunk (one task per run would hold
-    more runs' arrays at once) and calls buffers() once for it: its runs
-    write their arrays there, and the buffers are dropped when the map ends.
-    A run draws only from its own spawned generator, so the result does not
-    depend on the worker count.  Its time goes to numpy RNG fills and ufuncs,
-    which mostly release the GIL; numpy 2.4 holds it through an in-place
-    accumulate such as np.cumsum(x, out=x), so no run sums in place.  Chunks
-    are read back in spawn order, so the first failing run in spawn order
-    raises.  numpy's errstate does not reach the workers: fn must set its own.
+    more runs' arrays at once) and allocates one (3, m + 1) array buf for it:
+    the driver values, then the two buffers of _clock_values.  A run draws
+    only from its own spawned generator g, so the result does not depend on
+    the worker count.  Its time goes to numpy RNG fills and ufuncs, which
+    mostly release the GIL; numpy 2.4 holds it through an in-place
+    accumulate such as np.cumsum(x, out=x), so no run sums in place.  A
+    failing run k raises again, with its type, named "{check} run {k}"; the
+    chunks are read back in spawn order, so the first in spawn order raises.
+    numpy's errstate does not reach the workers: fn must set its own.
     """
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:  # macOS and Windows have no affinity call
         cpus = os.cpu_count() or 1
+    items = list(enumerate(generators))
     workers = min(cpus, len(items))
 
     def chunk_runs(chunk: list) -> list:
-        own = buffers()
-        return [fn(x, *own) for x in chunk]
+        buf = np.empty((3, m + 1))
+        out = []
+        for k, g in chunk:
+            try:
+                out.append(fn(k, g, buf))
+            except (ValueError, SamplerIntegrityError) as exc:
+                raise type(exc)(f"{check} run {k}: {exc}") from exc
+        return out
 
     if workers <= 1:
         return chunk_runs(items)
@@ -354,39 +356,6 @@ def _map_runs(fn, items: list, buffers=tuple) -> list:
     chunks = [items[a:b] for a, b in zip(bounds, bounds[1:])]
     with ThreadPoolExecutor(workers) as pool:
         return [out for part in pool.map(chunk_runs, chunks) for out in part]
-
-
-def _grid_runs(check: str, fn, generators: list, m: int, start: int = 0) -> list:
-    """_map_runs over fn(g, buf); a failing run is named by check and spawn index.
-
-    buf holds a worker's three arrays of m + 1: the driver values, then the
-    two buffers of _clock_values.  generators[k] is spawn index start + k.
-    The error keeps its type.
-    """
-
-    def named(item, buf):
-        k, g = item
-        try:
-            return fn(g, buf)
-        except (ValueError, SamplerIntegrityError) as exc:
-            raise type(exc)(f"{check} run {k}: {exc}") from exc
-
-    return _map_runs(named, list(enumerate(generators, start)), lambda: (np.empty((3, m + 1)),))
-
-
-def _clock_totals(
-    check: str, alpha: float, beta: float, horizon: float, m: int, generators: list
-) -> list[float]:
-    """B(T) of one m-step grid run over [0, horizon] per generator."""
-    times, ds, params = _check_grid(alpha, beta, horizon, m)
-    return _grid_runs(
-        check,
-        lambda g, buf: _clock_total(
-            alpha, beta, times, ds, _grid_values(params, horizon, m, g, buf[0]), buf[1:]
-        ),
-        generators,
-        m,
-    )
 
 
 def scaling_law_check(
@@ -414,8 +383,18 @@ def scaling_law_check(
     # replicate k's draw is pinned by its index alone, so changing n never
     # disturbs the other replicates.
     parent1, parent2 = rng.spawn(2)
-    b1 = np.array(_clock_totals(f"scaling-law t1={t1:g}", alpha, beta, t1, m1, parent1.spawn(n)))
-    b2 = np.array(_clock_totals(f"scaling-law t2={t2:g}", alpha, beta, t2, m2, parent2.spawn(n)))
+
+    def clock_totals(name: str, horizon: float, m: int, generators: list) -> np.ndarray:
+        times, ds, params = _check_grid(alpha, beta, horizon, m)
+
+        def total(k: int, g: np.random.Generator, buf: np.ndarray) -> float:
+            z = _grid_values(params, horizon, m, g, buf[0])
+            return float(_clock_values(alpha, beta, times, ds, z, buf[1:])[0][-1])
+
+        return np.array(_map_runs(f"scaling-law {name}={horizon:g}", total, generators, m))
+
+    b1 = clock_totals("t1", t1, m1, parent1.spawn(n))
+    b2 = clock_totals("t2", t2, m2, parent2.spawn(n))
     rescaled = b2 * (t2 / t1) ** (beta - 1.0)
     ks = ks_two_sample(rescaled, b1)
     return CheckReport(
@@ -472,7 +451,6 @@ def nonuniqueness_demo(
     n: int,
     rng: np.random.Generator,
     m_per_unit: int = 10_000,
-    replay_runs: int = 16,
     seed: int | None = None,
 ) -> NonUniquenessReport:
     """Zero solution versus the time-changed solution, on the same runs.
@@ -480,27 +458,25 @@ def nonuniqueness_demo(
     The zero path satisfies the equation exactly (its coefficient vanishes),
     while the time-changed path is strictly positive at T_EVAL on covered
     runs.  The replay residual re-solves X <- X + phi(X)*dV event-wise along
-    the grid on the first replay_runs runs and reports the worst relative gap
+    the grid on the first REPLAY_RUNS runs and reports the worst relative gap
     against the time-change values.  The recovered driver V of the same runs
     at T_EVAL is held against exact driver samples (driver_law_check).
     """
     m = int(round(m_per_unit * horizon))
     times, ds, params = _check_grid(alpha, beta, horizon, m)
 
-    def one(g: np.random.Generator, buf: np.ndarray, replay: bool = False):
+    def one(k: int, g: np.random.Generator, buf: np.ndarray):
         z = _grid_values(params, horizon, m, g, buf[0])
-        return _run_outcome(alpha, beta, times, ds, z, T_EVAL, replay, buf[1:])
+        return _run_outcome(alpha, beta, times, ds, z, T_EVAL, k < REPLAY_RUNS, buf[1:])
 
     run_parent, exact_parent = rng.spawn(2)
-    streams = run_parent.spawn(n)
-    runs = _grid_runs("driver-law", lambda g, buf: one(g, buf, True), streams[:replay_runs], m)
-    runs += _grid_runs("driver-law", one, streams[replay_runs:], m, replay_runs)
+    runs = _map_runs("driver-law", one, run_parent.spawn(n), m)
     exact = sample_exact_increment(params, T_EVAL, exact_parent, size=n)
     recovered = [r[0] for r in runs if r[0] is not None]
     # np.max and np.argmax let NaN through, where Python's max drops it;
     # argmax also keeps the first of equal maxima.
     zero_residual = float(np.max([r[1] for r in runs]))
-    replays = [r[2] for r in runs[:replay_runs]]
+    replays = [r[2] for r in runs[:REPLAY_RUNS]]
     replay_worst = int(np.argmax(replays)) if replays else 0
     covered = sum(r[3] for r in runs)
     coverage = covered / n

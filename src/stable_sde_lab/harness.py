@@ -122,6 +122,8 @@ class ExperimentConfig:
             raise ConfigError(f"seed must lie in 0 ... 2**64 - 1, got {self.seed}")
         if self.grid_m < 100:
             raise ConfigError("grid_m must be >= 100")
+        if self.experiment == "uniqueness-couple" and not self.cutoffs[-1] / 2.0 > 0.0:
+            raise ConfigError(f"uniqueness-couple needs eps/2 > 0, got eps = {self.cutoffs[-1]!r}")
         if self.experiment == "weak-agree" and len(self.cutoffs) > 1:
             raise ConfigError(
                 f"weak-agree compares the two constructions at one cutoff; "
@@ -290,22 +292,15 @@ def _solve_replicate_ladders(
     def solve(first: int, sizes: np.ndarray, offsets) -> tuple[np.ndarray, ...]:
         try:
             return solve_ladders(phi, cfg.x0, sizes, offsets, cfg.cutoffs, pairs)
-        except FloatingPointError as exc:
-            # The block stops at the first event rank where a path fails, but a
-            # path before the one it names may fail at a later rank: solve the
-            # paths before it again until they pass.
-            error = exc
-            while error.path:
-                n = error.path
+        except FloatingPointError:
+            # The block stops at the first event rank where a path fails, which
+            # need not be its first failing replicate: solve them one at a time.
+            for j, (a, b) in enumerate(zip(offsets, offsets[1:])):
                 try:
-                    solve_ladders(
-                        phi, cfg.x0, sizes[: offsets[n]], offsets[: n + 1], cfg.cutoffs, pairs
-                    )
-                except FloatingPointError as earlier:
-                    error = earlier
-                else:
-                    break
-            raise _replicate_error(error, cfg, first + error.path, tag) from error
+                    solve_ladders(phi, cfg.x0, sizes[a:b], [0, b - a], cfg.cutoffs, pairs)
+                except FloatingPointError as exc:
+                    raise _replicate_error(exc, cfg, first + j, tag) from exc
+            raise  # a path fails alone as it fails in its block: not reached
 
     blocks = []
     buffer = np.empty(_BLOCK_JUMPS)
@@ -536,7 +531,9 @@ def _couple_gaps(cfg: ExperimentConfig) -> np.ndarray:
     """Sup-distances of the eps and eps/2 solutions: two levels of one ladder."""
     levels = tuple(sorted({*cfg.cutoffs, *(eps / 2.0 for eps in cfg.cutoffs)}, reverse=True))
     pairs = [(levels.index(eps / 2.0), levels.index(eps)) for eps in cfg.cutoffs]
-    return _solve_replicate_ladders(replace(cfg, cutoffs=levels), "couple-driver", pairs)[3]
+    # A ladder-monotone config: uniqueness-couple's check would halve eps/2 again.
+    ladder = replace(cfg, experiment="ladder-monotone", cutoffs=levels)
+    return _solve_replicate_ladders(ladder, "couple-driver", pairs)[3]
 
 
 def _run_uniqueness_couple(cfg: ExperimentConfig, out: Path):

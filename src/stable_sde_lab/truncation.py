@@ -180,7 +180,7 @@ def solve_ladders(
     a subset of the finer one's, so both are exact at the union of events.
 
     A non-finite phi where a level takes a jump raises FloatingPointError
-    with the path's index in its ``path`` attribute.
+    naming the first such path in input order.
     """
     if not phi.assumption_ok:
         raise ValueError(
@@ -229,12 +229,10 @@ def solve_ladders(
                 if rows.size:
                     i = rows[np.argmin(order[rows])]  # the first path in input order
                     level = np.flatnonzero(bad[i])[0]
-                    err = FloatingPointError(
+                    raise FloatingPointError(
                         f"phi evaluated non-finite at state {float(xs[i, level])!r} "
                         f"(path {order[i]}, event {k}, level {level})"
                     )
-                    err.path = int(order[i])
-                    raise err
             new = speed * dz
             new += xs
             if not new.max() <= OVERFLOW_GUARD:  # NaN, too, takes the exact branch

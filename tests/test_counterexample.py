@@ -21,7 +21,7 @@ from stable_sde_lab import (
 from stable_sde_lab import counterexample
 from stable_sde_lab.counterexample import (
     _check_grid,
-    _clock_total,
+    _clock_values,
     _map_runs,
     _noise_increments,
     _replay_relative_residual,
@@ -176,7 +176,7 @@ class TestNonUniqueness:
         rep = nonuniqueness_demo(0.5, 0.5, 4.0, 40, rng, m_per_unit=500)
         streams = np.random.default_rng(15).spawn(2)[0].spawn(40)
         residuals = []
-        for g in streams[:16]:
+        for g in streams[: counterexample.REPLAY_RUNS]:
             run = run_counterexample(0.5, 0.5, 4.0, 2000, g)
             z = run.grid.values
             residuals.append(_replay_relative_residual(z, 0.5, _noise_increments(z, 0.5)))
@@ -235,39 +235,57 @@ class TestWorkerCount:
             0.5, 0.5, 1.0, 2.0, 1000, rng, m_per_unit=100
         ),
         "driver-law": lambda rng: driver_law_check(0.5, 0.5, 2.0, 1000, rng, m_per_unit=100),
-        "nonuniqueness": lambda rng: nonuniqueness_demo(
-            0.5, 0.5, 2.0, 1000, rng, m_per_unit=100, replay_runs=40
-        ),
+        # 3 workers split 40 runs into [0, 13), [13, 26) and [26, 40): the
+        # REPLAY_RUNS = 16 replay runs span the first two chunks.
+        "nonuniqueness": lambda rng: nonuniqueness_demo(0.5, 0.5, 2.0, 40, rng, m_per_unit=100),
     }
 
     @pytest.mark.parametrize("check", sorted(CHECKS))
     def test_reports_do_not_depend_on_cpus(self, monkeypatch, check):
         reports = []
-        for cpus in (1, 2, 3):  # 3 workers split 1000 runs (and 40 replays) unevenly
+        for cpus in (1, 2, 3):  # 3 workers split the runs unevenly
             _with_cpus(monkeypatch, cpus)
             reports.append(self.CHECKS[check](np.random.default_rng(23)))
         assert reports[0] == reports[1] == reports[2]
 
     def test_results_keep_spawn_order(self, monkeypatch):
         _with_cpus(monkeypatch, 3)
-        assert _map_runs(lambda i: i * i, list(range(10))) == [i * i for i in range(10)]
-        assert _map_runs(lambda i: i, []) == []
+        runs = _map_runs("t", lambda k, g, buf: (k, g * g, buf.shape), list(range(10)), 100)
+        assert runs == [(k, k * k, (3, 101)) for k in range(10)]
+        assert _map_runs("t", lambda k, g, buf: g, [], 100) == []
 
     def test_first_failure_in_spawn_order_raises(self, monkeypatch):
         # Chunks [0, 3), [3, 6), [6, 10): run 8 fails first in time, but run 3
         # comes first in spawn order.
         _with_cpus(monkeypatch, 3)
 
-        def fn(i):
-            if i == 3:
+        def fn(k, g, buf):
+            if k == 3:
                 time.sleep(0.2)
-            if i in (3, 8):
-                raise ValueError(i)
-            return i
+            if k in (3, 8):
+                raise (ValueError if k == 3 else SamplerIntegrityError)(g)
+            return g
 
         with pytest.raises(ValueError) as excinfo:
-            _map_runs(fn, list(range(10)))
-        assert excinfo.value.args == (3,)
+            _map_runs("t", fn, list(range(10)), 100)
+        assert str(excinfo.value) == "t run 3: 3"
+        assert type(excinfo.value) is ValueError
+
+    def test_one_map_per_horizon(self, monkeypatch):
+        # The demo maps all its runs, replay runs included, in one call; the
+        # scaling check maps each of its two horizons once.
+        calls = []
+
+        def counting(check, fn, generators, m):
+            calls.append((check, len(generators), m))
+            return _map_runs(check, fn, generators, m)
+
+        monkeypatch.setattr(counterexample, "_map_runs", counting)
+        nonuniqueness_demo(0.5, 0.5, 2.0, 40, np.random.default_rng(23), m_per_unit=100)
+        assert calls == [("driver-law", 40, 200)]
+        calls.clear()
+        self.CHECKS["scaling-law"](np.random.default_rng(23))
+        assert calls == [("scaling-law t1=1", 1000, 100), ("scaling-law t2=2", 1000, 200)]
 
     def test_platform_without_affinity_counts_cpus(self, monkeypatch):
         # macOS and Windows have no os.sched_getaffinity.
@@ -347,7 +365,7 @@ class TestLeanPaths:
             full = _outcome(
                 lambda: run_counterexample(alpha, beta, horizon, m, np.random.default_rng(seed))
             )
-            total = _outcome(lambda: lean(lambda *grid: _clock_total(alpha, beta, *grid)))
+            total = _outcome(lambda: lean(lambda *grid: _clock_values(alpha, beta, *grid)[0][-1]))
             runs = [
                 _outcome(lambda: lean(lambda *grid: _run_outcome(alpha, beta, *grid, t, replay)))
                 for replay in (True, False)
@@ -403,7 +421,7 @@ class TestLeanPaths:
         with np.errstate(all="ignore"):
             z = np.concatenate(([0.0], np.cumsum(inc)))
             full = _outcome(lambda: derive_run(0.5, 0.5, GridPath(times=times, values=z)))
-            total = _outcome(lambda: _clock_total(0.5, 0.5, times, ds, z))
+            total = _outcome(lambda: _clock_values(0.5, 0.5, times, ds, z)[0][-1])
             runs = [
                 _outcome(lambda: _run_outcome(0.5, 0.5, times, ds, z, t_eval, replay))
                 for replay in (True, False)
@@ -430,7 +448,7 @@ class TestLeanPaths:
 
         def run(z, buffers):
             return (
-                _clock_total(alpha, beta, times, ds, z, buffers),
+                _clock_values(alpha, beta, times, ds, z, buffers)[0][-1],
                 _run_outcome(alpha, beta, times, ds, z, 1.0, replay, buffers),
             )
 

@@ -486,6 +486,20 @@ class TestExperiments:
         if budget:
             _assert_every_block_edge(calls, budget)
 
+    def test_couple_levels_are_not_halved_twice(self, monkeypatch):
+        # The smallest eps whose half is positive: its half's half rounds to
+        # 0, so the levels pass the config checks only as a ladder config.
+        cfg = parse_config_text("experiment = uniqueness-couple\ncutoffs = 1e-323\n")
+        solved = []
+
+        def recording(cfg, tag, pairs):
+            solved.append((cfg.cutoffs, pairs))
+            return (np.zeros((0, 1)),) * 4
+
+        monkeypatch.setattr(harness, "_solve_replicate_ladders", recording)
+        _couple_gaps(cfg)
+        assert solved == [((1e-323, 5e-324), [(1, 0)])]
+
     def test_blocks_hold_at_most_the_budget(self, monkeypatch):
         # A run of several blocks at the real budget: each holds whole
         # replicates, in order, up to the budget, and the next would overflow it.
@@ -499,9 +513,9 @@ class TestExperiments:
         for lengths, following in zip(calls, calls[1:]):
             assert lengths.sum() + following[0] > budget
 
-    # At the default budget the 40 replicates are one block.  It names
-    # replicate 30 at seed 1, and solving the replicates before it again
-    # names 3; at seed 2 the names run 9, 3, 0, and at seed 26 they run 3, 2.
+    # At the default budget the 40 replicates are one block, which stops at
+    # replicate 30 at seed 1 (at 9 at seed 2, at 3 at seed 26), while the
+    # first replicate that fails alone comes earlier.
     @pytest.mark.parametrize("seed", [1, 2, 26])
     def test_failure_names_the_first_failing_replicate(self, monkeypatch, seed):
         # phi overflows on many replicates, at event ranks out of replicate
@@ -512,11 +526,16 @@ class TestExperiments:
         )
         first = next(r for r in range(cfg.replicates) if _fails_alone(cfg, r))
         prefix = f"replicate {first} (seed {derive_seed(seed, first, 'ladder-driver')}): "
+        messages = []
         for budget in (harness._BLOCK_JUMPS, 500):
             monkeypatch.setattr(harness, "_BLOCK_JUMPS", budget)
             with np.errstate(over="ignore"), pytest.raises(FloatingPointError) as info:
                 _solve_replicate_ladders(cfg, "ladder-driver")
-            assert str(info.value).startswith(prefix)
+            messages.append(str(info.value))
+        # The replicate is solved alone, so the message does not depend on the
+        # blocking: its path index is 0.
+        assert messages[0] == messages[1]
+        assert messages[0].startswith(prefix) and "(path 0, " in messages[0]
 
 
 class TestGridRunNaming:
@@ -732,6 +751,8 @@ class TestCLI:
             "experiment = strong-construct\nphi = shifted-arctan(2)\n",
             "experiment = ladder-monotone\nphi = cubic(1)\n",
             "experiment = uniqueness-couple\nphi = constant(-1)\n",
+            # uniqueness-couple also solves at eps/2, which rounds to 0 here.
+            "experiment = uniqueness-couple\ncutoffs = 5e-324\nreplicates = 2\n",
             # weak-agree would run only one of these cutoffs.
             "experiment = weak-agree\ncutoffs = 0.01, 0.001\nreplicates = 10\n",
             # The counterexample runs power(beta) from 0 and has no cutoffs.
