@@ -37,6 +37,7 @@ from .timechange import (
     clock_roundtrip_residual,
     invert_clock,
     solve_time_change,
+    time_change_path,
 )
 from .truncation import (
     Ladder,

@@ -61,6 +61,37 @@ class StableParams:
         return (self.c * math.gamma(1.0 - self.alpha) / self.alpha) ** (1.0 / self.alpha)
 
 
+def _check_jumps(
+    horizon: float, times, sizes, cutoff: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """times and sizes as float arrays, checked as the events of a JumpPath.
+
+    JumpPath and the time-change kernel both check their events here.
+    """
+    times = np.asarray(times, dtype=float)
+    sizes = np.asarray(sizes, dtype=float)
+    if not (horizon > 0.0 and math.isfinite(horizon)):
+        raise ValueError(f"horizon must be positive, got {horizon}")
+    if cutoff < 0.0:
+        raise ValueError(f"cutoff must be >= 0, got {cutoff}")
+    if times.shape != sizes.shape or times.ndim != 1:
+        raise ValueError("times and sizes must be 1-d arrays of equal length")
+    if times.size:
+        # Written over the condition that must hold, so NaN fails each: a NaN
+        # size makes the smallest NaN.  Array methods, not np.all/np.any, and
+        # one minimum for the sizes: this runs once per replicate.
+        if not (times[0] > 0.0 and times[-1] <= horizon):
+            raise ValueError("event times must lie in (0, horizon]")
+        if not (times[1:] > times[:-1]).all():
+            raise ValueError("event times must be strictly increasing")
+        smallest = sizes.min()
+        if not (smallest >= cutoff if cutoff > 0.0 else smallest > 0.0):
+            if not smallest > 0.0:
+                raise ValueError("jump sizes must be strictly positive")
+            raise ValueError("jump sizes must be >= cutoff")
+    return times, sizes
+
+
 @dataclass(frozen=True)
 class JumpPath:
     """Finite, time-sorted jump events of a truncated driver on [0, horizon].
@@ -76,27 +107,9 @@ class JumpPath:
     _cum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=float)
-        sizes = np.asarray(self.sizes, dtype=float)
+        times, sizes = _check_jumps(self.horizon, self.times, self.sizes, self.cutoff)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "sizes", sizes)
-        if not (self.horizon > 0.0 and math.isfinite(self.horizon)):
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
-        if self.cutoff < 0.0:
-            raise ValueError(f"cutoff must be >= 0, got {self.cutoff}")
-        if times.shape != sizes.shape or times.ndim != 1:
-            raise ValueError("times and sizes must be 1-d arrays of equal length")
-        if times.size:
-            # Written over the condition that must hold, so NaN fails each.
-            # Array methods, not np.all/np.any: this runs once per replicate.
-            if not (times[0] > 0.0 and times[-1] <= self.horizon):
-                raise ValueError("event times must lie in (0, horizon]")
-            if not (times[1:] > times[:-1]).all():
-                raise ValueError("event times must be strictly increasing")
-            if not (sizes >= self.cutoff if self.cutoff > 0.0 else sizes > 0.0).all():
-                if not (sizes > 0.0).all():
-                    raise ValueError("jump sizes must be strictly positive")
-                raise ValueError("jump sizes must be >= cutoff")
         object.__setattr__(self, "_cum", np.cumsum(sizes))
 
     def __len__(self) -> int:
@@ -191,7 +204,8 @@ def _sample_jumps(
 
     Sorting and merging make the times strictly increase, inside (0, horizon];
     the sizes are eps times numbers >= 1.  Nothing here checks that: JumpPath
-    does, and a caller that builds none checks what it reads.
+    and the time-change kernel do (_check_jumps), and the ladder kernel
+    checks the sizes it reads.
     """
     if not (horizon > 0.0):
         raise ValueError(f"horizon must be positive, got {horizon}")

@@ -32,11 +32,13 @@ from .counterexample import (
     write_report_csv,
 )
 from .driver import (
+    JumpPath,
     SamplerIntegrityError,
     StableParams,
     _sample_jumps,
     extend_truncated_path,
-    sample_truncated_path,
+    levy_tail_mass,
+    sample_truncated_path,  # unused here: bench/spans.py looks it up in this module by name
     thin_path,  # unused here: bench/spans.py looks it up in this module by name
 )
 from .phi import MonotonePhi, parse_phi
@@ -152,6 +154,19 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"phi = {self.phi!r} violates the admissibility assumptions "
                     f"(continuous, non-decreasing, positive) of {self.experiment}"
+                )
+            # Expected jumps of a driver at the finest cutoff sampled, over the
+            # longest horizon sampled: eps/2 for the couple, 2T for time change.
+            eps = self.cutoffs[-1] / (2.0 if self.experiment == "uniqueness-couple" else 1.0)
+            sampled = self.horizon * (2.0 if self.experiment == "weak-agree" else 1.0)
+            try:
+                jumps = levy_tail_mass(StableParams.default(self.alpha), eps) * sampled
+            except OverflowError:
+                jumps = math.inf
+            if not jumps <= _EXTENSION_EVENTS:
+                raise ConfigError(
+                    f"cutoff {eps!r} gives about {jumps:.3g} jumps per driver on "
+                    f"[0, {sampled!r}], more than the {_EXTENSION_EVENTS} allowed per driver"
                 )
 
     def phi_object(self) -> MonotonePhi:
@@ -438,7 +453,8 @@ def _run_ladder_monotone(cfg: ExperimentConfig, out: Path):
 # A driver with more events than this is not extended again.  An extension
 # doubles the horizon and so about doubles the events, so a clock that all but
 # stops (a phi that grows very fast) gives up on a driver of about two million
-# events, where it would otherwise double them until memory runs out.
+# events, where it would otherwise double them until memory runs out.  A config
+# that expects more jumps than this per driver is a config error.
 _EXTENSION_EVENTS = 1 << 20
 
 
@@ -456,21 +472,25 @@ def _timechange_marginal(
     The driver is extended (never resampled) until its clock covers t_eval,
     which keeps the marginal law untouched: the extension is a stopping rule
     on one infinite jump stream.  A driver past _EXTENSION_EVENTS events, or
-    64 extensions, ends the search with a RuntimeError.
+    64 extensions, ends the search with a RuntimeError.  Each solve is one
+    solve_time_change call on the driver's arrays; only a driver that is
+    extended becomes a JumpPath.
     """
     horizon = initial_horizon
-    path = sample_truncated_path(params, horizon, eps, rng)
+    times, sizes = _sample_jumps(params, horizon, eps, rng)
     for _ in range(64):
-        solution, clock = solve_time_change(phi, x0, path, params.alpha)
-        if clock.total > t_eval:
-            return solution.value_at(t_eval)
-        if len(path) > _EXTENSION_EVENTS:
+        states, values = solve_time_change(phi, x0, times, sizes, horizon, eps, params.alpha)
+        n = sizes.size
+        if values[-1] > t_eval:
+            return states[values[1 : n + 1].searchsorted(t_eval, "right")]
+        if n > _EXTENSION_EVENTS:
             raise RuntimeError(
                 f"time-change clock failed to cover the evaluation time on a driver "
-                f"of {len(path)} events, past the {_EXTENSION_EVENTS} that may be extended"
+                f"of {n} events, past the {_EXTENSION_EVENTS} that may be extended"
             )
-        horizon *= 2.0
-        path = extend_truncated_path(params, path, horizon, rng)
+        path = JumpPath(horizon, times, sizes, eps)
+        path = extend_truncated_path(params, path, 2.0 * horizon, rng)
+        horizon, times, sizes = path.horizon, path.times, path.sizes
     raise RuntimeError(
         "time-change clock failed to cover the evaluation time after 64 extensions"
     )

@@ -8,9 +8,9 @@ reproducibility of every experiment.
 A replicate's generator is ``np.random.default_rng(seed)``, a PCG64 seeded
 through numpy's ``SeedSequence(seed)``.  ``replicate_rng`` builds one that
 way and is the reference.  ``replicate_rngs`` builds the generators of a
-whole range of replicates: it computes the four 64-bit words that
-``SeedSequence(seed).generate_state(4, np.uint64)`` would give for every
-seed in one vectorised pass, and hands each row to ``np.random.PCG64``,
+whole range of replicates: it derives every seed of the range, and the four
+64-bit words that ``SeedSequence(seed).generate_state(4, np.uint64)`` would
+give for each, in vectorised passes, and hands each row to ``np.random.PCG64``,
 which seeds itself from them.  Its generators have the same PCG64 states as
 ``replicate_rng``'s, but carry no ``SeedSequence``, so they cannot
 ``spawn``: a stream that spawns children takes its generator from
@@ -56,6 +56,37 @@ def derive_seed(master: int, replicate: int, tag: str = "") -> int:
     h = splitmix64(h ^ splitmix64(replicate & _MASK))
     h = splitmix64(h ^ _fold_tag(tag))
     return h
+
+
+# splitmix64 on uint64 arrays, every constant a np.uint64: under numpy 1.x a
+# np.uint64 combined with a Python int promotes to float64.
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+_S30, _S27, _S31 = np.uint64(30), np.uint64(27), np.uint64(31)
+
+
+def _splitmix64_array(x: np.ndarray) -> np.ndarray:
+    """splitmix64 of every word of a uint64 array, wrapping as the scalar form masks."""
+    z = x + _GOLDEN
+    z ^= z >> _S30
+    z *= _MIX1
+    z ^= z >> _S27
+    z *= _MIX2
+    z ^= z >> _S31
+    return z
+
+
+def _derive_seeds(master: int, replicates: range, tag: str = "") -> np.ndarray:
+    """derive_seed(master, r, tag) for every r of the range, as one uint64 array."""
+    index = np.arange(len(replicates), dtype=np.uint64)
+    index *= np.uint64(replicates.step & _MASK)
+    index += np.uint64(replicates.start & _MASK)
+    h = _splitmix64_array(index)
+    h ^= np.uint64(splitmix64(master & _MASK))
+    h = _splitmix64_array(h)
+    h ^= np.uint64(_fold_tag(tag))
+    return _splitmix64_array(h)
 
 
 def replicate_rng(master: int, replicate: int, tag: str = "") -> np.random.Generator:
@@ -119,8 +150,8 @@ def replicate_rngs(
 ) -> Iterator[np.random.Generator]:
     """A fresh generator per replicate of the range, in order.
 
-    Each has the PCG64 state of ``replicate_rng(master, r, tag)``; the seed
-    words of the whole range are computed in one pass when the first
+    Each has the PCG64 state of ``replicate_rng(master, r, tag)``; the seeds
+    and seed words of the whole range are computed in one pass when the first
     generator is drawn.  The generators cannot ``spawn``.
     """
     # Imported here: numpy.random stays unloaded until a stream is drawn.
@@ -138,6 +169,5 @@ def replicate_rngs(
                 raise ValueError("holds the 4 uint64 seed words of one PCG64 only")
             return self.words
 
-    seeds = (derive_seed(master, r, tag) for r in replicates)
-    for words in _seed_words(np.fromiter(seeds, np.uint64, len(replicates))):
+    for words in _seed_words(_derive_seeds(master, replicates, tag)):
         yield Generator(PCG64(Words(words)))

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import math
 import os
 import subprocess
 import sys
@@ -17,10 +18,10 @@ from stable_sde_lab import (
     ladder_violations,
     sample_truncated_path,
     solve_ladders,
-    solve_time_change,
     solve_truncated,
     sup_gap,
     thin_path,
+    time_change_path,
 )
 from stable_sde_lab import SamplerIntegrityError, cli, counterexample, driver, harness
 from stable_sde_lab.cli import main as cli_main
@@ -42,7 +43,13 @@ from stable_sde_lab.harness import (
     parse_config_text,
     run_experiment,
 )
-from stable_sde_lab.seeding import _seed_words, derive_seed, replicate_rng, replicate_rngs
+from stable_sde_lab.seeding import (
+    _derive_seeds,
+    _seed_words,
+    derive_seed,
+    replicate_rng,
+    replicate_rngs,
+)
 
 
 class TestDeriveSeed:
@@ -76,6 +83,34 @@ class TestDeriveSeed:
 
 
 _SEED64 = st.integers(0, 2**64 - 1)
+
+
+class TestDeriveSeeds:
+    """The seeds of a whole range in one pass are derive_seed's, bit for bit."""
+
+    @staticmethod
+    def assert_reference_seeds(master, replicates, tag):
+        seeds = _derive_seeds(master, replicates, tag)
+        assert seeds.dtype == np.uint64
+        assert seeds.tolist() == [derive_seed(master, r, tag) for r in replicates]
+
+    @pytest.mark.parametrize("master", [0, 1, 2**63, 2**64 - 2, 2**64 - 1])
+    @pytest.mark.parametrize(
+        "replicates",
+        [range(0), range(0, 100), range(7, 50), range(90, 3, -7), range(2**64 - 5, 2**64)],
+    )
+    def test_edges(self, master, replicates):
+        self.assert_reference_seeds(master, replicates, "weak-agree-timechange")
+
+    @given(
+        master=st.one_of(_SEED64, st.integers(2**64 - 2**10, 2**64 - 1)),
+        start=st.one_of(st.integers(0, 2**40), st.integers(2**64 - 2**10, 2**64 - 64)),
+        count=st.integers(0, 64),
+        tag=st.one_of(st.sampled_from(["", "ladder-driver"]), st.text(min_size=50, max_size=400)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_drawn_ranges(self, master, start, count, tag):
+        self.assert_reference_seeds(master, range(start, start + count), tag)
 
 
 class TestReplicateRngs:
@@ -223,6 +258,23 @@ class TestConfigParsing:
         for seed in (-1, 2**64, 2**64 + 1):
             with pytest.raises(ConfigError, match="seed must lie in"):
                 parse_config_text(f"experiment = weak-agree\nseed = {seed}\n")
+
+    @pytest.mark.parametrize(
+        "experiment, accepted",
+        [("ladder-monotone", True), ("weak-agree", False), ("uniqueness-couple", False)],
+    )
+    def test_jump_budget_counts_what_is_sampled(self, experiment, accepted):
+        # About 0.75 * 2**20 expected jumps on [0, 1] at this cutoff; the
+        # time-change drivers of weak-agree run on [0, 2], and the couple
+        # samples at eps/2, which at alpha = 1/2 gives sqrt(2) times as many.
+        params = StableParams.default(0.5)
+        eps = (0.75 * harness._EXTENSION_EVENTS / (params.c / params.alpha)) ** -2.0
+        text = f"experiment = {experiment}\nalpha = 0.5\nT = 1\ncutoffs = {eps!r}\n"
+        if accepted:
+            assert parse_config_text(text).cutoffs == (eps,)
+        else:
+            with pytest.raises(ConfigError, match="jumps per driver"):
+                parse_config_text(text)
 
     def test_counterexample_grid_steps_round_like_the_checks(self):
         # round(199 * 0.5) = round(99.5) = 100 steps, as the checks count them.
@@ -489,6 +541,8 @@ class TestExperiments:
     def test_couple_levels_are_not_halved_twice(self, monkeypatch):
         # The smallest eps whose half is positive: its half's half rounds to
         # 0, so the levels pass the config checks only as a ladder config.
+        # Its drivers would hold about 6e33 jumps, so the jump budget is lifted.
+        monkeypatch.setattr(harness, "_EXTENSION_EVENTS", math.inf)
         cfg = parse_config_text("experiment = uniqueness-couple\ncutoffs = 1e-323\n")
         solved = []
 
@@ -616,7 +670,7 @@ class TestTimeChangeSide:
             for r in range(cfg.replicates)
         ]
         assert sum(len(path) == 0 for path in drivers) == empty
-        totals = [solve_time_change(phi, cfg.x0, path, cfg.alpha)[1].total for path in drivers]
+        totals = [time_change_path(phi, cfg.x0, path, cfg.alpha)[1].total for path in drivers]
         assert sum(total <= cfg.horizon for total in totals) == extended
         want = np.array([scalar(r) for r in range(cfg.replicates)])
         assert got.tobytes() == want.tobytes()
@@ -753,6 +807,9 @@ class TestCLI:
             "experiment = uniqueness-couple\nphi = constant(-1)\n",
             # uniqueness-couple also solves at eps/2, which rounds to 0 here.
             "experiment = uniqueness-couple\ncutoffs = 5e-324\nreplicates = 2\n",
+            # More expected jumps per driver than the jump budget allows.
+            "experiment = ladder-monotone\ncutoffs = 1e-300\nreplicates = 1\n",
+            "experiment = ladder-monotone\ncutoffs = 1e-20\nreplicates = 1\n",
             # weak-agree would run only one of these cutoffs.
             "experiment = weak-agree\ncutoffs = 0.01, 0.001\nreplicates = 10\n",
             # The counterexample runs power(beta) from 0 and has no cutoffs.

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stable_sde_lab import (
     BEYOND_HORIZON,
@@ -9,8 +11,11 @@ from stable_sde_lab import (
     ConstantPhi,
     JumpPath,
     MonotonePhi,
+    PiecewiseLinearPhi,
     PowerPhi,
     ShiftedArctanPhi,
+    SoftRampPhi,
+    SolutionPath,
     StableParams,
     build_clock,
     build_forward_clock,
@@ -20,7 +25,9 @@ from stable_sde_lab import (
     sample_truncated_path,
     solve_time_change,
     solve_truncated,
+    time_change_path,
 )
+from stable_sde_lab.driver import _sample_jumps
 
 ARCTAN = ShiftedArctanPhi(2.0, 2.0 / math.pi)
 
@@ -148,6 +155,7 @@ class TestClockValidation:
             ([0.0, 1.0], [math.inf], [0.0, math.inf], "positive and finite"),
             ([0.0, 1.0], [math.nan], [0.0, 1.0], "positive and finite"),
             ([0.0, 1.0, 2.0], [1.0, 1.0], [0.0, 1.0, 2.0 + 1e-9], "replay tolerance"),
+            ([0.0, 1.0], [1.0], [0.0, math.nan], "replay tolerance"),
         ],
     )
     def test_names_what_is_broken(self, breakpoints, slopes, values, message):
@@ -170,14 +178,14 @@ class TestClockValidation:
 class TestSolveTimeChange:
     def test_unit_coefficient_is_identity_time_change(self):
         path = make_path([0.25, 0.75], [1.0, 2.0])
-        sol, clock = solve_time_change(ConstantPhi(1.0), 0.5, path, 0.5)
+        sol, clock = time_change_path(ConstantPhi(1.0), 0.5, path, 0.5)
         assert clock.total == 1.0
         for t in (0.1, 0.25, 0.8, 0.999):
             assert sol.value_at(t) == 0.5 + path.value_at(t)
 
     def test_single_jump_maps_to_clock_value(self):
         path = make_path([0.5], [1.0])
-        sol, clock = solve_time_change(ARCTAN, 0.0, path, 0.5)
+        sol, clock = time_change_path(ARCTAN, 0.0, path, 0.5)
         jump_time = 0.5 * 3.0**-0.5
         assert sol.times[0] == pytest.approx(jump_time, rel=1e-14)
         assert sol.value_at(sol.times[0]) == 1.0
@@ -189,7 +197,7 @@ class TestSolveTimeChange:
         # of the running value.
         params = StableParams.default(0.6)
         path = sample_truncated_path(params, 1.0, 0.02, np.random.default_rng(9))
-        sol, _ = solve_time_change(ARCTAN, 0.0, path, 0.6)
+        sol, _ = time_change_path(ARCTAN, 0.0, path, 0.6)
         gap = np.abs((sol.post_values - sol.pre_values) - path.sizes)
         assert np.all(gap <= 4.0 * np.spacing(sol.post_values))
 
@@ -198,7 +206,7 @@ class TestSolveTimeChange:
         # into a reconstruction of the same path: X must replay exactly.
         params = StableParams.default(0.6)
         path = sample_truncated_path(params, 1.0, 0.02, np.random.default_rng(10))
-        sol, clock = solve_time_change(ARCTAN, 0.25, path, 0.6)
+        sol, clock = time_change_path(ARCTAN, 0.25, path, 0.6)
         dv = (sol.post_values - sol.pre_values) / ARCTAN.eval(sol.pre_values)
         recovered = JumpPath(
             horizon=clock.total, times=sol.times, sizes=dv, cutoff=float(dv.min())
@@ -211,7 +219,7 @@ class TestSolveTimeChange:
         c, alpha = 3.0, 0.5
         params = StableParams.default(alpha)
         path = sample_truncated_path(params, 1.0, 0.02, np.random.default_rng(12))
-        sol, clock = solve_time_change(ConstantPhi(c), 0.0, path, alpha)
+        sol, clock = time_change_path(ConstantPhi(c), 0.0, path, alpha)
         rate = c**alpha
         for t in (0.1, 0.2, 0.3):
             if t < clock.total:
@@ -239,7 +247,140 @@ class TestRoundtrip:
     def test_forward_clock_inverts_backward_clock(self):
         params = StableParams.default(0.5)
         path = sample_truncated_path(params, 1.0, 0.02, np.random.default_rng(6))
-        sol, clock = solve_time_change(ARCTAN, 0.0, path, 0.5)
+        sol, clock = time_change_path(ARCTAN, 0.0, path, 0.5)
         forward = build_forward_clock(ARCTAN, sol, 0.5)
         assert np.allclose(forward.values, clock.breakpoints, rtol=0.0, atol=1e-12)
 
+
+
+def _reference_time_change(phi, x, driver, alpha):
+    """The per-replicate object path the kernel replaced: (SolutionPath, Clock)."""
+    states = x + np.concatenate(([0.0], driver.cumulative_sizes))
+    if not (0.0 < alpha < 1.0):
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    if not phi.assumption_ok:
+        raise ValueError(
+            f"{phi.describe()} violates the admissibility assumptions; "
+            "the clock would not be strictly increasing"
+        )
+    if not (driver.cutoff > 0.0):
+        raise ValueError("clock construction requires a finite-activity driver")
+    if driver.times.size and driver.times[-1] == driver.horizon:
+        breakpoints = np.concatenate(([0.0], driver.times))
+    else:
+        breakpoints = np.concatenate(([0.0], driver.times, [driver.horizon]))
+    slopes = np.atleast_1d(phi.eval(states[: breakpoints.size - 1]) ** -alpha)
+    values = np.zeros(breakpoints.size)
+    np.cumsum(slopes * (breakpoints[1:] - breakpoints[:-1]), out=values[1:])
+    clock = Clock(breakpoints=breakpoints, slopes=slopes, values=values)
+    n = len(driver)
+    solution = SolutionPath(
+        x0=float(x),
+        horizon=clock.total,
+        times=clock.values[1 : n + 1].copy(),
+        pre_values=states[:-1],
+        post_values=states[1:],
+    )
+    return solution, clock
+
+
+def _outcome(fn):
+    """fn's result, or the type and message of what it raised."""
+    try:
+        return fn()
+    except Exception as exc:  # noqa: BLE001 - the type is part of the outcome
+        return type(exc), str(exc)
+
+
+_POSITIVE = st.floats(0.05, 5.0)
+_PHIS = st.one_of(
+    st.builds(ConstantPhi, _POSITIVE),
+    st.builds(ShiftedArctanPhi, _POSITIVE, st.floats(0.0, 3.0)),
+    st.builds(SoftRampPhi, _POSITIVE, st.floats(0.0, 3.0)),
+    st.builds(
+        lambda x0, dx, y0, dy: PiecewiseLinearPhi((x0, x0 + dx), (y0, y0 + dy)),
+        st.floats(-3.0, 3.0),
+        st.floats(0.1, 4.0),
+        _POSITIVE,
+        st.floats(0.0, 3.0),
+    ),
+)
+
+
+class TestTimeChangeKernel:
+    """solve_time_change on arrays equals the object path it replaced, bit for bit."""
+
+    @given(
+        phi=_PHIS,
+        x=st.one_of(st.just(-0.0), st.just(0.0), st.floats(-5.0, 5.0)),
+        alpha=st.floats(0.05, 0.95),
+        horizon=st.floats(0.1, 4.0),
+        eps=st.floats(0.002, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.sampled_from(["sampled", "empty", "last-on-horizon"]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_object_path(self, phi, x, alpha, horizon, eps, seed, shape):
+        params = StableParams.default(alpha)
+        times, sizes = _sample_jumps(params, horizon, eps, np.random.default_rng(seed))
+        if shape == "empty":
+            times, sizes = times[:0], sizes[:0]
+        elif shape == "last-on-horizon" and times.size:
+            times[-1] = horizon
+        driver = JumpPath(horizon, times, sizes, eps)
+        want, clock = _reference_time_change(phi, x, driver, alpha)
+        states, values = solve_time_change(phi, x, times, sizes, horizon, eps, alpha)
+        assert states.tobytes() == want.states.tobytes()
+        assert values.tobytes() == clock.values.tobytes()
+        n = sizes.size
+        assert values.size == n + 1 + (shape != "last-on-horizon" or n == 0)
+        for t in np.linspace(0.0, clock.total, 9)[:-1]:
+            got = states[values[1 : n + 1].searchsorted(t, "right")]
+            assert np.float64(got).tobytes() == np.float64(want.value_at(t)).tobytes()
+        solution, path_clock = time_change_path(phi, x, driver, alpha)
+        assert solution.states.tobytes() == want.states.tobytes()
+        assert solution.times.tobytes() == want.times.tobytes()
+        assert path_clock.slopes.tobytes() == clock.slopes.tobytes()
+
+    def test_negative_zero_start_is_kept(self):
+        states, _ = solve_time_change(ARCTAN, -0.0, np.empty(0), np.empty(0), 1.0, 0.5, 0.5)
+        assert states.tobytes() == np.float64(-0.0).tobytes()
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.parametrize(
+        "phi, times, sizes, horizon, cutoff, alpha, message",
+        [
+            (ARCTAN, [0.5, 0.5], [1.0, 1.0], 1.0, 0.5, 0.5, "strictly increasing"),
+            (ARCTAN, [0.5, 0.25], [1.0, 1.0], 1.0, 0.5, 0.5, "strictly increasing"),
+            (ARCTAN, [0.0], [1.0], 1.0, 0.5, 0.5, "lie in (0, horizon]"),
+            (ARCTAN, [1.5], [1.0], 1.0, 0.5, 0.5, "lie in (0, horizon]"),
+            (ARCTAN, [math.nan], [1.0], 1.0, 0.5, 0.5, "lie in (0, horizon]"),
+            (ARCTAN, [0.5], [0.25], 1.0, 0.5, 0.5, "must be >= cutoff"),
+            (ARCTAN, [0.5], [-1.0], 1.0, 0.5, 0.5, "strictly positive"),
+            (ARCTAN, [0.5], [0.0], 1.0, 0.5, 0.5, "strictly positive"),
+            (ARCTAN, [0.5], [math.nan], 1.0, 0.5, 0.5, "strictly positive"),
+            (ARCTAN, [0.5], [1.0], 1.0, -0.5, 0.5, "cutoff must be >= 0"),
+            (ARCTAN, [0.5], [1.0], 0.0, 0.5, 0.5, "horizon must be positive"),
+            (ARCTAN, [0.5], [1.0], math.inf, 0.5, 0.5, "horizon must be positive"),
+            (ARCTAN, [0.5, 0.7], [1.0], 1.0, 0.5, 0.5, "equal length"),
+            (ARCTAN, [0.5], [1.0], 1.0, 0.5, 1.0, "alpha must lie in (0, 1)"),
+            (PowerPhi(0.5), [0.5], [1.0], 1.0, 0.5, 0.5, "admissibility"),
+            (ARCTAN, [0.5], [1.0], 1.0, 0.0, 0.5, "finite-activity driver"),
+            # phi overflows to inf after the jump, and inf**-alpha is a slope of 0.
+            (SoftRampPhi(1.0, 1e308), [0.5], [2.0], 1.0, 0.5, 0.5, "positive and finite"),
+        ],
+    )
+    def test_fails_as_the_object_path_fails(
+        self, phi, times, sizes, horizon, cutoff, alpha, message
+    ):
+        times, sizes = np.array(times), np.array(sizes)
+        want = _outcome(
+            lambda: _reference_time_change(
+                phi, 0.0, JumpPath(horizon, times, sizes, cutoff), alpha
+            )
+        )
+        got = _outcome(
+            lambda: solve_time_change(phi, 0.0, times, sizes, horizon, cutoff, alpha)
+        )
+        assert want[0] is ValueError and message in want[1]
+        assert got == want
