@@ -31,7 +31,6 @@ from .stats import KSReport, ks_two_sample
 from .timechange import (
     BEYOND_HORIZON,
     Clock,
-    build_clock,
     build_forward_clock,
     clock_eval,
     clock_roundtrip_residual,

@@ -46,7 +46,9 @@ from .seeding import derive_seed, replicate_rng, replicate_rngs
 from .stats import ks_two_sample
 from .timechange import solve_time_change
 from .truncation import (
+    OVERFLOW_GUARD,
     Ladder,
+    _check_cutoffs,
     build_ladder,
     ladder_violations,
     solve_ladders,
@@ -97,26 +99,27 @@ class ExperimentConfig:
                 f"unknown experiment {self.experiment!r}; choose from {tuple(_EXPERIMENTS)}"
             )
         # NaN passes every "must fail" comparison below, so test finiteness first.
-        floats = {
-            "x0": self.x0,
-            "T": self.horizon,
-            "ks_p_threshold": self.ks_p_threshold,
-            "couple_decay_max": self.couple_decay_max,
-            "min_coverage": self.min_coverage,
-        }
+        floats = {"x0": self.x0, "T": self.horizon}
         for key, value in (*floats.items(), *(("cutoffs", e) for e in self.cutoffs)):
             if not math.isfinite(value):
                 raise ConfigError(f"{key} must be finite, got {value}")
+        # Outside these ranges a threshold passes or fails its row whatever the
+        # samples.  Each test is the condition that must hold, so NaN fails it.
+        if not 0.0 < self.ks_p_threshold < 1.0:
+            raise ConfigError(f"ks_p_threshold must lie in (0, 1), got {self.ks_p_threshold}")
+        for key in ("couple_decay_max", "min_coverage"):
+            if not 0.0 < getattr(self, key) <= 1.0:
+                raise ConfigError(f"{key} must lie in (0, 1], got {getattr(self, key)}")
         if not (0.0 < self.alpha < 1.0):
             raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.beta is not None and not (0.0 < self.beta < 1.0):
             raise ConfigError(f"beta must lie in (0, 1), got {self.beta}")
         if self.horizon <= 0.0:
             raise ConfigError(f"T must be positive, got {self.horizon}")
-        if not self.cutoffs or any(e <= 0.0 for e in self.cutoffs):
-            raise ConfigError("cutoffs must be positive")
-        if any(b >= a for a, b in zip(self.cutoffs, self.cutoffs[1:])):
-            raise ConfigError("cutoffs must be strictly decreasing")
+        try:
+            _check_cutoffs(self.cutoffs)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if self.replicates < 1:
             raise ConfigError("replicates must be >= 1")
         # Seeds are 64-bit words: a seed outside them would alias one inside.
@@ -147,13 +150,15 @@ class ExperimentConfig:
                 )
         else:
             try:
-                phi = self.phi_object()
+                self.phi_object().require_admissible(
+                    f"{self.experiment} needs it continuous, non-decreasing and positive"
+                )
             except ValueError as exc:
                 raise ConfigError(f"phi = {self.phi!r}: {exc}") from exc
-            if not phi.assumption_ok:
+            # From above the guard, the solvers' clamp would break the ladder.
+            if self.x0 > OVERFLOW_GUARD:
                 raise ConfigError(
-                    f"phi = {self.phi!r} violates the admissibility assumptions "
-                    f"(continuous, non-decreasing, positive) of {self.experiment}"
+                    f"x0 must be at most the overflow guard {OVERFLOW_GUARD:g}, got {self.x0!r}"
                 )
             # Expected jumps of a driver at the finest cutoff sampled, over the
             # longest horizon sampled: eps/2 for the couple, 2T for time change.
@@ -479,7 +484,7 @@ def _timechange_marginal(
     horizon = initial_horizon
     times, sizes = _sample_jumps(params, horizon, eps, rng)
     for _ in range(64):
-        states, values = solve_time_change(phi, x0, times, sizes, horizon, eps, params.alpha)
+        states, _, _, values = solve_time_change(phi, x0, times, sizes, horizon, eps, params.alpha)
         n = sizes.size
         if values[-1] > t_eval:
             return states[values[1 : n + 1].searchsorted(t_eval, "right")]

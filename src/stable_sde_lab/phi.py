@@ -32,6 +32,13 @@ class MonotonePhi:
     # under which the truncation and time-change constructions apply.
     assumption_ok: bool = True
 
+    def require_admissible(self, consequence: str) -> None:
+        """Raise ValueError unless assumption_ok; consequence says what would break."""
+        if not self.assumption_ok:
+            raise ValueError(
+                f"{self.describe()} violates the admissibility assumptions; {consequence}"
+            )
+
     def eval(self, x):
         raise NotImplementedError
 

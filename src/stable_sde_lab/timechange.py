@@ -7,8 +7,8 @@ solution is X_t = x + W at the right inverse of B, defined on [0, B(T));
 beyond B(T) the finite simulation cannot speak and a sentinel is returned.
 
 ``solve_time_change`` is the kernel: one driver's arrays in, the states and
-clock values out, with no object built.  ``time_change_path`` wraps it for a
-JumpPath and returns a SolutionPath and its Clock.
+the checked clock out, with no object built.  ``time_change_path`` wraps it
+for a JumpPath and returns a SolutionPath and its Clock.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .truncation import SolutionPath
 __all__ = [
     "Clock",
     "BEYOND_HORIZON",
-    "build_clock",
     "build_forward_clock",
     "invert_clock",
     "clock_eval",
@@ -121,25 +120,21 @@ def solve_time_change(
     horizon: float,
     cutoff: float,
     alpha: float,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Weak solution X_t = x + W at the inverted clock, on one driver's arrays.
 
     The driver has jumps ``sizes`` at ``times`` on [0, horizon], truncated at
     ``cutoff``; they are checked as JumpPath checks them, and the clock as
     Clock checks it.  Returns ``states``, x + W at time 0 and after each of
-    the n events, and ``values``, the clock B at 0, at each event and at the
-    horizon (one entry fewer when the last event sits on it).  The solution
-    jumps at the clock values of the events, so X at t < values[-1] is
-    ``states[values[1:n+1].searchsorted(t, "right")]``.
+    the n events, then the clock's ``breakpoints`` (0, each event and the
+    horizon, unless the last event sits on it), ``slopes`` and ``values``.
+    The solution jumps at the clock values of the events, so X at
+    t < values[-1] is ``states[values[1:n+1].searchsorted(t, "right")]``.
     """
     times, sizes = _check_jumps(horizon, times, sizes, cutoff)
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    if not phi.assumption_ok:
-        raise ValueError(
-            f"{phi.describe()} violates the admissibility assumptions; "
-            "the clock would not be strictly increasing"
-        )
+    phi.require_admissible("the clock would not be strictly increasing")
     if not (cutoff > 0.0):
         raise ValueError("clock construction requires a finite-activity driver")
     # x + W after each event is x plus the running sum, as x + cumsum(sizes)
@@ -151,7 +146,7 @@ def solve_time_change(
     breakpoints = _breakpoints(times, horizon)
     slopes, values = _clock(phi, states, breakpoints, -alpha)
     _check_clock(breakpoints, slopes, values)
-    return states, values
+    return states, breakpoints, slopes, values
 
 
 def time_change_path(
@@ -159,31 +154,18 @@ def time_change_path(
 ) -> tuple[SolutionPath, Clock]:
     """solve_time_change on a JumpPath: the solution on [0, B(T)) and its clock.
 
-    Driver jumps at u_i map to solution jumps at B(u_i); between them the
-    state is constant, so the solution path is returned together with the
-    clock that defines its (finite) horizon.
+    Driver jumps at u_i map to solution jumps at B(u_i), between which the
+    state is constant; the clock's total is the solution's horizon.
     """
-    times, horizon = driver.times, driver.horizon
-    states, values = solve_time_change(
-        phi, x, times, driver.sizes, horizon, driver.cutoff, alpha
+    states, breakpoints, slopes, values = solve_time_change(
+        phi, x, driver.times, driver.sizes, driver.horizon, driver.cutoff, alpha
     )
-    breakpoints = _breakpoints(times, horizon)
-    slopes, _ = _clock(phi, states, breakpoints, -alpha)  # the kernel's slopes
     clock = Clock(breakpoints=breakpoints, slopes=slopes, values=values)
     n = len(driver)
     solution = SolutionPath(
-        x0=float(x),
-        horizon=clock.total,
-        times=values[1 : n + 1].copy(),
-        pre_values=states[:-1],
-        post_values=states[1:],
+        x0=float(x), horizon=clock.total, times=values[1 : n + 1].copy(), post_values=states[1:]
     )
     return solution, clock
-
-
-def build_clock(phi: MonotonePhi, x: float, driver: JumpPath, alpha: float) -> Clock:
-    """Clock on the driver timeline with integrand phi(x + W_s)**(-alpha)."""
-    return time_change_path(phi, x, driver, alpha)[1]
 
 
 def build_forward_clock(phi: MonotonePhi, solution: SolutionPath, alpha: float) -> Clock:

@@ -30,33 +30,50 @@ __all__ = [
 OVERFLOW_GUARD = 1e300
 
 
+def _require_solvable(phi: MonotonePhi, x0: float) -> None:
+    """Both solvers' checks: an admissible phi, and x0 at most OVERFLOW_GUARD."""
+    phi.require_admissible("degenerate coefficients are only accepted by the counterexample lab")
+    # From above the guard, its clamp would drop a level that jumps below one that does not.
+    if not x0 <= OVERFLOW_GUARD:
+        raise ValueError(f"x0 must be at most the overflow guard {OVERFLOW_GUARD:g}, got {x0!r}")
+
+
+def _check_cutoffs(cutoffs) -> np.ndarray:
+    """The cutoffs as a float array, checked positive and strictly decreasing (NaN fails)."""
+    cuts = np.asarray(cutoffs, dtype=float)
+    if cuts.ndim != 1 or not cuts.size or not np.all(cuts > 0.0):
+        raise ValueError("cutoffs must be positive")
+    if not np.all(cuts[1:] < cuts[:-1]):
+        raise ValueError("cutoffs must be strictly decreasing")
+    return cuts
+
+
 @dataclass(frozen=True)
 class SolutionPath:
     """Piecewise-constant solution: initial value plus an event log.
 
-    Each event stores (time, pre-jump value, post-jump value); the post value
-    is reconstructible as pre + phi(pre) * dz given the driving path.
+    ``states`` is x0 followed by the post-jump values: the state on each
+    interval.  Event i at times[i] moves it from pre_values[i] to
+    post_values[i] = pre + phi(pre) * dz, both views of ``states``.
     """
 
     x0: float
     horizon: float
     times: np.ndarray
-    pre_values: np.ndarray
     post_values: np.ndarray
     guard_hits: int = 0
-    _states: np.ndarray = field(init=False, repr=False, compare=False)
+    states: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         times = np.asarray(self.times, dtype=float)
-        pre = np.asarray(self.pre_values, dtype=float)
         post = np.asarray(self.post_values, dtype=float)
-        for name, arr in (("times", times), ("pre_values", pre), ("post_values", post)):
-            object.__setattr__(self, name, arr)
-        if not (times.shape == pre.shape == post.shape) or times.ndim != 1:
+        if times.shape != post.shape or times.ndim != 1:
             raise ValueError("event columns must be 1-d arrays of equal length")
         if (times[1:] < times[:-1]).any():
             raise ValueError("event times must be ordered")
-        object.__setattr__(self, "_states", np.concatenate(([self.x0], post)))
+        states = np.concatenate(([self.x0], post))
+        for name, arr in (("times", times), ("post_values", states[1:]), ("states", states)):
+            object.__setattr__(self, name, arr)
 
     def __len__(self) -> int:
         return int(self.times.size)
@@ -66,21 +83,20 @@ class SolutionPath:
         if t < 0.0 or t > self.horizon:
             raise ValueError(f"t={t} outside [0, {self.horizon}]")
         idx = int(np.searchsorted(self.times, t, side="right"))
-        return float(self._states[idx])
+        return float(self.states[idx])
 
     def values_at(self, ts: np.ndarray) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
         idx = np.searchsorted(self.times, ts, side="right")
-        return self._states[idx]
+        return self.states[idx]
 
     @property
     def final(self) -> float:
-        return float(self._states[-1])
+        return float(self.states[-1])
 
     @property
-    def states(self) -> np.ndarray:
-        """x0 followed by the post-jump values: the state on each interval."""
-        return self._states
+    def pre_values(self) -> np.ndarray:
+        return self.states[:-1]
 
     def write_csv(self, path) -> None:
         """Header ``t,x_pre,x_post``, 17 significant digits."""
@@ -101,8 +117,7 @@ class Ladder:
     def __post_init__(self) -> None:
         if len(self.cutoffs) != len(self.solutions) or not self.cutoffs:
             raise ValueError("ladder needs one solution per cutoff")
-        if any(b >= a for a, b in zip(self.cutoffs, self.cutoffs[1:])):
-            raise ValueError("ladder cutoffs must be strictly decreasing")
+        _check_cutoffs(self.cutoffs)
         if self.base.cutoff > min(self.cutoffs):
             raise ValueError("base path must be sampled at the finest cutoff")
 
@@ -117,22 +132,15 @@ def solve_truncated(
     Requires an admissible phi (positive families only; the power family
     belongs to the counterexample lab) and a finite-activity driver
     (cutoff > 0).  States above OVERFLOW_GUARD are clamped and counted
-    instead of asserting non-explosion.
+    instead of asserting non-explosion; x0 must not exceed it.
     """
-    if not phi.assumption_ok:
-        raise ValueError(
-            f"{phi.describe()} violates the admissibility assumptions; "
-            "degenerate coefficients are only accepted by the counterexample lab"
-        )
+    _require_solvable(phi, x0)
     if not (driver.cutoff > 0.0):
         raise ValueError("solver requires a finite-activity (truncated) driver")
-    n = len(driver)
-    pre = np.empty(n)
-    post = np.empty(n)
+    post = np.empty(len(driver))
     guard_hits = 0
     x = float(x0)
     for i, dz in enumerate(driver.sizes.tolist()):
-        pre[i] = x
         speed = float(phi.eval(x))
         if not math.isfinite(speed):
             raise FloatingPointError(
@@ -147,7 +155,6 @@ def solve_truncated(
         x0=float(x0),
         horizon=driver.horizon,
         times=driver.times.copy(),
-        pre_values=pre,
         post_values=post,
         guard_hits=guard_hits,
     )
@@ -182,16 +189,8 @@ def solve_ladders(
     A non-finite phi where a level takes a jump raises FloatingPointError
     naming the first such path in input order.
     """
-    if not phi.assumption_ok:
-        raise ValueError(
-            f"{phi.describe()} violates the admissibility assumptions; "
-            "degenerate coefficients are only accepted by the counterexample lab"
-        )
-    cuts = np.asarray(cutoffs, dtype=float)
-    if cuts.ndim != 1 or not cuts.size or not np.all(cuts > 0.0):
-        raise ValueError("cutoffs must be positive")
-    if np.any(np.diff(cuts) >= 0.0):
-        raise ValueError("cutoffs must be strictly decreasing")
+    _require_solvable(phi, x0)
+    cuts = _check_cutoffs(cutoffs)
     sizes = np.asarray(sizes, dtype=float)
     offsets = np.asarray(offsets, dtype=np.intp)
     lengths = np.diff(offsets)
@@ -258,11 +257,7 @@ def build_ladder(
     rng: np.random.Generator,
 ) -> Ladder:
     """Sample one path at the finest cutoff and solve every thinning of it."""
-    cutoffs = tuple(float(e) for e in cutoffs)
-    if not cutoffs or any(e <= 0.0 for e in cutoffs):
-        raise ValueError("cutoffs must be positive")
-    if any(b >= a for a, b in zip(cutoffs, cutoffs[1:])):
-        raise ValueError("cutoffs must be strictly decreasing")
+    cutoffs = tuple(_check_cutoffs(cutoffs).tolist())
     base = sample_truncated_path(params, horizon, cutoffs[-1], rng)
     solutions = tuple(
         solve_truncated(phi, x0, thin_path(base, eps)) for eps in cutoffs

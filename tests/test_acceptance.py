@@ -19,7 +19,6 @@ from stable_sde_lab import (
     ConstantPhi,
     ShiftedArctanPhi,
     StableParams,
-    build_clock,
     build_ladder,
     clock_roundtrip_residual,
     coupled_pair_distance,
@@ -32,6 +31,7 @@ from stable_sde_lab import (
     sample_truncated_path,
     scaling_law_check,
     solve_truncated,
+    time_change_path,
 )
 from stable_sde_lab.harness import load_config, parse_config_text, run_experiment
 from stable_sde_lab.seeding import replicate_rng
@@ -166,12 +166,12 @@ def test_c05_clock_identities():
 
     params = StableParams.default(0.5)
     path = sample_truncated_path(params, 1.0, 0.01, np.random.default_rng(5))
-    clock = build_clock(ARCTAN, 0.0, path, 0.5)
+    clock = time_change_path(ARCTAN, 0.0, path, 0.5)[1]
     exact_at_breakpoints = all(
         invert_clock(clock, float(v)) == float(u)
         for u, v in zip(clock.breakpoints[:-1], clock.values[:-1])
     )
-    unit = build_clock(ConstantPhi(1.0), 0.0, path, 0.5)
+    unit = time_change_path(ConstantPhi(1.0), 0.0, path, 0.5)[1]
     unit_bitlevel = all(invert_clock(unit, t) == t for t in np.linspace(0.0, 0.999, 333))
 
     ok = residual_ok and exact_at_breakpoints and unit_bitlevel

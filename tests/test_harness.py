@@ -211,6 +211,14 @@ class TestConfigParsing:
         assert cfg.replicates == 64
         assert cfg.horizon == 2.0
 
+    def test_range_edges_are_valid(self):
+        # x0 may sit on the overflow guard; a coverage or a decay ratio of 1 can be met.
+        assert parse_config_text("experiment = ladder-monotone\nx0 = 1e300\n").x0 == 1e300
+        cfg = parse_config_text("experiment = uniqueness-couple\ncouple_decay_max = 1\n")
+        assert cfg.couple_decay_max == 1.0
+        cfg = parse_config_text("experiment = counterexample\nmin_coverage = 1\n")
+        assert cfg.min_coverage == 1.0
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config key"):
             parse_config_text("experiment = weak-agree\nalpa = 0.5\n")
@@ -839,6 +847,21 @@ class TestCLI:
             "experiment = weak-agree\nks_p_threshold = nan\nreplicates = 10\n",
             "experiment = uniqueness-couple\ncouple_decay_max = nan\n",
             "experiment = counterexample\nmin_coverage = inf\n",
+            # The solvers clamp states above the overflow guard, so a start
+            # above it breaks the ladder and the law of X.
+            "experiment = ladder-monotone\nx0 = 1e301\nreplicates = 50\n",
+            "experiment = strong-construct\nx0 = 1e308\nreplicates = 2\n",
+            "experiment = weak-agree\nx0 = 1e301\nreplicates = 300\n",
+            "experiment = uniqueness-couple\nx0 = 1e301\n",
+            # A threshold outside its range decides its row whatever the samples.
+            "experiment = counterexample\ngrid_m = 100\nT = 1\nks_p_threshold = -1\n"
+            "min_coverage = -5\n",
+            "experiment = counterexample\nks_p_threshold = 1\n",
+            "experiment = weak-agree\nks_p_threshold = 2\nreplicates = 10\n",
+            "experiment = weak-agree\nks_p_threshold = 0\nreplicates = 10\n",
+            "experiment = uniqueness-couple\ncouple_decay_max = -3\n",
+            "experiment = uniqueness-couple\ncouple_decay_max = 0\n",
+            "experiment = counterexample\nmin_coverage = 1.5\n",
         ],
     )
     def test_inadmissible_config_exits_3(self, tmp_path, text):

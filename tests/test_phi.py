@@ -11,8 +11,13 @@ from stable_sde_lab import (
     PowerPhi,
     ShiftedArctanPhi,
     SoftRampPhi,
+    parse_config_text,
     parse_phi,
+    solve_ladders,
+    solve_time_change,
+    solve_truncated,
 )
+from stable_sde_lab.driver import JumpPath
 
 ADMISSIBLE = [
     ConstantPhi(1.0),
@@ -30,6 +35,43 @@ class TestValidation:
         # Continuous and non-decreasing, but it vanishes at 0.
         assert not PowerPhi(0.5).assumption_ok
         assert PowerPhi(0.5).eval(0.0) == 0.0
+
+    @pytest.mark.parametrize(
+        "gate, message",
+        [
+            (
+                lambda phi: solve_truncated(phi, 0.0, JumpPath(1.0, [0.5], [1.0], 0.5)),
+                "power(0.5) violates the admissibility assumptions; "
+                "degenerate coefficients are only accepted by the counterexample lab",
+            ),
+            (
+                lambda phi: solve_ladders(phi, 0.0, [1.0], [0, 1], [0.5]),
+                "power(0.5) violates the admissibility assumptions; "
+                "degenerate coefficients are only accepted by the counterexample lab",
+            ),
+            (
+                lambda phi: solve_time_change(
+                    phi, 0.0, np.array([0.5]), np.array([1.0]), 1.0, 0.5, 0.5
+                ),
+                "power(0.5) violates the admissibility assumptions; "
+                "the clock would not be strictly increasing",
+            ),
+            (
+                lambda phi: parse_config_text(f"experiment = weak-agree\nphi = {phi.describe()}\n"),
+                "phi = 'power(0.5)': power(0.5) violates the admissibility assumptions; "
+                "weak-agree needs it continuous, non-decreasing and positive",
+            ),
+        ],
+        ids=["solve_truncated", "solve_ladders", "solve_time_change", "config"],
+    )
+    def test_every_gate_raises_the_admissibility_message(self, gate, message):
+        with pytest.raises(ValueError) as info:
+            gate(PowerPhi(0.5))
+        assert str(info.value) == message
+
+    def test_admissible_families_pass_the_gate(self):
+        for phi in ADMISSIBLE:
+            phi.require_admissible("not raised")
 
     def test_decreasing_knots_rejected(self):
         with pytest.raises(ValueError):

@@ -17,7 +17,6 @@ from stable_sde_lab import (
     SoftRampPhi,
     SolutionPath,
     StableParams,
-    build_clock,
     build_forward_clock,
     clock_eval,
     clock_roundtrip_residual,
@@ -42,13 +41,15 @@ def make_path(times, sizes, horizon=1.0, cutoff=0.5):
 
 
 def single_jump_clock():
-    return build_clock(ARCTAN, 0.0, make_path([0.5], [1.0]), 0.5)
+    return time_change_path(ARCTAN, 0.0, make_path([0.5], [1.0]), 0.5)[1]
 
 
 class TestBuildClock:
+    """The clock that time_change_path builds on the driver timeline."""
+
     def test_unit_coefficient_gives_identity_clock(self):
         path = make_path([0.25, 0.75], [1.0, 2.0])
-        clock = build_clock(ConstantPhi(1.0), 0.0, path, 0.5)
+        clock = time_change_path(ConstantPhi(1.0), 0.0, path, 0.5)[1]
         assert np.all(clock.slopes == 1.0)
         assert clock.total == 1.0
         for t in (0.1, 0.3, 0.9):
@@ -63,7 +64,7 @@ class TestBuildClock:
         assert clock.values[1] == pytest.approx(0.5 * 3.0**-0.5, rel=1e-14)
 
     def test_empty_driver_single_segment(self):
-        clock = build_clock(ARCTAN, 1.0, make_path([], []), 0.5)
+        clock = time_change_path(ARCTAN, 1.0, make_path([], []), 0.5)[1]
         phi_at_x = ARCTAN.eval(1.0)
         assert clock.breakpoints.tolist() == [0.0, 1.0]
         assert clock.total == pytest.approx(phi_at_x**-0.5, rel=1e-14)
@@ -71,7 +72,7 @@ class TestBuildClock:
     def test_slopes_strictly_positive(self):
         params = StableParams.default(0.7)
         path = sample_truncated_path(params, 1.0, 0.01, np.random.default_rng(0))
-        clock = build_clock(ARCTAN, 0.0, path, 0.7)
+        clock = time_change_path(ARCTAN, 0.0, path, 0.7)[1]
         assert np.all(clock.slopes > 0.0)
 
     @pytest.mark.filterwarnings("ignore:divide by zero")
@@ -88,20 +89,20 @@ class TestBuildClock:
                 return "vanishing"
 
         with pytest.raises(ValueError, match="slopes must be positive and finite"):
-            build_clock(VanishingPhi(), 0.0, make_path([0.5], [1.0]), 0.5)
+            time_change_path(VanishingPhi(), 0.0, make_path([0.5], [1.0]), 0.5)
 
     def test_rejects_degenerate_phi(self):
         with pytest.raises(ValueError):
-            build_clock(PowerPhi(0.5), 0.0, make_path([0.5], [1.0]), 0.5)
+            time_change_path(PowerPhi(0.5), 0.0, make_path([0.5], [1.0]), 0.5)
 
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError):
-            build_clock(ARCTAN, 0.0, make_path([0.5], [1.0]), 1.0)
+            time_change_path(ARCTAN, 0.0, make_path([0.5], [1.0]), 1.0)
 
 
 class TestInvertClock:
     def test_identity_clock_inverts_bitwise(self):
-        clock = build_clock(ConstantPhi(1.0), 0.0, make_path([0.5], [1.0]), 0.5)
+        clock = time_change_path(ConstantPhi(1.0), 0.0, make_path([0.5], [1.0]), 0.5)[1]
         for t in (0.0, 0.125, 0.3, 0.99999):
             assert invert_clock(clock, t) == t
 
@@ -278,7 +279,6 @@ def _reference_time_change(phi, x, driver, alpha):
         x0=float(x),
         horizon=clock.total,
         times=clock.values[1 : n + 1].copy(),
-        pre_values=states[:-1],
         post_values=states[1:],
     )
     return solution, clock
@@ -329,8 +329,12 @@ class TestTimeChangeKernel:
             times[-1] = horizon
         driver = JumpPath(horizon, times, sizes, eps)
         want, clock = _reference_time_change(phi, x, driver, alpha)
-        states, values = solve_time_change(phi, x, times, sizes, horizon, eps, alpha)
+        states, breakpoints, slopes, values = solve_time_change(
+            phi, x, times, sizes, horizon, eps, alpha
+        )
         assert states.tobytes() == want.states.tobytes()
+        assert breakpoints.tobytes() == clock.breakpoints.tobytes()
+        assert slopes.tobytes() == clock.slopes.tobytes()
         assert values.tobytes() == clock.values.tobytes()
         n = sizes.size
         assert values.size == n + 1 + (shape != "last-on-horizon" or n == 0)
@@ -343,7 +347,7 @@ class TestTimeChangeKernel:
         assert path_clock.slopes.tobytes() == clock.slopes.tobytes()
 
     def test_negative_zero_start_is_kept(self):
-        states, _ = solve_time_change(ARCTAN, -0.0, np.empty(0), np.empty(0), 1.0, 0.5, 0.5)
+        states = solve_time_change(ARCTAN, -0.0, np.empty(0), np.empty(0), 1.0, 0.5, 0.5)[0]
         assert states.tobytes() == np.float64(-0.0).tobytes()
 
     @pytest.mark.filterwarnings("ignore:overflow")

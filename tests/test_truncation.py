@@ -95,6 +95,23 @@ class TestSolveTruncated:
         assert sol.guard_hits >= 1
         assert sol.final <= 1e300
 
+    def test_start_above_the_guard_is_rejected(self):
+        # Clamped to the guard, a level that takes a jump from above it would
+        # fall below a level that does not.  At the guard every level stays put.
+        for solve in (
+            lambda x0: solve_truncated(ARCTAN, x0, make_path([0.5], [1.0])),
+            lambda x0: solve_ladders(ARCTAN, x0, [1.0], [0, 1], [0.1]),
+        ):
+            for x0 in (1e301, math.inf, math.nan):
+                with pytest.raises(ValueError, match="at most the overflow guard"):
+                    solve(x0)
+            solve(1e300)
+        final, guard, violations, _ = solve_ladders(
+            ARCTAN, 1e300, [1e290, 0.05, 1e290], [0, 3], [0.1, 0.01]
+        )
+        assert final.tolist() == [[1e300, 1e300]]
+        assert guard.tolist() == [[2, 2]] and violations.tolist() == [0]
+
     def test_replay_is_bit_identical(self):
         params = StableParams.default(0.7)
         path = sample_truncated_path(params, 1.0, 0.01, np.random.default_rng(5))
@@ -165,6 +182,27 @@ class TestLadder:
             build_ladder(ARCTAN, 0.0, params, 1.0, [0.01, 0.1], np.random.default_rng(0))
         with pytest.raises(ValueError):
             build_ladder(ARCTAN, 0.0, params, 1.0, [0.1, -0.01], np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "cutoffs, message",
+        [
+            ([], "cutoffs must be positive"),
+            ([0.1, 0.0], "cutoffs must be positive"),
+            ([0.1, math.nan], "cutoffs must be positive"),
+            ([math.nan, 0.1], "cutoffs must be positive"),
+            ([0.01, 0.1], "cutoffs must be strictly decreasing"),
+            ([0.1, 0.1], "cutoffs must be strictly decreasing"),
+        ],
+    )
+    def test_both_ladder_solvers_reject_bad_cutoffs_alike(self, cutoffs, message):
+        params = StableParams.default(0.5)
+        for solve in (
+            lambda: build_ladder(ARCTAN, 0.0, params, 1.0, cutoffs, np.random.default_rng(0)),
+            lambda: solve_ladders(ARCTAN, 0.0, [1.0], [0, 1], cutoffs),
+        ):
+            with pytest.raises(ValueError) as info:
+                solve()
+            assert str(info.value) == message
 
 
 class TestCoupledPairDistance:
