@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import statistics
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -127,7 +127,11 @@ class ExperimentConfig:
             raise ConfigError(f"seed must lie in 0 ... 2**64 - 1, got {self.seed}")
         if self.grid_m < 100:
             raise ConfigError("grid_m must be >= 100")
-        if self.experiment == "uniqueness-couple" and not self.cutoffs[-1] / 2.0 > 0.0:
+        # The levels the ladder runners sample and solve, finest last.  Only
+        # the couple's eps/2 can round to 0: the cutoffs are checked positive.
+        couple = self.experiment == "uniqueness-couple"
+        levels = _couple_levels(self.cutoffs)[0] if couple else self.cutoffs
+        if not levels[-1] > 0.0:
             raise ConfigError(f"uniqueness-couple needs eps/2 > 0, got eps = {self.cutoffs[-1]!r}")
         if self.experiment == "weak-agree" and len(self.cutoffs) > 1:
             raise ConfigError(
@@ -160,10 +164,10 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"x0 must be at most the overflow guard {OVERFLOW_GUARD:g}, got {self.x0!r}"
                 )
-            # Expected jumps of a driver at the finest cutoff sampled, over the
-            # longest horizon sampled: eps/2 for the couple, 2T for time change.
-            eps = self.cutoffs[-1] / (2.0 if self.experiment == "uniqueness-couple" else 1.0)
-            sampled = self.horizon * (2.0 if self.experiment == "weak-agree" else 1.0)
+            # Expected jumps of a driver at the finest level sampled, over the
+            # longest span sampled: the time-change drivers' for weak-agree.
+            eps = levels[-1]
+            sampled = self.horizon * (_TIMECHANGE_SPAN if self.experiment == "weak-agree" else 1.0)
             try:
                 jumps = levy_tail_mass(StableParams.default(self.alpha), eps) * sampled
             except OverflowError:
@@ -256,10 +260,6 @@ class ExperimentResult:
     exit_code: int
     artifacts: tuple[str, ...]
 
-    @property
-    def passed(self) -> bool:
-        return self.exit_code == EXIT_PASS
-
 
 def _exit_code(rows: tuple[SummaryRow, ...]) -> int:
     if any(r.kind == "invariant" and not r.passed for r in rows):
@@ -295,29 +295,29 @@ def _replicate_error(exc: Exception, cfg: ExperimentConfig, replicate: int, tag:
 
 
 def _solve_replicate_ladders(
-    cfg: ExperimentConfig, tag: str, pairs=()
+    cfg: ExperimentConfig, tag: str, levels: tuple[float, ...], pairs=()
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Final states, guard hits, ladder violations and pair gaps of every replicate.
 
-    Replicate r's base path is sampled at the finest cutoff from its own
-    stream (master seed, r, tag), and blocks of replicates, in replicate
-    order and up to _BLOCK_JUMPS jumps each, are solved at every cutoff by
-    one solve_ladders call.  The solve reads only the jump sizes, which it
-    checks; the times are dropped as they are drawn.  A failure names the
-    first replicate that fails and its derived seed.
+    Replicate r's base path is sampled at the finest of the decreasing
+    ``levels`` from its own stream (master seed, r, tag), and blocks of
+    replicates, in replicate order and up to _BLOCK_JUMPS jumps each, are
+    solved at every level by one solve_ladders call.  The solve reads only
+    the jump sizes, which it checks; the times are dropped as they are drawn.
+    A failure names the first replicate that fails and its derived seed.
     """
     phi = cfg.phi_object()
     params = StableParams.default(cfg.alpha)
 
     def solve(first: int, sizes: np.ndarray, offsets) -> tuple[np.ndarray, ...]:
         try:
-            return solve_ladders(phi, cfg.x0, sizes, offsets, cfg.cutoffs, pairs)
+            return solve_ladders(phi, cfg.x0, sizes, offsets, levels, pairs)
         except FloatingPointError:
             # The block stops at the first event rank where a path fails, which
             # need not be its first failing replicate: solve them one at a time.
             for j, (a, b) in enumerate(zip(offsets, offsets[1:])):
                 try:
-                    solve_ladders(phi, cfg.x0, sizes[a:b], [0, b - a], cfg.cutoffs, pairs)
+                    solve_ladders(phi, cfg.x0, sizes[a:b], [0, b - a], levels, pairs)
                 except FloatingPointError as exc:
                     raise _replicate_error(exc, cfg, first + j, tag) from exc
             raise  # a path fails alone as it fails in its block: not reached
@@ -326,7 +326,7 @@ def _solve_replicate_ladders(
     buffer = np.empty(_BLOCK_JUMPS)
     first, offsets = 0, [0]  # the open block: its first replicate, its paths in buffer
     for r, rng in enumerate(replicate_rngs(cfg.seed, range(cfg.replicates), tag)):
-        sizes = _sample_jumps(params, cfg.horizon, cfg.cutoffs[-1], rng)[1]
+        sizes = _sample_jumps(params, cfg.horizon, levels[-1], rng)[1]
         end = offsets[-1] + sizes.size
         if end > _BLOCK_JUMPS:
             if r > first:
@@ -341,17 +341,6 @@ def _solve_replicate_ladders(
     if cfg.replicates > first:
         blocks.append(solve(first, buffer[: offsets[-1]], offsets))
     return tuple(np.concatenate(parts) for parts in zip(*blocks))
-
-
-def _violation_detail(cfg: ExperimentConfig, violations: np.ndarray) -> str:
-    bad = np.flatnonzero(violations)
-    if not bad.size:
-        return ""
-    first = int(bad[0])
-    return (
-        f"first violation at replicate {first} "
-        f"(seed {derive_seed(cfg.seed, first, 'ladder-driver')})"
-    )
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> ExperimentResult:
@@ -371,11 +360,30 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> Experim
 # --------------------------------------------------------------------------
 
 
+# The stream of strong-construct's and ladder-monotone's drivers.
+_LADDER_TAG = "ladder-driver"
+
+
 def _build_replicate_ladder(cfg: ExperimentConfig, replicate: int) -> Ladder:
     phi = cfg.phi_object()
     params = StableParams.default(cfg.alpha)
-    rng = replicate_rng(cfg.seed, replicate, "ladder-driver")
+    rng = replicate_rng(cfg.seed, replicate, _LADDER_TAG)
     return build_ladder(phi, cfg.x0, params, cfg.horizon, cfg.cutoffs, rng)
+
+
+def _solve_ladder_run(cfg: ExperimentConfig):
+    """The ladders of every replicate and their ladder-monotone-violations row."""
+    final, guard_hits, violations, _ = _solve_replicate_ladders(cfg, _LADDER_TAG, cfg.cutoffs)
+    total = int(violations.sum())
+    detail = ""
+    if total:
+        first = int(np.flatnonzero(violations)[0])
+        seed = derive_seed(cfg.seed, first, _LADDER_TAG)
+        detail = f"first violation at replicate {first} (seed {seed})"
+    row = SummaryRow(
+        "ladder-monotone-violations", float(total), 0.0, total == 0, "invariant", detail
+    )
+    return final, guard_hits, violations, row
 
 
 def _write_ladder_csv(path: Path, ladder: Ladder) -> None:
@@ -388,7 +396,7 @@ def _write_ladder_csv(path: Path, ladder: Ladder) -> None:
 
 
 def _run_strong_construct(cfg: ExperimentConfig, out: Path):
-    final, guard_hits, violations, _ = _solve_replicate_ladders(cfg, "ladder-driver")
+    final, guard_hits, violations, violations_row = _solve_ladder_run(cfg)
     if final.shape[1] > 1:
         tail_gaps = final[:, -1] - final[:, -2]
     else:
@@ -402,16 +410,8 @@ def _run_strong_construct(cfg: ExperimentConfig, out: Path):
         and [sol.guard_hits for sol in ladder.solutions] == guard_hits[0].tolist()
         and ladder_violations(ladder) == int(violations[0])
     )
-    total = int(violations.sum())
     rows = [
-        SummaryRow(
-            "ladder-monotone-violations",
-            float(total),
-            0.0,
-            total == 0,
-            "invariant",
-            _violation_detail(cfg, violations),
-        ),
+        violations_row,
         SummaryRow("replay-determinism", float(replay_ok), 1.0, replay_ok, "invariant"),
         SummaryRow(
             "monotone-tail-gap-mean",
@@ -432,17 +432,8 @@ def _run_strong_construct(cfg: ExperimentConfig, out: Path):
 
 
 def _run_ladder_monotone(cfg: ExperimentConfig, out: Path):
-    _, _, violations, _ = _solve_replicate_ladders(cfg, "ladder-driver")
-    total = int(violations.sum())
     rows = [
-        SummaryRow(
-            "ladder-monotone-violations",
-            float(total),
-            0.0,
-            total == 0,
-            "invariant",
-            _violation_detail(cfg, violations),
-        ),
+        _solve_ladder_run(cfg)[3],
         SummaryRow(
             "replicates-checked", float(cfg.replicates), 1.0, True, "diagnostic"
         ),
@@ -462,6 +453,9 @@ def _run_ladder_monotone(cfg: ExperimentConfig, out: Path):
 # that expects more jumps than this per driver is a config error.
 _EXTENSION_EVENTS = 1 << 20
 
+# A time-change driver is first sampled on [0, _TIMECHANGE_SPAN * T].
+_TIMECHANGE_SPAN = 2.0
+
 
 def _timechange_marginal(
     phi: MonotonePhi,
@@ -470,18 +464,17 @@ def _timechange_marginal(
     eps: float,
     t_eval: float,
     rng: np.random.Generator,
-    initial_horizon: float,
 ) -> float:
     """X at t_eval from the time-change construction.
 
-    The driver is extended (never resampled) until its clock covers t_eval,
-    which keeps the marginal law untouched: the extension is a stopping rule
-    on one infinite jump stream.  A driver past _EXTENSION_EVENTS events, or
-    64 extensions, ends the search with a RuntimeError.  Each solve is one
-    solve_time_change call on the driver's arrays; only a driver that is
-    extended becomes a JumpPath.
+    The driver is sampled on [0, _TIMECHANGE_SPAN * t_eval] and extended
+    (never resampled) until its clock covers t_eval, which keeps the marginal
+    law untouched: the extension is a stopping rule on one infinite jump
+    stream.  A driver past _EXTENSION_EVENTS events, or 64 extensions, ends
+    the search with a RuntimeError.  Each solve is one solve_time_change call
+    on the driver's arrays; only a driver that is extended becomes a JumpPath.
     """
-    horizon = initial_horizon
+    horizon = _TIMECHANGE_SPAN * t_eval
     times, sizes = _sample_jumps(params, horizon, eps, rng)
     for _ in range(64):
         states, _, _, values = solve_time_change(phi, x0, times, sizes, horizon, eps, params.alpha)
@@ -504,9 +497,9 @@ def _timechange_marginal(
 def _timechange_samples(cfg: ExperimentConfig, tag: str) -> np.ndarray:
     """X at T from the time-change construction, for every replicate.
 
-    Replicate r's driver is sampled on [0, 2T] from its own stream (master
-    seed, r, tag) and solved by _timechange_marginal.  A failure names the
-    replicate and its derived seed.
+    Replicate r's driver is drawn from its own stream (master seed, r, tag)
+    and solved by _timechange_marginal.  A failure names the replicate and
+    its derived seed.
     """
     phi = cfg.phi_object()
     params = StableParams.default(cfg.alpha)
@@ -514,9 +507,7 @@ def _timechange_samples(cfg: ExperimentConfig, tag: str) -> np.ndarray:
     xs = np.empty(cfg.replicates)
     for r, rng in enumerate(replicate_rngs(cfg.seed, range(cfg.replicates), tag)):
         try:
-            xs[r] = _timechange_marginal(
-                phi, cfg.x0, params, eps, cfg.horizon, rng, 2.0 * cfg.horizon
-            )
+            xs[r] = _timechange_marginal(phi, cfg.x0, params, eps, cfg.horizon, rng)
         except (ValueError, RuntimeError) as exc:
             raise _replicate_error(exc, cfg, r, tag) from exc
     return xs
@@ -524,7 +515,7 @@ def _timechange_samples(cfg: ExperimentConfig, tag: str) -> np.ndarray:
 
 def _run_weak_agree(cfg: ExperimentConfig, out: Path):
     # Every event lies in (0, T], so the final state is X at T.
-    final, _, _, _ = _solve_replicate_ladders(cfg, "weak-agree-truncation")
+    final, _, _, _ = _solve_replicate_ladders(cfg, "weak-agree-truncation", cfg.cutoffs)
     xs_trunc = final[:, 0]
     xs_time = _timechange_samples(cfg, "weak-agree-timechange")
     ks = ks_two_sample(xs_trunc, xs_time)
@@ -552,19 +543,24 @@ def _run_weak_agree(cfg: ExperimentConfig, out: Path):
 # --------------------------------------------------------------------------
 
 
+def _couple_levels(cutoffs) -> tuple[tuple[float, ...], list[tuple[int, int]]]:
+    """The decreasing ladder levels of the couple, and each cutoff's (eps/2, eps) indices."""
+    levels = tuple(sorted({*cutoffs, *(eps / 2.0 for eps in cutoffs)}, reverse=True))
+    return levels, [(levels.index(eps / 2.0), levels.index(eps)) for eps in cutoffs]
+
+
 def _couple_gaps(cfg: ExperimentConfig) -> np.ndarray:
     """Sup-distances of the eps and eps/2 solutions: two levels of one ladder."""
-    levels = tuple(sorted({*cfg.cutoffs, *(eps / 2.0 for eps in cfg.cutoffs)}, reverse=True))
-    pairs = [(levels.index(eps / 2.0), levels.index(eps)) for eps in cfg.cutoffs]
-    # A ladder-monotone config: uniqueness-couple's check would halve eps/2 again.
-    ladder = replace(cfg, experiment="ladder-monotone", cutoffs=levels)
-    return _solve_replicate_ladders(ladder, "couple-driver", pairs)[3]
+    return _solve_replicate_ladders(cfg, "couple-driver", *_couple_levels(cfg.cutoffs))[3]
 
 
 def _run_uniqueness_couple(cfg: ExperimentConfig, out: Path):
     medians = [float(statistics.median(gaps)) for gaps in _couple_gaps(cfg).T]
     non_increasing = all(b <= a for a, b in zip(medians, medians[1:]))
-    decay = medians[-1] / medians[0] if medians[0] > 0.0 else math.inf
+    # With every first sup-distance 0 (near the overflow guard, every jump
+    # rounds away against x0) the ratio is 0/0: no evidence either way.
+    inconclusive = medians[0] == 0.0
+    decay = math.nan if inconclusive else medians[-1] / medians[0]
     couple_csv = out / "couple_medians.csv"
     with open(couple_csv, "w", encoding="utf-8") as fh:
         fh.write("eps,median_sup_distance\n")
@@ -583,8 +579,9 @@ def _run_uniqueness_couple(cfg: ExperimentConfig, out: Path):
             "couple-final-over-first",
             decay,
             cfg.couple_decay_max,
-            decay < cfg.couple_decay_max,
+            inconclusive or decay < cfg.couple_decay_max,
             "statistical",
+            "inconclusive: first median is 0" if inconclusive else "",
         ),
     ]
     return rows, (str(couple_csv),)

@@ -40,6 +40,11 @@ class MonotonePhi:
             )
 
     def eval(self, x):
+        """phi(x): a float for a scalar x, else an array of x's shape."""
+        out = self._formula(np.asarray(x, dtype=float))
+        return float(out) if out.ndim == 0 else out
+
+    def _formula(self, x: np.ndarray):
         raise NotImplementedError
 
     def describe(self) -> str:
@@ -59,18 +64,16 @@ class ConstantPhi(MonotonePhi):
         if not (self.a > 0.0 and math.isfinite(self.a)):
             raise ValueError(f"constant level must be positive, got {self.a}")
 
-    def eval(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.full_like(x, self.a)
-        return float(out) if out.ndim == 0 else out
+    def _formula(self, x):
+        return np.full_like(x, self.a)
 
     def describe(self) -> str:
         return f"constant({self.a:.17g})"
 
 
 @dataclass(frozen=True, repr=False)
-class ShiftedArctanPhi(MonotonePhi):
-    """phi(x) = a + b*(arctan(x) + pi/2); bounded between a and a + b*pi."""
+class _OffsetSlopePhi(MonotonePhi):
+    """phi(x) = a + b*ramp(x) with a finite offset a > 0 and slope b >= 0."""
 
     a: float
     b: float
@@ -81,32 +84,22 @@ class ShiftedArctanPhi(MonotonePhi):
         if not (self.b >= 0.0 and math.isfinite(self.b)):
             raise ValueError(f"slope b must be >= 0, got {self.b}")
 
-    def eval(self, x):
-        x = np.asarray(x, dtype=float)
-        out = self.a + self.b * (np.arctan(x) + np.pi / 2.0)
-        return float(out) if out.ndim == 0 else out
+
+class ShiftedArctanPhi(_OffsetSlopePhi):
+    """phi(x) = a + b*(arctan(x) + pi/2); bounded between a and a + b*pi."""
+
+    def _formula(self, x):
+        return self.a + self.b * (np.arctan(x) + np.pi / 2.0)
 
     def describe(self) -> str:
         return f"shifted-arctan({self.a:.17g},{self.b:.17g})"
 
 
-@dataclass(frozen=True, repr=False)
-class SoftRampPhi(MonotonePhi):
+class SoftRampPhi(_OffsetSlopePhi):
     """phi(x) = a + b*max(x, 0); flat at a on the negative axis."""
 
-    a: float
-    b: float
-
-    def __post_init__(self) -> None:
-        if not (self.a > 0.0 and math.isfinite(self.a)):
-            raise ValueError(f"offset a must be positive, got {self.a}")
-        if not (self.b >= 0.0 and math.isfinite(self.b)):
-            raise ValueError(f"slope b must be >= 0, got {self.b}")
-
-    def eval(self, x):
-        x = np.asarray(x, dtype=float)
-        out = self.a + self.b * np.maximum(x, 0.0)
-        return float(out) if out.ndim == 0 else out
+    def _formula(self, x):
+        return self.a + self.b * np.maximum(x, 0.0)
 
     def describe(self) -> str:
         return f"soft-ramp({self.a:.17g},{self.b:.17g})"
@@ -140,10 +133,8 @@ class PiecewiseLinearPhi(MonotonePhi):
         object.__setattr__(self, "_xs", np.array(xs, dtype=float))
         object.__setattr__(self, "_ys", np.array(ys, dtype=float))
 
-    def eval(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.interp(x, self._xs, self._ys)  # np.interp clamps at the outer knots
-        return float(out) if out.ndim == 0 else out
+    def _formula(self, x):
+        return np.interp(x, self._xs, self._ys)  # np.interp clamps at the outer knots
 
     def describe(self) -> str:
         knots = ",".join(f"{x:.17g}:{y:.17g}" for x, y in zip(self.xs, self.ys))
@@ -165,12 +156,10 @@ class PowerPhi(MonotonePhi):
         if not (0.0 < self.beta < 1.0):
             raise ValueError(f"power exponent must lie in (0, 1), got {self.beta}")
 
-    def eval(self, x):
-        x = np.asarray(x, dtype=float)
+    def _formula(self, x):
         if np.any(x < 0.0):
             raise ValueError("power family is defined on x >= 0 only")
-        out = x**self.beta
-        return float(out) if out.ndim == 0 else out
+        return x**self.beta
 
     def describe(self) -> str:
         return f"power({self.beta:.17g})"

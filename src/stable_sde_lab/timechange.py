@@ -7,8 +7,9 @@ solution is X_t = x + W at the right inverse of B, defined on [0, B(T));
 beyond B(T) the finite simulation cannot speak and a sentinel is returned.
 
 ``solve_time_change`` is the kernel: one driver's arrays in, the states and
-the checked clock out, with no object built.  ``time_change_path`` wraps it
-for a JumpPath and returns a SolutionPath and its Clock.
+the checked clock out, with no object built.  ``time_change_path`` runs its
+arithmetic on a JumpPath and returns a SolutionPath and its Clock, which
+makes the clock check.
 """
 
 from __future__ import annotations
@@ -112,6 +113,25 @@ def _clock(
     return slopes, values
 
 
+def _time_change_arrays(phi, x, times, sizes, horizon, cutoff, alpha):
+    """solve_time_change up to its clock check, which the caller makes once."""
+    times, sizes = _check_jumps(horizon, times, sizes, cutoff)
+    if not (0.0 < alpha < 1.0):
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    phi.require_admissible("the clock would not be strictly increasing")
+    if not (cutoff > 0.0):
+        raise ValueError("clock construction requires a finite-activity driver")
+    # x + W after each event is x plus the running sum, as x + cumsum(sizes)
+    # rounds; the state at 0 is x itself, so x = -0.0 stays -0.0 there.
+    states = np.empty(sizes.size + 1)
+    sizes.cumsum(out=states[1:])
+    states[1:] += x
+    states[0] = x
+    breakpoints = _breakpoints(times, horizon)
+    slopes, values = _clock(phi, states, breakpoints, -alpha)
+    return states, breakpoints, slopes, values
+
+
 def solve_time_change(
     phi: MonotonePhi,
     x: float,
@@ -131,22 +151,9 @@ def solve_time_change(
     The solution jumps at the clock values of the events, so X at
     t < values[-1] is ``states[values[1:n+1].searchsorted(t, "right")]``.
     """
-    times, sizes = _check_jumps(horizon, times, sizes, cutoff)
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    phi.require_admissible("the clock would not be strictly increasing")
-    if not (cutoff > 0.0):
-        raise ValueError("clock construction requires a finite-activity driver")
-    # x + W after each event is x plus the running sum, as x + cumsum(sizes)
-    # rounds; the state at 0 is x itself, so x = -0.0 stays -0.0 there.
-    states = np.empty(sizes.size + 1)
-    sizes.cumsum(out=states[1:])
-    states[1:] += x
-    states[0] = x
-    breakpoints = _breakpoints(times, horizon)
-    slopes, values = _clock(phi, states, breakpoints, -alpha)
-    _check_clock(breakpoints, slopes, values)
-    return states, breakpoints, slopes, values
+    arrays = _time_change_arrays(phi, x, times, sizes, horizon, cutoff, alpha)
+    _check_clock(*arrays[1:])
+    return arrays
 
 
 def time_change_path(
@@ -155,9 +162,10 @@ def time_change_path(
     """solve_time_change on a JumpPath: the solution on [0, B(T)) and its clock.
 
     Driver jumps at u_i map to solution jumps at B(u_i), between which the
-    state is constant; the clock's total is the solution's horizon.
+    state is constant; the clock's total is the solution's horizon.  The
+    clock is checked once, by Clock.
     """
-    states, breakpoints, slopes, values = solve_time_change(
+    states, breakpoints, slopes, values = _time_change_arrays(
         phi, x, driver.times, driver.sizes, driver.horizon, driver.cutoff, alpha
     )
     clock = Clock(breakpoints=breakpoints, slopes=slopes, values=values)

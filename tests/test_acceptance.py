@@ -128,7 +128,7 @@ def test_c04_weak_agreement_across_seeds():
             f"x0 = 0\nT = 1\ncutoffs = {eps}\nreplicates = {n}\nseed = {master}\n"
         )
         assert cfg.phi_object() == ARCTAN
-        xa = _solve_replicate_ladders(cfg, "weak-agree-truncation")[0][:, 0]
+        xa = _solve_replicate_ladders(cfg, "weak-agree-truncation", cfg.cutoffs)[0][:, 0]
         xb = _timechange_samples(cfg, "weak-agree-timechange")
         p = ks_two_sample(xa, xb).p_value
         p_values.append(p)

@@ -36,6 +36,7 @@ from stable_sde_lab.harness import (
     SummaryRow,
     _build_replicate_ladder,
     _couple_gaps,
+    _couple_levels,
     _exit_code,
     _solve_replicate_ladders,
     _timechange_marginal,
@@ -391,6 +392,40 @@ class TestExperiments:
         )
         assert result.exit_code == EXIT_PASS
 
+    @pytest.mark.parametrize("experiment", ["strong-construct", "ladder-monotone"])
+    def test_violations_name_the_first_replicate(self, tmp_path, monkeypatch, experiment):
+        # The kernel reports violations on replicates 2 and 3 only.
+        real = harness.solve_ladders
+
+        def violating(*args):
+            final, guard_hits, violations, gaps = real(*args)
+            violations[2:] = 1
+            return final, guard_hits, violations, gaps
+
+        monkeypatch.setattr(harness, "solve_ladders", violating)
+        text = f"experiment = {experiment}\nreplicates = 4\nseed = 3\n"
+        result = _run(text, tmp_path, experiment)
+        row = next(r for r in result.rows if r.name == "ladder-monotone-violations")
+        assert row.value == 2.0 and not row.passed
+        seed = derive_seed(3, 2, "ladder-driver")
+        assert row.detail == f"first violation at replicate 2 (seed {seed})"
+        assert result.exit_code == EXIT_INVARIANT
+
+    def test_uniqueness_couple_near_the_guard_is_inconclusive(self, tmp_path):
+        # From x0 = 1e300 every jump rounds back to x0 (1e300 + 4 * dz ==
+        # 1e300), so every sup-distance is 0 and the decay ratio is 0/0.
+        result = _run(
+            "experiment = uniqueness-couple\nx0 = 1e300\nreplicates = 20\n",
+            tmp_path,
+            "couple-guard",
+        )
+        rows = {r.name: r for r in result.rows}
+        assert rows["couple-medians-non-increasing"].detail == "medians: 0, 0, 0, 0, 0"
+        decay = rows["couple-final-over-first"]
+        assert np.isnan(decay.value) and decay.passed
+        assert decay.detail == "inconclusive: first median is 0"
+        assert result.exit_code == EXIT_PASS
+
     def test_counterexample_smoke(self, tmp_path):
         result = _run(
             "experiment = counterexample\nreplicates = 1000\ngrid_m = 400\n"
@@ -464,7 +499,9 @@ class TestExperiments:
                 f"experiment = ladder-monotone\nreplicates = {n}\nseed = 6\n" + text
             )
             calls = _record_blocks(monkeypatch, budget or harness._BLOCK_JUMPS)
-            final, guard_hits, violations, gaps = _solve_replicate_ladders(cfg, "ladder-driver")
+            final, guard_hits, violations, gaps = _solve_replicate_ladders(
+                cfg, "ladder-driver", cfg.cutoffs
+            )
             if budget:
                 _assert_every_block_edge(calls, budget)
             else:
@@ -548,19 +585,35 @@ class TestExperiments:
 
     def test_couple_levels_are_not_halved_twice(self, monkeypatch):
         # The smallest eps whose half is positive: its half's half rounds to
-        # 0, so the levels pass the config checks only as a ladder config.
+        # 0, so the runner must solve the levels the config check passed.
         # Its drivers would hold about 6e33 jumps, so the jump budget is lifted.
         monkeypatch.setattr(harness, "_EXTENSION_EVENTS", math.inf)
         cfg = parse_config_text("experiment = uniqueness-couple\ncutoffs = 1e-323\n")
         solved = []
 
-        def recording(cfg, tag, pairs):
-            solved.append((cfg.cutoffs, pairs))
+        def recording(cfg, tag, levels, pairs):
+            solved.append((levels, pairs))
             return (np.zeros((0, 1)),) * 4
 
         monkeypatch.setattr(harness, "_solve_replicate_ladders", recording)
         _couple_gaps(cfg)
         assert solved == [((1e-323, 5e-324), [(1, 0)])]
+
+    @given(
+        cutoffs=st.lists(
+            st.floats(min_value=0.0, max_value=1e300, exclude_min=True),
+            min_size=1,
+            max_size=8,
+            unique=True,
+        ).map(lambda xs: sorted(xs, reverse=True))
+    )
+    def test_couple_levels_pair_each_cutoff_with_its_half(self, cutoffs):
+        levels, pairs = _couple_levels(cutoffs)
+        assert all(b < a for a, b in zip(levels, levels[1:]))
+        assert levels[-1] == min(cutoffs) / 2.0
+        assert len(pairs) == len(cutoffs)
+        for eps, (half, full) in zip(cutoffs, pairs):
+            assert (levels[half], levels[full]) == (eps / 2.0, eps)
 
     def test_blocks_hold_at_most_the_budget(self, monkeypatch):
         # A run of several blocks at the real budget: each holds whole
@@ -592,7 +645,7 @@ class TestExperiments:
         for budget in (harness._BLOCK_JUMPS, 500):
             monkeypatch.setattr(harness, "_BLOCK_JUMPS", budget)
             with np.errstate(over="ignore"), pytest.raises(FloatingPointError) as info:
-                _solve_replicate_ladders(cfg, "ladder-driver")
+                _solve_replicate_ladders(cfg, "ladder-driver", cfg.cutoffs)
             messages.append(str(info.value))
         # The replicate is solved alone, so the message does not depend on the
         # blocking: its path index is 0.
@@ -668,9 +721,7 @@ class TestTimeChangeSide:
 
         def scalar(r):
             rng = replicate_rng(cfg.seed, r, tag)
-            return _timechange_marginal(
-                phi, cfg.x0, params, eps, cfg.horizon, rng, 2.0 * cfg.horizon
-            )
+            return _timechange_marginal(phi, cfg.x0, params, eps, cfg.horizon, rng)
 
         got = _timechange_samples(cfg, tag)
         drivers = [

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stable_sde_lab import timechange
 from stable_sde_lab import (
     BEYOND_HORIZON,
     Clock,
@@ -98,6 +99,21 @@ class TestBuildClock:
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError):
             time_change_path(ARCTAN, 0.0, make_path([0.5], [1.0]), 1.0)
+
+    def test_each_call_checks_its_clock_once(self, monkeypatch):
+        checks = []
+        real = timechange._check_clock
+
+        def counting(*arrays):
+            checks.append(None)
+            real(*arrays)
+
+        monkeypatch.setattr(timechange, "_check_clock", counting)
+        path = make_path([0.25, 0.75], [1.0, 2.0])
+        time_change_path(ARCTAN, 0.0, path, 0.5)
+        assert len(checks) == 1
+        solve_time_change(ARCTAN, 0.0, path.times, path.sizes, 1.0, 0.5, 0.5)
+        assert len(checks) == 2
 
 
 class TestInvertClock:
