@@ -182,9 +182,12 @@ def laplace_exponent(params: StableParams, lam: float) -> float:
 
 
 def _pareto_sizes(params: StableParams, eps: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    # Jump-size density alpha * eps**alpha * h**(-1-alpha) on [eps, inf).
+    # Jump-size density alpha * eps**alpha * h**(-1-alpha) on [eps, inf):
+    # eps * (1 - u)**(-1/alpha), each operation in that order, in u's buffer.
     u = rng.random(n)
-    return eps * (1.0 - u) ** (-1.0 / params.alpha)
+    np.subtract(1.0, u, out=u)
+    u **= -1.0 / params.alpha
+    return np.multiply(eps, u, out=u)
 
 
 def _merge_duplicate_times(times: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -211,7 +214,9 @@ def _sample_jumps(
         raise ValueError(f"horizon must be positive, got {horizon}")
     rate = levy_tail_mass(params, eps)
     n = int(rng.poisson(rate * horizon))
-    times = horizon * (1.0 - rng.random(n))  # lands in (0, horizon]
+    times = rng.random(n)
+    np.subtract(1.0, times, out=times)
+    np.multiply(horizon, times, out=times)  # horizon * (1 - u) lands in (0, horizon]
     times.sort()
     sizes = _pareto_sizes(params, eps, n, rng)
     return _merge_duplicate_times(times, sizes)

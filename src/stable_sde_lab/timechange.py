@@ -7,9 +7,11 @@ solution is X_t = x + W at the right inverse of B, defined on [0, B(T));
 beyond B(T) the finite simulation cannot speak and a sentinel is returned.
 
 ``solve_time_change`` is the kernel: one driver's arrays in, the states and
-the checked clock out, with no object built.  ``time_change_path`` runs its
-arithmetic on a JumpPath and returns a SolutionPath and its Clock, which
-makes the clock check.
+the checked clock out, with no object built.  It builds the clock from
+checked event times as a running sum, so of Clock's checks it makes only the
+two that its construction leaves open: every slope positive, and the total
+finite.  ``time_change_path`` runs its arithmetic on a JumpPath and returns
+a SolutionPath and its Clock, which makes every clock check.
 """
 
 from __future__ import annotations
@@ -42,7 +44,8 @@ BEYOND_HORIZON = math.inf
 def _check_clock(bp: np.ndarray, sl: np.ndarray, va: np.ndarray) -> None:
     """The checks of a Clock's breakpoints, slopes and values, as float arrays.
 
-    Clock and the time-change kernel both check their clocks here.
+    Clock checks its clock here, and the time-change kernel a clock that
+    fails its own two checks, for the message that names what is broken.
     """
     if bp.ndim != 1 or bp.size < 2:
         raise ValueError("clock needs at least one segment")
@@ -91,30 +94,38 @@ class Clock:
         return float(self.values[-1])
 
 
-def _breakpoints(times: np.ndarray, horizon: float) -> np.ndarray:
-    """0, the event times, and the horizon unless the last event sits on it."""
-    if times.size and times[-1] == horizon:
-        return np.concatenate(([0.0], times))
-    return np.concatenate(([0.0], times, [horizon]))
-
-
 def _clock(
-    phi: MonotonePhi, states: np.ndarray, breakpoints: np.ndarray, power: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Slopes phi(state)**power and the clock's values at the breakpoints.
+    phi: MonotonePhi, states: np.ndarray, times: np.ndarray, horizon: float, power: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Breakpoints, slopes phi(state)**power and values of the clock over states.
 
-    The state on [u_i, u_{i+1}) is the cadlag value at u_i, and the integrand
-    is constant there, so the clock is a finite sum of slope * length terms.
+    The breakpoints are 0, the event times, and the horizon unless the last
+    event sits on it.  The state on [u_i, u_{i+1}) is the cadlag value at u_i,
+    and the integrand is constant there, so the clock is a finite sum of
+    slope * length terms.  The values buffer holds the lengths, then each
+    slope * length, then their running sum.  Running sums here are
+    np.add.accumulate, the sum that ndarray.cumsum makes, without the
+    per-call overhead of cumsum(out=), which exceeds the sum itself on
+    arrays this short.
     """
-    slopes = phi.eval(states[: breakpoints.size - 1]) ** power
-    values = np.empty(breakpoints.size)
+    n = times.size
+    segments = n if n and times[-1] == horizon else n + 1
+    breakpoints = np.empty(segments + 1)
+    breakpoints[0] = 0.0
+    breakpoints[1 : n + 1] = times
+    if segments > n:
+        breakpoints[-1] = horizon
+    slopes = phi.eval(states[:segments]) ** power
+    values = np.empty(segments + 1)
     values[0] = 0.0
-    (slopes * (breakpoints[1:] - breakpoints[:-1])).cumsum(out=values[1:])
-    return slopes, values
+    terms = np.subtract(breakpoints[1:], breakpoints[:-1], out=values[1:])
+    np.multiply(slopes, terms, out=terms)
+    np.add.accumulate(terms, out=terms)
+    return breakpoints, slopes, values
 
 
 def _time_change_arrays(phi, x, times, sizes, horizon, cutoff, alpha):
-    """solve_time_change up to its clock check, which the caller makes once."""
+    """solve_time_change up to its clock check; time_change_path's Clock makes its own."""
     times, sizes = _check_jumps(horizon, times, sizes, cutoff)
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
@@ -124,12 +135,10 @@ def _time_change_arrays(phi, x, times, sizes, horizon, cutoff, alpha):
     # x + W after each event is x plus the running sum, as x + cumsum(sizes)
     # rounds; the state at 0 is x itself, so x = -0.0 stays -0.0 there.
     states = np.empty(sizes.size + 1)
-    sizes.cumsum(out=states[1:])
+    np.add.accumulate(sizes, out=states[1:])
     states[1:] += x
     states[0] = x
-    breakpoints = _breakpoints(times, horizon)
-    slopes, values = _clock(phi, states, breakpoints, -alpha)
-    return states, breakpoints, slopes, values
+    return (states, *_clock(phi, states, times, horizon, -alpha))
 
 
 def solve_time_change(
@@ -144,15 +153,25 @@ def solve_time_change(
     """Weak solution X_t = x + W at the inverted clock, on one driver's arrays.
 
     The driver has jumps ``sizes`` at ``times`` on [0, horizon], truncated at
-    ``cutoff``; they are checked as JumpPath checks them, and the clock as
-    Clock checks it.  Returns ``states``, x + W at time 0 and after each of
-    the n events, then the clock's ``breakpoints`` (0, each event and the
-    horizon, unless the last event sits on it), ``slopes`` and ``values``.
-    The solution jumps at the clock values of the events, so X at
-    t < values[-1] is ``states[values[1:n+1].searchsorted(t, "right")]``.
+    ``cutoff``; they are checked as JumpPath checks them.  Returns
+    ``states``, x + W at time 0 and after each of the n events, then the
+    clock's ``breakpoints`` (0, each event and the horizon, unless the last
+    event sits on it), ``slopes`` and ``values``.  The solution jumps at the
+    clock values of the events, so X at t < values[-1] is
+    ``states[values[1:n+1].searchsorted(t, "right")]``.
+
+    The clock passes Clock's checks if every slope is positive and the total
+    is finite, which is all this call tests: the breakpoints are checked
+    event times, so they start at 0 and strictly increase, and each value is
+    the one before it plus slope * length, exactly, as a running sum.  A
+    finite total then makes every value, and so every slope, finite.  A clock
+    that fails the test goes to Clock's checks, which raise the message that
+    Clock would.
     """
     arrays = _time_change_arrays(phi, x, times, sizes, horizon, cutoff, alpha)
-    _check_clock(*arrays[1:])
+    _, breakpoints, slopes, values = arrays
+    if not (slopes.min() > 0.0 and values[-1] < math.inf):
+        _check_clock(breakpoints, slopes, values)
     return arrays
 
 
@@ -180,9 +199,7 @@ def build_forward_clock(phi: MonotonePhi, solution: SolutionPath, alpha: float) 
     """Clock on the solution timeline with integrand phi(X_s)**(+alpha)."""
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    breakpoints = _breakpoints(solution.times, solution.horizon)
-    slopes, values = _clock(phi, solution.states, breakpoints, alpha)
-    return Clock(breakpoints=breakpoints, slopes=slopes, values=values)
+    return Clock(*_clock(phi, solution.states, solution.times, solution.horizon, alpha))
 
 
 def invert_clock(clock: Clock, t: float) -> float:

@@ -21,7 +21,7 @@ from stable_sde_lab import (
     sample_truncated_path,
     thin_path,
 )
-from stable_sde_lab.driver import _grid_times, _sample_jumps, _standard_stable
+from stable_sde_lab.driver import _grid_times, _pareto_sizes, _sample_jumps, _standard_stable
 from stable_sde_lab.stats import ks_two_sample
 
 
@@ -377,8 +377,12 @@ def _reference_jumps(params, horizon, eps, rng):
 
 
 class TestObjectFreeSampler:
+    # The sampler computes these expressions in the draws' own buffers; at
+    # alpha = 1/2 the size exponent is -2.0 exactly.
     @given(
-        alpha=st.floats(min_value=0.05, max_value=0.95),
+        alpha=st.one_of(
+            st.sampled_from([0.1, 0.3, 0.5, 0.7, 0.9]), st.floats(min_value=0.05, max_value=0.95)
+        ),
         horizon=st.floats(min_value=0.01, max_value=4.0),
         eps=st.floats(min_value=1e-4, max_value=2.0),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -395,6 +399,21 @@ class TestObjectFreeSampler:
         for got in (sizes, path.sizes):
             assert got.tobytes() == want_sizes.tobytes()
         assert rngs[0].bit_generator.state == rngs[1].bit_generator.state == rngs[2].bit_generator.state
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.3, np.nextafter(0.5, 0.0), 0.5, 0.7, 0.95])
+    @given(
+        eps=st.floats(min_value=1e-6, max_value=10.0),
+        n=st.integers(min_value=0, max_value=5000),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_pareto_sizes_are_the_expression(self, alpha, eps, n, seed):
+        params = StableParams.default(alpha)
+        with np.errstate(over="ignore"):
+            got = _pareto_sizes(params, eps, n, np.random.default_rng(seed))
+            u = np.random.default_rng(seed).random(n)
+            want = eps * (1.0 - u) ** (-1.0 / alpha)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestTruncatedLaplace:

@@ -100,7 +100,10 @@ class TestBuildClock:
         with pytest.raises(ValueError):
             time_change_path(ARCTAN, 0.0, make_path([0.5], [1.0]), 1.0)
 
+    @pytest.mark.filterwarnings("ignore:overflow")
     def test_each_call_checks_its_clock_once(self, monkeypatch):
+        # time_change_path checks its clock in Clock.  solve_time_change makes
+        # its own check, and calls Clock's only on a clock that fails it.
         checks = []
         real = timechange._check_clock
 
@@ -113,6 +116,9 @@ class TestBuildClock:
         time_change_path(ARCTAN, 0.0, path, 0.5)
         assert len(checks) == 1
         solve_time_change(ARCTAN, 0.0, path.times, path.sizes, 1.0, 0.5, 0.5)
+        assert len(checks) == 1
+        with pytest.raises(ValueError, match="positive and finite"):
+            solve_time_change(SoftRampPhi(1.0, 1e308), 0.0, path.times, path.sizes, 1.0, 0.5, 0.5)
         assert len(checks) == 2
 
 
@@ -308,6 +314,20 @@ def _outcome(fn):
         return type(exc), str(exc)
 
 
+def _clock_checked_outcome(phi, x, times, sizes, horizon, cutoff, alpha):
+    """The kernel's arrays as bytes, each clock checked in full, or what it raised."""
+    def checked():
+        arrays = timechange._time_change_arrays(phi, x, times, sizes, horizon, cutoff, alpha)
+        timechange._check_clock(*arrays[1:])
+        return arrays
+
+    return _as_bytes(_outcome(checked))
+
+
+def _as_bytes(outcome):
+    return outcome if isinstance(outcome[0], type) else tuple(a.tobytes() for a in outcome)
+
+
 _POSITIVE = st.floats(0.05, 5.0)
 _PHIS = st.one_of(
     st.builds(ConstantPhi, _POSITIVE),
@@ -361,6 +381,69 @@ class TestTimeChangeKernel:
         assert solution.states.tobytes() == want.states.tobytes()
         assert solution.times.tobytes() == want.times.tobytes()
         assert path_clock.slopes.tobytes() == clock.slopes.tobytes()
+
+    # The kernel tests only positive slopes and a finite total.  On every clock
+    # it builds, that must decide as Clock's full check does: the same bytes
+    # returned, or the same exception and message.  A stretch by a power of 2
+    # keeps the times exact and lets constant(1e-300) overflow the values.
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    @given(
+        phi=st.one_of(
+            _PHIS, st.just(SoftRampPhi(1.0, 1e308)), st.just(ConstantPhi(1e-300))
+        ),
+        x=st.one_of(st.sampled_from([-0.0, 0.0, math.nan]), st.floats(-5.0, 5.0)),
+        alpha=st.floats(0.05, 0.95),
+        horizon=st.floats(0.1, 4.0),
+        eps=st.floats(0.002, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.sampled_from(["sampled", "empty", "last-on-horizon", "inf-size"]),
+        stretch=st.sampled_from([1.0, 2.0**80, 2.0**1000]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_its_check_decides_as_clock_does(
+        self, phi, x, alpha, horizon, eps, seed, shape, stretch
+    ):
+        params = StableParams.default(alpha)
+        times, sizes = _sample_jumps(params, horizon, eps, np.random.default_rng(seed))
+        if shape == "empty":
+            times, sizes = times[:0], sizes[:0]
+        elif shape == "last-on-horizon" and times.size:
+            times[-1] = horizon
+        elif shape == "inf-size" and sizes.size:
+            sizes[sizes.size // 2] = math.inf
+        times, horizon = times * stretch, horizon * stretch
+        want = _clock_checked_outcome(phi, x, times, sizes, horizon, eps, alpha)
+        got = _outcome(lambda: solve_time_change(phi, x, times, sizes, horizon, eps, alpha))
+        assert _as_bytes(got) == want
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    @pytest.mark.parametrize(
+        "phi, x, times, sizes, horizon, alpha, message",
+        [
+            # inf**-alpha is a slope of 0.
+            (SoftRampPhi(1.0, 1e308), 0.0, [0.5], [2.0], 1.0, 0.5, "positive and finite"),
+            (SoftRampPhi(1.0, 1.0), 0.0, [0.5], [math.inf], 1.0, 0.5, "positive and finite"),
+            # A NaN start makes every slope NaN.
+            (ARCTAN, math.nan, [0.5], [1.0], 1.0, 0.5, "positive and finite"),
+            # Finite slopes of about 1e270 over a length of 2**1000 overflow the values.
+            (ConstantPhi(1e-300), 0.0, [2.0**999], [1.0], 2.0**1000, 0.9, "replay tolerance"),
+            # arctan(inf) is finite, so an inf size leaves a sound clock.
+            (ARCTAN, 0.0, [0.5], [math.inf], 1.0, 0.5, None),
+            (ARCTAN, -0.0, [], [], 1.0, 0.5, None),
+            (ARCTAN, 0.0, [0.25, 1.0], [1.0, 2.0], 1.0, 0.5, None),
+        ],
+    )
+    def test_poisoned_clocks_fail_as_clock_fails(
+        self, phi, x, times, sizes, horizon, alpha, message
+    ):
+        times, sizes = np.array(times, dtype=float), np.array(sizes, dtype=float)
+        want = _clock_checked_outcome(phi, x, times, sizes, horizon, 0.5, alpha)
+        got = _outcome(lambda: solve_time_change(phi, x, times, sizes, horizon, 0.5, alpha))
+        assert _as_bytes(got) == want
+        if message is None:
+            assert not isinstance(want[0], type)
+        else:
+            assert want[0] is ValueError and message in want[1]
 
     def test_negative_zero_start_is_kept(self):
         states = solve_time_change(ARCTAN, -0.0, np.empty(0), np.empty(0), 1.0, 0.5, 0.5)[0]
