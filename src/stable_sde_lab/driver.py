@@ -10,7 +10,10 @@ Zolotarev/Kanter otherwise), used when infinite small-jump activity matters.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -30,7 +33,15 @@ __all__ = [
 
 
 class SamplerIntegrityError(RuntimeError):
-    """A sampled driver value is NaN, or non-positive at a positive time."""
+    """A sampled driver value is NaN or inf, or non-positive at a positive time.
+
+    ``driver`` is the index, in the stream of generators it was drawn from,
+    of the driver that the block sampler _jump_blocks rejected; else None.
+    """
+
+    def __init__(self, message: str, driver: int | None = None) -> None:
+        super().__init__(message)
+        self.driver = driver
 
 
 @dataclass(frozen=True)
@@ -181,13 +192,26 @@ def laplace_exponent(params: StableParams, lam: float) -> float:
     return params.c * math.gamma(1.0 - params.alpha) * lam**params.alpha / params.alpha
 
 
+def _overflow(params: StableParams, eps: float, driver: int | None = None) -> SamplerIntegrityError:
+    return SamplerIntegrityError(
+        f"jump size overflowed to inf: (1 - u)**(-1/alpha) at alpha={params.alpha!r}, "
+        f"eps={eps!r}",
+        driver,
+    )
+
+
 def _pareto_sizes(params: StableParams, eps: float, n: int, rng: np.random.Generator) -> np.ndarray:
     # Jump-size density alpha * eps**alpha * h**(-1-alpha) on [eps, inf):
     # eps * (1 - u)**(-1/alpha), each operation in that order, in u's buffer.
+    # Below alpha = 53/1024 a u near 1 overflows to inf, which no later check
+    # would catch: _check_jumps tests the smallest size only.
     u = rng.random(n)
     np.subtract(1.0, u, out=u)
     u **= -1.0 / params.alpha
-    return np.multiply(eps, u, out=u)
+    np.multiply(eps, u, out=u)
+    if n and not u.max() < math.inf:
+        raise _overflow(params, eps)
+    return u
 
 
 def _merge_duplicate_times(times: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -205,8 +229,11 @@ def _sample_jumps(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Event times and sizes of sample_truncated_path, with no JumpPath built.
 
-    Sorting and merging make the times strictly increase, inside (0, horizon];
-    the sizes are eps times numbers >= 1.  Nothing here checks that: JumpPath
+    One driver at a time: the reference that _jump_blocks is held bit-equal
+    to, and the sampler of the scalar paths and of time-change extensions.
+    Sorting and merging make the times strictly increase, inside
+    (0, horizon]; the sizes are eps times numbers >= 1, and an inf size
+    raises SamplerIntegrityError.  Nothing else here checks them: JumpPath
     and the time-change kernel do (_check_jumps), and the ladder kernel
     checks the sizes it reads.
     """
@@ -220,6 +247,90 @@ def _sample_jumps(
     times.sort()
     sizes = _pareto_sizes(params, eps, n, rng)
     return _merge_duplicate_times(times, sizes)
+
+
+# The jump budget of a _jump_blocks block in the lab's runs: its two reused
+# float64 buffers take 8 KiB each.  A block's fixed cost, a dozen numpy
+# calls, is spread over about 50 drivers of 20 jumps; a budget of 2**12 was
+# no faster on weak-agree-wide.
+_SAMPLE_JUMPS = 1 << 10
+
+
+def _jump_blocks(
+    params: StableParams,
+    horizon: float,
+    eps: float,
+    rngs: Iterable[np.random.Generator],
+    budget: int,
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, list[int]]]:
+    """_sample_jumps on every generator of ``rngs``, in blocks of whole drivers.
+
+    Yields ``(first, times, sizes, offsets)``: the driver drawn from generator
+    ``first + j`` of ``rngs`` has the events ``times[offsets[j]:offsets[j+1]]``
+    with ``sizes[offsets[j]:offsets[j+1]]``, bit for bit the arrays of
+    _sample_jumps on that generator, which ends in the state _sample_jumps
+    leaves it in.
+
+    Per driver only the generator is called: the Poisson count, then the
+    times' and the sizes' uniforms, drawn with ``out=`` into two buffers of
+    ``budget`` floats that every block reuses.  Per block, the time and size
+    transforms make one pass each, with the operations of _sample_jumps in
+    its order, each row of times is sorted in place, and one max tests the
+    sizes: an inf size raises SamplerIntegrityError naming its driver, before
+    any driver of its block is yielded.  A block holds whole drivers up to
+    ``budget`` jumps; a driver with more is a block of its own, in arrays of
+    its own.  A block's arrays are overwritten by the next, so read them
+    before drawing it.
+    """
+    if not (horizon > 0.0):
+        raise ValueError(f"horizon must be positive, got {horizon}")
+    mean = levy_tail_mass(params, eps) * horizon
+    power = -1.0 / params.alpha
+    times_buf, sizes_buf = np.empty(budget), np.empty(budget)
+
+    def block(first: int, times: np.ndarray, sizes: np.ndarray, offsets: list[int]):
+        np.subtract(1.0, times, out=times)
+        np.multiply(horizon, times, out=times)
+        for a, b in zip(offsets, offsets[1:]):
+            times[a:b].sort()
+        np.subtract(1.0, sizes, out=sizes)
+        sizes **= power
+        np.multiply(eps, sizes, out=sizes)
+        if sizes.size and not sizes.max() < math.inf:
+            raise _overflow(params, eps, first + bisect_right(offsets, int(sizes.argmax())) - 1)
+        # A sorted row strictly increases unless two neighbours are equal, so
+        # one test of the block finds every row to merge.  Where the second of
+        # an equal pair starts a row, that row is merged as it is: unchanged.
+        rows = {
+            bisect_right(offsets, k) - 1
+            for k in (np.flatnonzero(times[1:] == times[:-1]) + 1).tolist()
+        }
+        if rows:
+            parts = [(times[a:b], sizes[a:b]) for a, b in zip(offsets, offsets[1:])]
+            for j in rows:
+                parts[j] = _merge_duplicate_times(*parts[j])
+            times = np.concatenate([t for t, _ in parts])
+            sizes = np.concatenate([s for _, s in parts])
+            offsets = [0, *accumulate(t.size for t, _ in parts)]
+        return first, times, sizes, offsets
+
+    first, offsets = 0, [0]  # the open block: its first driver, its rows in the buffers
+    for k, rng in enumerate(rngs):
+        n = int(rng.poisson(mean))
+        end = offsets[-1] + n
+        if end > budget:
+            if k > first:
+                yield block(first, times_buf[: offsets[-1]], sizes_buf[: offsets[-1]], offsets)
+            first, offsets, end = k, [0], n
+            if n > budget:
+                yield block(k, rng.random(n), rng.random(n), [0, n])
+                first = k + 1
+                continue
+        rng.random(out=times_buf[offsets[-1] : end])
+        rng.random(out=sizes_buf[offsets[-1] : end])
+        offsets.append(end)
+    if len(offsets) > 1:
+        yield block(first, times_buf[: offsets[-1]], sizes_buf[: offsets[-1]], offsets)
 
 
 def sample_truncated_path(

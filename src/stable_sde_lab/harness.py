@@ -25,8 +25,10 @@ from pathlib import Path
 
 import numpy as np
 
+# driver_law_check, sample_truncated_path, thin_path and solve_truncated are
+# unused here: bench/spans.py looks them up in this module by name.
 from .counterexample import (
-    driver_law_check,  # unused here: bench/spans.py looks it up in this module by name
+    driver_law_check,
     nonuniqueness_demo,
     scaling_law_check,
     write_report_csv,
@@ -35,11 +37,13 @@ from .driver import (
     JumpPath,
     SamplerIntegrityError,
     StableParams,
+    _SAMPLE_JUMPS,
+    _jump_blocks,
     _sample_jumps,
     extend_truncated_path,
     levy_tail_mass,
-    sample_truncated_path,  # unused here: bench/spans.py looks it up in this module by name
-    thin_path,  # unused here: bench/spans.py looks it up in this module by name
+    sample_truncated_path,
+    thin_path,
 )
 from .phi import MonotonePhi, parse_phi
 from .seeding import derive_seed, replicate_rng, replicate_rngs
@@ -52,7 +56,7 @@ from .truncation import (
     build_ladder,
     ladder_violations,
     solve_ladders,
-    solve_truncated,  # unused here: bench/spans.py looks it up in this module by name
+    solve_truncated,
 )
 
 __all__ = [
@@ -280,11 +284,9 @@ def _write_summary(out_dir: Path, rows: tuple[SummaryRow, ...]) -> str:
 
 # Jump sizes per solve_ladders call.  The kernel's cost per event rank is
 # mostly fixed numpy overhead, so a block takes as many whole replicates as
-# fit in this budget: one float64 buffer of 1 MiB, reused for every block,
-# bounds a run's jump memory whatever its replicate count.  A replicate with
-# more jumps than the budget is solved alone, from its own array.  A larger
-# budget means fewer blocks on a large run, and 8 more bytes of peak memory
-# for each jump it adds to a block.
+# fit in this budget: one reused float64 buffer of 1 MiB bounds a run's jump
+# memory whatever its replicate count.  A replicate with more jumps than the
+# budget is solved alone, from its own array.
 _BLOCK_JUMPS = 1 << 17
 
 
@@ -294,20 +296,27 @@ def _replicate_error(exc: Exception, cfg: ExperimentConfig, replicate: int, tag:
     return type(exc)(f"replicate {replicate} (seed {seed}): {exc}")
 
 
+def _replicate_jumps(cfg: ExperimentConfig, tag: str, horizon: float, eps: float):
+    """_jump_blocks of the drivers of replicates r, from streams (master seed, r, tag)."""
+    rngs = replicate_rngs(cfg.seed, range(cfg.replicates), tag)
+    try:
+        yield from _jump_blocks(StableParams.default(cfg.alpha), horizon, eps, rngs, _SAMPLE_JUMPS)
+    except SamplerIntegrityError as exc:
+        raise _replicate_error(exc, cfg, exc.driver, tag) from exc
+
+
 def _solve_replicate_ladders(
     cfg: ExperimentConfig, tag: str, levels: tuple[float, ...], pairs=()
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Final states, guard hits, ladder violations and pair gaps of every replicate.
 
-    Replicate r's base path is sampled at the finest of the decreasing
-    ``levels`` from its own stream (master seed, r, tag), and blocks of
-    replicates, in replicate order and up to _BLOCK_JUMPS jumps each, are
-    solved at every level by one solve_ladders call.  The solve reads only
-    the jump sizes, which it checks; the times are dropped as they are drawn.
-    A failure names the first replicate that fails and its derived seed.
+    Base paths are sampled at the finest of the decreasing ``levels`` by
+    _replicate_jumps.  Their sizes are copied into one buffer, and blocks of
+    replicates, in order and up to _BLOCK_JUMPS jumps each, are solved at
+    every level by one solve_ladders call, which checks the sizes.  A
+    failure names the first replicate that fails and its derived seed.
     """
     phi = cfg.phi_object()
-    params = StableParams.default(cfg.alpha)
 
     def solve(first: int, sizes: np.ndarray, offsets) -> tuple[np.ndarray, ...]:
         try:
@@ -325,19 +334,19 @@ def _solve_replicate_ladders(
     blocks = []
     buffer = np.empty(_BLOCK_JUMPS)
     first, offsets = 0, [0]  # the open block: its first replicate, its paths in buffer
-    for r, rng in enumerate(replicate_rngs(cfg.seed, range(cfg.replicates), tag)):
-        sizes = _sample_jumps(params, cfg.horizon, levels[-1], rng)[1]
-        end = offsets[-1] + sizes.size
-        if end > _BLOCK_JUMPS:
-            if r > first:
-                blocks.append(solve(first, buffer[: offsets[-1]], offsets))
-            first, offsets, end = r, [0], sizes.size
-            if sizes.size > _BLOCK_JUMPS:
-                blocks.append(solve(r, sizes, [0, end]))
-                first = r + 1
-                continue
-        buffer[offsets[-1] : end] = sizes
-        offsets.append(end)
+    for start, _, sizes, ends in _replicate_jumps(cfg, tag, cfg.horizon, levels[-1]):
+        for r, (a, b) in enumerate(zip(ends, ends[1:]), start):
+            end = offsets[-1] + b - a
+            if end > _BLOCK_JUMPS:
+                if r > first:
+                    blocks.append(solve(first, buffer[: offsets[-1]], offsets))
+                first, offsets, end = r, [0], b - a
+                if end > _BLOCK_JUMPS:
+                    blocks.append(solve(r, sizes[a:b], [0, end]))
+                    first = r + 1
+                    continue
+            buffer[offsets[-1] : end] = sizes[a:b]
+            offsets.append(end)
     if cfg.replicates > first:
         blocks.append(solve(first, buffer[: offsets[-1]], offsets))
     return tuple(np.concatenate(parts) for parts in zip(*blocks))
@@ -355,9 +364,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> Experim
     )
 
 
-# --------------------------------------------------------------------------
-# strong-construct / ladder-monotone
-# --------------------------------------------------------------------------
+# ---- strong-construct / ladder-monotone ----
 
 
 # The stream of strong-construct's and ladder-monotone's drivers.
@@ -441,16 +448,13 @@ def _run_ladder_monotone(cfg: ExperimentConfig, out: Path):
     return rows, ()
 
 
-# --------------------------------------------------------------------------
-# weak-agree
-# --------------------------------------------------------------------------
+# ---- weak-agree ----
 
 
-# A driver with more events than this is not extended again.  An extension
-# doubles the horizon and so about doubles the events, so a clock that all but
-# stops (a phi that grows very fast) gives up on a driver of about two million
-# events, where it would otherwise double them until memory runs out.  A config
-# that expects more jumps than this per driver is a config error.
+# A driver with more events than this is not extended again: each extension
+# about doubles them, and a clock that all but stops (a phi that grows very
+# fast) would double them until memory runs out.  A config that expects more
+# jumps than this per driver is a config error.
 _EXTENSION_EVENTS = 1 << 20
 
 # A time-change driver is first sampled on [0, _TIMECHANGE_SPAN * T].
@@ -458,21 +462,14 @@ _TIMECHANGE_SPAN = 2.0
 
 
 def _timechange_marginal(
-    phi: MonotonePhi,
-    x0: float,
-    params: StableParams,
-    eps: float,
-    t_eval: float,
-    rng: np.random.Generator,
+    phi: MonotonePhi, x0: float, params: StableParams, eps: float, t_eval: float, rng
 ) -> float:
-    """X at t_eval from the time-change construction.
+    """X at t_eval from the time-change construction, one driver at a time.
 
     The driver is sampled on [0, _TIMECHANGE_SPAN * t_eval] and extended
-    (never resampled) until its clock covers t_eval, which keeps the marginal
-    law untouched: the extension is a stopping rule on one infinite jump
-    stream.  A driver past _EXTENSION_EVENTS events, or 64 extensions, ends
-    the search with a RuntimeError.  Each solve is one solve_time_change call
-    on the driver's arrays; only a driver that is extended becomes a JumpPath.
+    (never resampled) until its clock covers t_eval: a stopping rule on one
+    jump stream, so the marginal law is untouched.  Past _EXTENSION_EVENTS
+    events, or 64 extensions, it raises RuntimeError.
     """
     horizon = _TIMECHANGE_SPAN * t_eval
     times, sizes = _sample_jumps(params, horizon, eps, rng)
@@ -497,19 +494,29 @@ def _timechange_marginal(
 def _timechange_samples(cfg: ExperimentConfig, tag: str) -> np.ndarray:
     """X at T from the time-change construction, for every replicate.
 
-    Replicate r's driver is drawn from its own stream (master seed, r, tag)
-    and solved by _timechange_marginal.  A failure names the replicate and
-    its derived seed.
+    Each driver on [0, _TIMECHANGE_SPAN * T], from _replicate_jumps, is
+    solved by one solve_time_change call on views of its block.  One whose
+    clock ends at or before T goes to _timechange_marginal, with a fresh
+    generator of its stream.  A failure names the replicate and its seed.
     """
     phi = cfg.phi_object()
     params = StableParams.default(cfg.alpha)
     (eps,) = cfg.cutoffs
+    horizon = _TIMECHANGE_SPAN * cfg.horizon
     xs = np.empty(cfg.replicates)
-    for r, rng in enumerate(replicate_rngs(cfg.seed, range(cfg.replicates), tag)):
-        try:
-            xs[r] = _timechange_marginal(phi, cfg.x0, params, eps, cfg.horizon, rng)
-        except (ValueError, RuntimeError) as exc:
-            raise _replicate_error(exc, cfg, r, tag) from exc
+    for first, times, sizes, offsets in _replicate_jumps(cfg, tag, horizon, eps):
+        for r, (a, b) in enumerate(zip(offsets, offsets[1:]), first):
+            try:
+                states, _, _, values = solve_time_change(
+                    phi, cfg.x0, times[a:b], sizes[a:b], horizon, eps, cfg.alpha
+                )
+                if values[-1] > cfg.horizon:
+                    xs[r] = states[values[1 : b - a + 1].searchsorted(cfg.horizon, "right")]
+                else:
+                    rng = replicate_rng(cfg.seed, r, tag)
+                    xs[r] = _timechange_marginal(phi, cfg.x0, params, eps, cfg.horizon, rng)
+            except (ValueError, RuntimeError) as exc:
+                raise _replicate_error(exc, cfg, r, tag) from exc
     return xs
 
 
@@ -538,9 +545,7 @@ def _run_weak_agree(cfg: ExperimentConfig, out: Path):
     return rows, (str(samples_csv),)
 
 
-# --------------------------------------------------------------------------
-# uniqueness-couple
-# --------------------------------------------------------------------------
+# ---- uniqueness-couple ----
 
 
 def _couple_levels(cutoffs) -> tuple[tuple[float, ...], list[tuple[int, int]]]:
@@ -587,9 +592,7 @@ def _run_uniqueness_couple(cfg: ExperimentConfig, out: Path):
     return rows, (str(couple_csv),)
 
 
-# --------------------------------------------------------------------------
-# counterexample
-# --------------------------------------------------------------------------
+# ---- counterexample ----
 
 
 def _grid_check(check, cfg: ExperimentConfig, tag: str, *args, **kwargs):
@@ -671,9 +674,7 @@ def _run_counterexample_experiment(cfg: ExperimentConfig, out: Path):
     return rows, (str(report_csv),)
 
 
-# --------------------------------------------------------------------------
-# The experiments
-# --------------------------------------------------------------------------
+# ---- The experiments ----
 
 
 @dataclass(frozen=True)

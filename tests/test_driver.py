@@ -21,7 +21,13 @@ from stable_sde_lab import (
     sample_truncated_path,
     thin_path,
 )
-from stable_sde_lab.driver import _grid_times, _pareto_sizes, _sample_jumps, _standard_stable
+from stable_sde_lab.driver import (
+    _grid_times,
+    _jump_blocks,
+    _pareto_sizes,
+    _sample_jumps,
+    _standard_stable,
+)
 from stable_sde_lab.stats import ks_two_sample
 
 
@@ -414,6 +420,130 @@ class TestObjectFreeSampler:
             u = np.random.default_rng(seed).random(n)
             want = eps * (1.0 - u) ** (-1.0 / alpha)
         assert got.tobytes() == want.tobytes()
+
+    def test_pareto_sizes_reject_inf(self):
+        # alpha = 0.01: 78 of these 100,000 sizes overflow to inf.
+        params = StableParams.default(0.01)
+        with np.errstate(over="ignore"), pytest.raises(SamplerIntegrityError, match="inf"):
+            _pareto_sizes(params, 1e-3, 100_000, np.random.default_rng(1))
+
+
+def _block_rows(params, horizon, eps, rngs, budget):
+    """Every driver _jump_blocks yields, in order, as copies, and the blocks' row counts."""
+    rows, lengths = [], []
+    for first, times, sizes, offsets in _jump_blocks(params, horizon, eps, rngs, budget):
+        assert first == len(rows)
+        assert offsets[0] == 0 and offsets[-1] == times.size == sizes.size
+        lengths.append(np.diff(offsets))
+        rows += [(times[a:b].copy(), sizes[a:b].copy()) for a, b in zip(offsets, offsets[1:])]
+    return rows, lengths
+
+
+class _Scripted:
+    """A generator stand-in: a fixed Poisson count, then the given uniforms in order."""
+
+    def __init__(self, n, uniforms):
+        self.n, self.uniforms = n, list(uniforms)
+
+    def poisson(self, lam):
+        return self.n
+
+    def random(self, size=None, out=None):
+        k = out.size if out is not None else size
+        draws, self.uniforms = np.array(self.uniforms[:k], dtype=float), self.uniforms[k:]
+        if out is None:
+            return draws
+        out[...] = draws
+        return out
+
+
+class TestBlockSampler:
+    """_jump_blocks against _sample_jumps, driver by driver, bit for bit."""
+
+    @given(
+        alpha=st.floats(min_value=0.05, max_value=0.95),
+        # Powers of two, and horizons that are not.
+        horizon=st.sampled_from([0.25, 1.0, 2.0, 8.0, 0.7, 3.0]),
+        # Up to about 40 jumps a driver on the longest horizon, and none at all.
+        eps=st.floats(min_value=0.01, max_value=50.0),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        drivers=st.integers(min_value=0, max_value=30),
+        budget=st.integers(min_value=1, max_value=60),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_equals_sample_jumps(self, alpha, horizon, eps, seed, drivers, budget):
+        params = StableParams.default(alpha)
+        seeds = [(seed, k) for k in range(drivers)]
+        rngs = [np.random.default_rng(s) for s in seeds]
+        rows, lengths = _block_rows(params, horizon, eps, rngs, budget)
+        assert len(rows) == drivers
+        assert all(n.size == 1 or n.sum() <= budget for n in lengths)
+        for (times, sizes), rng, s in zip(rows, rngs, seeds):
+            ref = np.random.default_rng(s)
+            want_times, want_sizes = _sample_jumps(params, horizon, eps, ref)
+            assert times.tobytes() == want_times.tobytes()
+            assert sizes.tobytes() == want_sizes.tobytes()
+            # The generator ends where _sample_jumps leaves it.
+            assert rng.random() == ref.random()
+
+    def test_blocks_take_whole_drivers_up_to_the_budget(self):
+        # Empty drivers, blocks of several drivers, blocks split by the
+        # budget and drivers over it, alone: the edges the property test draws.
+        params = StableParams.default(0.5)
+        budget = 6
+        rngs = [np.random.default_rng(k) for k in range(200)]
+        rows, lengths = _block_rows(params, 1.0, 0.05, rngs, budget)
+        assert len(rows) == 200
+        assert any((n == 0).any() for n in lengths)
+        assert any(n.size > 1 and n.sum() == budget for n in lengths)
+        assert any(n.size == 1 and n[0] > budget for n in lengths)
+        flat = np.concatenate(lengths)
+        for n, following in zip(lengths, lengths[1:]):
+            assert n.size == 1 or n.sum() <= budget
+            assert n.sum() + following[0] > budget
+        ref = [np.random.default_rng(k) for k in range(200)]
+        assert flat.tolist() == [_sample_jumps(params, 1.0, 0.05, g)[0].size for g in ref]
+
+    def test_repeated_times_merge_as_sample_jumps_merges_them(self):
+        # Times horizon * (1 - u): equal uniforms give equal times.  Rows:
+        # one repeat; none; no jumps; all equal; and a row whose first time
+        # equals the last time of the row before, which is no repeat.
+        scripts = [
+            (5, [0.5, 0.25, 0.5, 0.75, 0.125] + [0.1, 0.2, 0.3, 0.4, 0.6]),
+            (3, [0.3, 0.2, 0.1] + [0.9, 0.8, 0.7]),
+            (0, []),
+            (3, [0.6, 0.6, 0.6] + [0.1, 0.2, 0.3]),
+            (2, [0.1, 0.9] + [0.5, 0.5]),
+            (2, [0.05, 0.1] + [0.25, 0.75]),
+        ]
+        params = StableParams.default(0.7)
+        for budget in (100, 4, 1):
+            rows, _ = _block_rows(
+                params, 2.0, 0.1, [_Scripted(n, u) for n, u in scripts], budget
+            )
+            for (times, sizes), (n, u) in zip(rows, scripts):
+                want_times, want_sizes = _sample_jumps(params, 2.0, 0.1, _Scripted(n, u))
+                assert times.tobytes() == want_times.tobytes()
+                assert sizes.tobytes() == want_sizes.tobytes()
+            assert [t.size for t, _ in rows] == [4, 3, 0, 1, 2, 2]
+
+    def test_inf_size_names_its_driver(self):
+        # Below alpha = 53/1024 a uniform near 1 gives (1 - u)**(-1/alpha) = inf.
+        params = StableParams.default(0.01)
+        first_inf = None
+        for k in range(3000):
+            try:
+                with np.errstate(over="ignore"):
+                    _sample_jumps(params, 1.0, 1e-3, np.random.default_rng(k))
+            except SamplerIntegrityError:
+                first_inf = k
+                break
+        assert first_inf is not None
+        rngs = (np.random.default_rng(k) for k in range(3000))
+        with np.errstate(over="ignore"), pytest.raises(SamplerIntegrityError) as info:
+            _block_rows(params, 1.0, 1e-3, rngs, 64)
+        assert info.value.driver == first_inf
+        assert "overflowed to inf" in str(info.value)
 
 
 class TestTruncatedLaplace:

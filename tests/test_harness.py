@@ -25,6 +25,7 @@ from stable_sde_lab import (
 )
 from stable_sde_lab import SamplerIntegrityError, cli, counterexample, driver, harness
 from stable_sde_lab.cli import main as cli_main
+from stable_sde_lab.driver import _sample_jumps
 from stable_sde_lab.harness import (
     EXIT_CONFIG,
     EXIT_CRASH,
@@ -702,6 +703,9 @@ class TestGridRunNaming:
 
 
 class TestTimeChangeSide:
+    # At a sampler budget of 30 jumps, drivers of about 21 jumps are blocks
+    # of one or two, and some are over the budget, alone.
+    @pytest.mark.parametrize("budget", [None, 30])
     @pytest.mark.parametrize(
         "text, extended, empty",
         [
@@ -712,7 +716,9 @@ class TestTimeChangeSide:
             ("phi = shifted-arctan(3,1)\ncutoffs = 3\nreplicates = 100\nseed = 5\n", 19, 45),
         ],
     )
-    def test_equals_scalar_marginal(self, text, extended, empty):
+    def test_equals_scalar_marginal(self, monkeypatch, text, extended, empty, budget):
+        if budget:
+            monkeypatch.setattr(harness, "_SAMPLE_JUMPS", budget)
         cfg = parse_config_text("experiment = weak-agree\n" + text)
         tag = "weak-agree-timechange"
         params = StableParams.default(cfg.alpha)
@@ -733,6 +739,20 @@ class TestTimeChangeSide:
         assert sum(total <= cfg.horizon for total in totals) == extended
         want = np.array([scalar(r) for r in range(cfg.replicates)])
         assert got.tobytes() == want.tobytes()
+
+    def test_one_solve_per_replicate_without_extension(self, tmp_path, monkeypatch):
+        # The default phi's clocks all pass T on [0, 2T]: no driver is extended.
+        calls = []
+        real = harness.solve_time_change
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(harness, "solve_time_change", counting)
+        result = _run("experiment = weak-agree\nreplicates = 300\nseed = 2\n", tmp_path, "w")
+        assert result.exit_code == EXIT_PASS
+        assert len(calls) == 300
 
     def test_nonpositive_slope_names_replicate_and_seed(self):
         # phi(x) = 1 + 1e308 * x is inf once x > 1.8, and inf**-alpha is 0;
@@ -939,6 +959,29 @@ class TestCLI:
             assert cli_main(["run", "--config", str(cfg)]) == EXIT_INVARIANT
         err = capsys.readouterr().err
         assert f"replicate 0 (seed {derive_seed(3, 0, 'ladder-driver')}): " in err
+
+    def test_inf_jump_size_exits_2(self, tmp_path, capsys):
+        # Below alpha = 53/1024 a Pareto size can overflow to inf; at this
+        # seed the first driver that draws one is replicate 33's.
+        text = "experiment = ladder-monotone\nalpha = 0.01\ncutoffs = 0.001\nseed = 2\n"
+        cfg = parse_config_text(text + "replicates = 200\n")
+        params = StableParams.default(cfg.alpha)
+
+        def draws_inf(r):
+            try:
+                _sample_jumps(params, 1.0, 1e-3, replicate_rng(2, r, "ladder-driver"))
+            except SamplerIntegrityError:
+                return True
+            return False
+
+        with np.errstate(over="ignore"):
+            first = next(r for r in range(cfg.replicates) if draws_inf(r))
+            assert first == 33
+            path = tmp_path / "inf.cfg"
+            path.write_text(text + f"replicates = 200\nout = {tmp_path / 'out'}\n")
+            assert cli_main(["run", "--config", str(path)]) == EXIT_INVARIANT
+        seed = derive_seed(2, first, "ladder-driver")
+        assert f"replicate {first} (seed {seed}): jump size overflowed to inf" in capsys.readouterr().err
 
     # The grid runs sample on worker threads, outside any np.errstate here.
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
