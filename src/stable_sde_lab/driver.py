@@ -35,8 +35,9 @@ __all__ = [
 class SamplerIntegrityError(RuntimeError):
     """A sampled driver value is NaN or inf, or non-positive at a positive time.
 
-    ``driver`` is the index, in the stream of generators it was drawn from,
-    of the driver that the block sampler _jump_blocks rejected; else None.
+    Every inf jump size is _jump_blocks's: ``driver`` is then the index, in
+    the stream of generators it was drawn from, of the driver that drew it.
+    Else ``driver`` is None.
     """
 
     def __init__(self, message: str, driver: int | None = None) -> None:
@@ -192,26 +193,12 @@ def laplace_exponent(params: StableParams, lam: float) -> float:
     return params.c * math.gamma(1.0 - params.alpha) * lam**params.alpha / params.alpha
 
 
-def _overflow(params: StableParams, eps: float, driver: int | None = None) -> SamplerIntegrityError:
+def _overflow(params: StableParams, eps: float, driver: int) -> SamplerIntegrityError:
     return SamplerIntegrityError(
         f"jump size overflowed to inf: (1 - u)**(-1/alpha) at alpha={params.alpha!r}, "
         f"eps={eps!r}",
         driver,
     )
-
-
-def _pareto_sizes(params: StableParams, eps: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    # Jump-size density alpha * eps**alpha * h**(-1-alpha) on [eps, inf):
-    # eps * (1 - u)**(-1/alpha), each operation in that order, in u's buffer.
-    # Below alpha = 53/1024 a u near 1 overflows to inf, which no later check
-    # would catch: _check_jumps tests the smallest size only.
-    u = rng.random(n)
-    np.subtract(1.0, u, out=u)
-    u **= -1.0 / params.alpha
-    np.multiply(eps, u, out=u)
-    if n and not u.max() < math.inf:
-        raise _overflow(params, eps)
-    return u
 
 
 def _merge_duplicate_times(times: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -222,31 +209,6 @@ def _merge_duplicate_times(times: np.ndarray, sizes: np.ndarray) -> tuple[np.nda
     uniq, start = np.unique(times, return_index=True)
     merged = np.add.reduceat(sizes, start)
     return uniq, merged
-
-
-def _sample_jumps(
-    params: StableParams, horizon: float, eps: float, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Event times and sizes of sample_truncated_path, with no JumpPath built.
-
-    One driver at a time: the reference that _jump_blocks is held bit-equal
-    to, and the sampler of the scalar paths and of time-change extensions.
-    Sorting and merging make the times strictly increase, inside
-    (0, horizon]; the sizes are eps times numbers >= 1, and an inf size
-    raises SamplerIntegrityError.  Nothing else here checks them: JumpPath
-    and the time-change kernel do (_check_jumps), and the ladder kernel
-    checks the sizes it reads.
-    """
-    if not (horizon > 0.0):
-        raise ValueError(f"horizon must be positive, got {horizon}")
-    rate = levy_tail_mass(params, eps)
-    n = int(rng.poisson(rate * horizon))
-    times = rng.random(n)
-    np.subtract(1.0, times, out=times)
-    np.multiply(horizon, times, out=times)  # horizon * (1 - u) lands in (0, horizon]
-    times.sort()
-    sizes = _pareto_sizes(params, eps, n, rng)
-    return _merge_duplicate_times(times, sizes)
 
 
 # The jump budget of a _jump_blocks block in the lab's runs: its two reused
@@ -263,24 +225,33 @@ def _jump_blocks(
     rngs: Iterable[np.random.Generator],
     budget: int,
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray, list[int]]]:
-    """_sample_jumps on every generator of ``rngs``, in blocks of whole drivers.
+    """Compound-Poisson jumps >= eps on (0, horizon], one driver per generator of ``rngs``.
+
+    Each driver draws from its generator a Poisson count n of mean
+    ``horizon * levy_tail_mass(params, eps)``, then n uniforms u for the
+    times, ``horizon * (1 - u)`` in (0, horizon], sorted, then n for the
+    sizes, ``eps * (1 - u)**(-1/alpha)``, Pareto on [eps, inf).  Repeated
+    times (probability zero, but possible in floats) merge into one jump of
+    the summed size, so the times strictly increase.  An inf size raises
+    SamplerIntegrityError, whose ``driver`` is the index of its generator in
+    ``rngs``.  Nothing else here checks the jumps: JumpPath and the
+    time-change kernel do (_check_jumps), and the ladder kernel checks the
+    sizes it reads.
 
     Yields ``(first, times, sizes, offsets)``: the driver drawn from generator
     ``first + j`` of ``rngs`` has the events ``times[offsets[j]:offsets[j+1]]``
-    with ``sizes[offsets[j]:offsets[j+1]]``, bit for bit the arrays of
-    _sample_jumps on that generator, which ends in the state _sample_jumps
-    leaves it in.
+    with ``sizes[offsets[j]:offsets[j+1]]``.
 
     Per driver only the generator is called: the Poisson count, then the
     times' and the sizes' uniforms, drawn with ``out=`` into two buffers of
     ``budget`` floats that every block reuses.  Per block, the time and size
-    transforms make one pass each, with the operations of _sample_jumps in
-    its order, each row of times is sorted in place, and one max tests the
-    sizes: an inf size raises SamplerIntegrityError naming its driver, before
-    any driver of its block is yielded.  A block holds whole drivers up to
-    ``budget`` jumps; a driver with more is a block of its own, in arrays of
-    its own.  A block's arrays are overwritten by the next, so read them
-    before drawing it.
+    transforms make one pass each, with the operations in the order of the
+    expressions above, each row of times is sorted in place, and one max
+    tests the sizes, before any driver of the block is yielded.  A block
+    holds whole drivers up to ``budget`` jumps; a driver with more is a block
+    of its own, in arrays of its own, so at budget 0 every driver with jumps
+    has arrays of its own (sample_truncated_path).  A block's arrays are
+    otherwise overwritten by the next, so read them before drawing it.
     """
     if not (horizon > 0.0):
         raise ValueError(f"horizon must be positive, got {horizon}")
@@ -296,6 +267,8 @@ def _jump_blocks(
         np.subtract(1.0, sizes, out=sizes)
         sizes **= power
         np.multiply(eps, sizes, out=sizes)
+        # Below alpha = 53/1024 a u near 1 gives inf, which _check_jumps would
+        # pass: it tests the smallest size only.
         if sizes.size and not sizes.max() < math.inf:
             raise _overflow(params, eps, first + bisect_right(offsets, int(sizes.argmax())) - 1)
         # A sorted row strictly increases unless two neighbours are equal, so
@@ -336,12 +309,12 @@ def _jump_blocks(
 def sample_truncated_path(
     params: StableParams, horizon: float, eps: float, rng: np.random.Generator
 ) -> JumpPath:
-    """Compound-Poisson path of jumps >= eps on (0, horizon].
+    """Compound-Poisson path of jumps >= eps on (0, horizon]: _jump_blocks on one generator.
 
     Event count is Poisson(horizon * tail_mass), times are uniform order
     statistics on (0, horizon], sizes are Pareto on [eps, inf).
     """
-    times, sizes = _sample_jumps(params, horizon, eps, rng)
+    ((_, times, sizes, _),) = _jump_blocks(params, horizon, eps, (rng,), 0)
     return JumpPath(horizon=horizon, times=times, sizes=sizes, cutoff=eps)
 
 

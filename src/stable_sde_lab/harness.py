@@ -25,8 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-# driver_law_check, sample_truncated_path, thin_path and solve_truncated are
-# unused here: bench/spans.py looks them up in this module by name.
+# driver_law_check, thin_path and solve_truncated are unused here:
+# bench/spans.py looks them up in this module by name.
 from .counterexample import (
     driver_law_check,
     nonuniqueness_demo,
@@ -34,12 +34,10 @@ from .counterexample import (
     write_report_csv,
 )
 from .driver import (
-    JumpPath,
     SamplerIntegrityError,
     StableParams,
     _SAMPLE_JUMPS,
     _jump_blocks,
-    _sample_jumps,
     extend_truncated_path,
     levy_tail_mass,
     sample_truncated_path,
@@ -471,11 +469,12 @@ def _timechange_marginal(
     jump stream, so the marginal law is untouched.  Past _EXTENSION_EVENTS
     events, or 64 extensions, it raises RuntimeError.
     """
-    horizon = _TIMECHANGE_SPAN * t_eval
-    times, sizes = _sample_jumps(params, horizon, eps, rng)
+    path = sample_truncated_path(params, _TIMECHANGE_SPAN * t_eval, eps, rng)
     for _ in range(64):
-        states, _, _, values = solve_time_change(phi, x0, times, sizes, horizon, eps, params.alpha)
-        n = sizes.size
+        states, _, _, values = solve_time_change(
+            phi, x0, path.times, path.sizes, path.horizon, eps, params.alpha
+        )
+        n = len(path)
         if values[-1] > t_eval:
             return states[values[1 : n + 1].searchsorted(t_eval, "right")]
         if n > _EXTENSION_EVENTS:
@@ -483,9 +482,7 @@ def _timechange_marginal(
                 f"time-change clock failed to cover the evaluation time on a driver "
                 f"of {n} events, past the {_EXTENSION_EVENTS} that may be extended"
             )
-        path = JumpPath(horizon, times, sizes, eps)
-        path = extend_truncated_path(params, path, 2.0 * horizon, rng)
-        horizon, times, sizes = path.horizon, path.times, path.sizes
+        path = extend_truncated_path(params, path, 2.0 * path.horizon, rng)
     raise RuntimeError(
         "time-change clock failed to cover the evaluation time after 64 extensions"
     )

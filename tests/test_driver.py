@@ -24,8 +24,7 @@ from stable_sde_lab import (
 from stable_sde_lab.driver import (
     _grid_times,
     _jump_blocks,
-    _pareto_sizes,
-    _sample_jumps,
+    _merge_duplicate_times,
     _standard_stable,
 )
 from stable_sde_lab.stats import ks_two_sample
@@ -396,36 +395,33 @@ class TestObjectFreeSampler:
     @settings(max_examples=60, deadline=None)
     def test_same_draws_as_sample_truncated_path(self, alpha, horizon, eps, seed):
         params = StableParams.default(alpha)
-        rngs = [np.random.default_rng(seed) for _ in range(3)]
-        path = sample_truncated_path(params, horizon, eps, rngs[0])
-        times, sizes = _sample_jumps(params, horizon, eps, rngs[1])
-        want_times, want_sizes = _reference_jumps(params, horizon, eps, rngs[2])
-        for got in (times, path.times):
-            assert got.tobytes() == want_times.tobytes()
-        for got in (sizes, path.sizes):
-            assert got.tobytes() == want_sizes.tobytes()
-        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state == rngs[2].bit_generator.state
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        path = sample_truncated_path(params, horizon, eps, rng)
+        want_times, want_sizes = _reference_jumps(params, horizon, eps, ref)
+        assert path.times.tobytes() == want_times.tobytes()
+        assert path.sizes.tobytes() == want_sizes.tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
 
-    @pytest.mark.parametrize("alpha", [0.05, 0.3, np.nextafter(0.5, 0.0), 0.5, 0.7, 0.95])
-    @given(
-        eps=st.floats(min_value=1e-6, max_value=10.0),
-        n=st.integers(min_value=0, max_value=5000),
-        seed=st.integers(min_value=0, max_value=2**32 - 1),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_pareto_sizes_are_the_expression(self, alpha, eps, n, seed):
-        params = StableParams.default(alpha)
-        with np.errstate(over="ignore"):
-            got = _pareto_sizes(params, eps, n, np.random.default_rng(seed))
-            u = np.random.default_rng(seed).random(n)
-            want = eps * (1.0 - u) ** (-1.0 / alpha)
-        assert got.tobytes() == want.tobytes()
+    def test_a_driver_with_no_jumps(self):
+        # The one-driver form draws an empty driver's uniforms into an empty
+        # view of its buffers, which must take nothing from the generator.
+        params = StableParams.default(0.5)
+        rng, ref = np.random.default_rng(0), np.random.default_rng(0)
+        path = sample_truncated_path(params, 1.0, 5.0, rng)
+        want_times, _ = _reference_jumps(params, 1.0, 5.0, ref)
+        assert want_times.size == 0
+        for got in (path.times, path.sizes):
+            assert got.dtype == np.float64 and got.shape == (0,)
+        assert rng.bit_generator.state == ref.bit_generator.state
 
-    def test_pareto_sizes_reject_inf(self):
-        # alpha = 0.01: 78 of these 100,000 sizes overflow to inf.
+    def test_inf_size_raises(self):
+        # alpha = 0.01: about 107,000 jumps, of which some 80 overflow to inf.
         params = StableParams.default(0.01)
-        with np.errstate(over="ignore"), pytest.raises(SamplerIntegrityError, match="inf"):
-            _pareto_sizes(params, 1e-3, 100_000, np.random.default_rng(1))
+        with (
+            np.errstate(over="ignore"),
+            pytest.raises(SamplerIntegrityError, match="overflowed to inf"),
+        ):
+            sample_truncated_path(params, 1e5, 1e-3, np.random.default_rng(1))
 
 
 def _block_rows(params, horizon, eps, rngs, budget):
@@ -457,34 +453,48 @@ class _Scripted:
         return out
 
 
+def _assert_equals_reference(params, horizon, eps, seeds, budget):
+    """Each driver of _jump_blocks is _reference_jumps's on its seed, generator state included."""
+    rngs = [np.random.default_rng(s) for s in seeds]
+    rows, lengths = _block_rows(params, horizon, eps, rngs, budget)
+    assert len(rows) == len(seeds)
+    assert all(n.size == 1 or n.sum() <= budget for n in lengths)
+    for (times, sizes), rng, s in zip(rows, rngs, seeds):
+        ref = np.random.default_rng(s)
+        want_times, want_sizes = _reference_jumps(params, horizon, eps, ref)
+        assert times.tobytes() == want_times.tobytes()
+        assert sizes.tobytes() == want_sizes.tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+# The size exponent -1/alpha is -2.0 exactly at 1/2, and not at its neighbour.
+_SIZE_ALPHAS = [0.05, 0.3, np.nextafter(0.5, 0.0), 0.5, 0.7, 0.95]
+
+
 class TestBlockSampler:
-    """_jump_blocks against _sample_jumps, driver by driver, bit for bit."""
+    """_jump_blocks against _reference_jumps, driver by driver, bit for bit."""
 
     @given(
-        alpha=st.floats(min_value=0.05, max_value=0.95),
+        alpha=st.one_of(st.sampled_from(_SIZE_ALPHAS), st.floats(min_value=0.05, max_value=0.95)),
         # Powers of two, and horizons that are not.
         horizon=st.sampled_from([0.25, 1.0, 2.0, 8.0, 0.7, 3.0]),
         # Up to about 40 jumps a driver on the longest horizon, and none at all.
         eps=st.floats(min_value=0.01, max_value=50.0),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
         drivers=st.integers(min_value=0, max_value=30),
-        budget=st.integers(min_value=1, max_value=60),
+        # Budget 0 is the one-driver form's: each driver with jumps alone.
+        budget=st.integers(min_value=0, max_value=60),
     )
     @settings(max_examples=80, deadline=None)
-    def test_equals_sample_jumps(self, alpha, horizon, eps, seed, drivers, budget):
-        params = StableParams.default(alpha)
+    def test_equals_reference_jumps(self, alpha, horizon, eps, seed, drivers, budget):
         seeds = [(seed, k) for k in range(drivers)]
-        rngs = [np.random.default_rng(s) for s in seeds]
-        rows, lengths = _block_rows(params, horizon, eps, rngs, budget)
-        assert len(rows) == drivers
-        assert all(n.size == 1 or n.sum() <= budget for n in lengths)
-        for (times, sizes), rng, s in zip(rows, rngs, seeds):
-            ref = np.random.default_rng(s)
-            want_times, want_sizes = _sample_jumps(params, horizon, eps, ref)
-            assert times.tobytes() == want_times.tobytes()
-            assert sizes.tobytes() == want_sizes.tobytes()
-            # The generator ends where _sample_jumps leaves it.
-            assert rng.random() == ref.random()
+        _assert_equals_reference(StableParams.default(alpha), horizon, eps, seeds, budget)
+
+    @pytest.mark.parametrize("alpha", _SIZE_ALPHAS)
+    @pytest.mark.parametrize("budget", [0, 40])
+    def test_equals_reference_jumps_at_fixed_alphas(self, alpha, budget):
+        # 30 drivers of about 10 to 40 jumps each.
+        _assert_equals_reference(StableParams.default(alpha), 8.0, 0.01, range(30), budget)
 
     def test_blocks_take_whole_drivers_up_to_the_budget(self):
         # Empty drivers, blocks of several drivers, blocks split by the
@@ -502,9 +512,9 @@ class TestBlockSampler:
             assert n.size == 1 or n.sum() <= budget
             assert n.sum() + following[0] > budget
         ref = [np.random.default_rng(k) for k in range(200)]
-        assert flat.tolist() == [_sample_jumps(params, 1.0, 0.05, g)[0].size for g in ref]
+        assert flat.tolist() == [len(sample_truncated_path(params, 1.0, 0.05, g)) for g in ref]
 
-    def test_repeated_times_merge_as_sample_jumps_merges_them(self):
+    def test_repeated_times_merge(self):
         # Times horizon * (1 - u): equal uniforms give equal times.  Rows:
         # one repeat; none; no jumps; all equal; and a row whose first time
         # equals the last time of the row before, which is no repeat.
@@ -517,12 +527,14 @@ class TestBlockSampler:
             (2, [0.05, 0.1] + [0.25, 0.75]),
         ]
         params = StableParams.default(0.7)
-        for budget in (100, 4, 1):
+        for budget in (100, 4, 1, 0):
             rows, _ = _block_rows(
                 params, 2.0, 0.1, [_Scripted(n, u) for n, u in scripts], budget
             )
             for (times, sizes), (n, u) in zip(rows, scripts):
-                want_times, want_sizes = _sample_jumps(params, 2.0, 0.1, _Scripted(n, u))
+                want_times, want_sizes = _merge_duplicate_times(
+                    *_reference_jumps(params, 2.0, 0.1, _Scripted(n, u))
+                )
                 assert times.tobytes() == want_times.tobytes()
                 assert sizes.tobytes() == want_sizes.tobytes()
             assert [t.size for t, _ in rows] == [4, 3, 0, 1, 2, 2]
@@ -534,7 +546,7 @@ class TestBlockSampler:
         for k in range(3000):
             try:
                 with np.errstate(over="ignore"):
-                    _sample_jumps(params, 1.0, 1e-3, np.random.default_rng(k))
+                    sample_truncated_path(params, 1.0, 1e-3, np.random.default_rng(k))
             except SamplerIntegrityError:
                 first_inf = k
                 break

@@ -25,7 +25,6 @@ from stable_sde_lab import (
 )
 from stable_sde_lab import SamplerIntegrityError, cli, counterexample, driver, harness
 from stable_sde_lab.cli import main as cli_main
-from stable_sde_lab.driver import _sample_jumps
 from stable_sde_lab.harness import (
     EXIT_CONFIG,
     EXIT_CRASH,
@@ -969,7 +968,7 @@ class TestCLI:
 
         def draws_inf(r):
             try:
-                _sample_jumps(params, 1.0, 1e-3, replicate_rng(2, r, "ladder-driver"))
+                sample_truncated_path(params, 1.0, 1e-3, replicate_rng(2, r, "ladder-driver"))
             except SamplerIntegrityError:
                 return True
             return False

@@ -27,7 +27,6 @@ from stable_sde_lab import (
     solve_truncated,
     time_change_path,
 )
-from stable_sde_lab.driver import _sample_jumps
 
 ARCTAN = ShiftedArctanPhi(2.0, 2.0 / math.pi)
 
@@ -358,7 +357,8 @@ class TestTimeChangeKernel:
     @settings(max_examples=300, deadline=None)
     def test_equals_the_object_path(self, phi, x, alpha, horizon, eps, seed, shape):
         params = StableParams.default(alpha)
-        times, sizes = _sample_jumps(params, horizon, eps, np.random.default_rng(seed))
+        path = sample_truncated_path(params, horizon, eps, np.random.default_rng(seed))
+        times, sizes = path.times, path.sizes
         if shape == "empty":
             times, sizes = times[:0], sizes[:0]
         elif shape == "last-on-horizon" and times.size:
@@ -404,7 +404,8 @@ class TestTimeChangeKernel:
         self, phi, x, alpha, horizon, eps, seed, shape, stretch
     ):
         params = StableParams.default(alpha)
-        times, sizes = _sample_jumps(params, horizon, eps, np.random.default_rng(seed))
+        path = sample_truncated_path(params, horizon, eps, np.random.default_rng(seed))
+        times, sizes = path.times, path.sizes
         if shape == "empty":
             times, sizes = times[:0], sizes[:0]
         elif shape == "last-on-horizon" and times.size:
