@@ -13,7 +13,6 @@ import math
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from itertools import accumulate
 
 import numpy as np
 
@@ -201,14 +200,21 @@ def _overflow(params: StableParams, eps: float, driver: int) -> SamplerIntegrity
     )
 
 
-def _merge_duplicate_times(times: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Simultaneous events (probability zero, but possible in floats) collapse
-    # to one jump with the summed size, preserving the path exactly.
-    if times.size < 2 or (times[1:] > times[:-1]).all():
-        return times, sizes
-    uniq, start = np.unique(times, return_index=True)
-    merged = np.add.reduceat(sizes, start)
-    return uniq, merged
+def _merge_repeats(times: np.ndarray, sizes: np.ndarray, offsets: list[int]):
+    """Each row's repeated times, possible in floats, merged into one jump of the summed size.
+
+    Row j, ``times[offsets[j]:offsets[j+1]]``, is sorted.  A time equal to
+    the last of the row before is no repeat.  Returns the arguments when no
+    row repeats a time.
+    """
+    # starts[k]: times[k] starts a run of equal times in its row.  The entry
+    # past the times takes the offset of the end, and of any empty last row.
+    starts = np.concatenate(([True], times[1:] != times[:-1], [True]))
+    starts[offsets] = True
+    if starts.all():
+        return times, sizes, offsets
+    (first,) = np.nonzero(starts[:-1])
+    return times[first], np.add.reduceat(sizes, first), first.searchsorted(offsets).tolist()
 
 
 # The jump budget of a _jump_blocks block in the lab's runs: its two reused
@@ -224,23 +230,24 @@ def _jump_blocks(
     eps: float,
     rngs: Iterable[np.random.Generator],
     budget: int,
-) -> Iterator[tuple[int, np.ndarray, np.ndarray, list[int]]]:
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, list[int], list[np.random.Generator]]]:
     """Compound-Poisson jumps >= eps on (0, horizon], one driver per generator of ``rngs``.
 
     Each driver draws from its generator a Poisson count n of mean
     ``horizon * levy_tail_mass(params, eps)``, then n uniforms u for the
     times, ``horizon * (1 - u)`` in (0, horizon], sorted, then n for the
     sizes, ``eps * (1 - u)**(-1/alpha)``, Pareto on [eps, inf).  Repeated
-    times (probability zero, but possible in floats) merge into one jump of
-    the summed size, so the times strictly increase.  An inf size raises
-    SamplerIntegrityError, whose ``driver`` is the index of its generator in
-    ``rngs``.  Nothing else here checks the jumps: JumpPath and the
-    time-change kernel do (_check_jumps), and the ladder kernel checks the
-    sizes it reads.
+    times merge (_merge_repeats), so the times strictly increase.  An inf
+    size raises SamplerIntegrityError, whose ``driver`` is the index of its
+    generator in ``rngs``.  Nothing else here checks the jumps: JumpPath and
+    the time-change kernel do (_check_jumps), and the ladder kernel checks
+    the sizes it reads.
 
-    Yields ``(first, times, sizes, offsets)``: the driver drawn from generator
-    ``first + j`` of ``rngs`` has the events ``times[offsets[j]:offsets[j+1]]``
-    with ``sizes[offsets[j]:offsets[j+1]]``.
+    Yields ``(first, times, sizes, offsets, generators)``: the driver drawn
+    from ``generators[j]``, generator ``first + j`` of ``rngs``, has the
+    events ``times[offsets[j]:offsets[j+1]]`` with
+    ``sizes[offsets[j]:offsets[j+1]]``; each generator is left where its
+    draws end.
 
     Per driver only the generator is called: the Poisson count, then the
     times' and the sizes' uniforms, drawn with ``out=`` into two buffers of
@@ -251,7 +258,9 @@ def _jump_blocks(
     holds whole drivers up to ``budget`` jumps; a driver with more is a block
     of its own, in arrays of its own, so at budget 0 every driver with jumps
     has arrays of its own (sample_truncated_path).  A block's arrays are
-    otherwise overwritten by the next, so read them before drawing it.
+    otherwise overwritten by the next, so read them before drawing it.  Its
+    list of generators is emptied then, or after the last block: a generator
+    kept longer would keep what seeded it alive (replicate_rngs's seed words).
     """
     if not (horizon > 0.0):
         raise ValueError(f"horizon must be positive, got {horizon}")
@@ -259,7 +268,8 @@ def _jump_blocks(
     power = -1.0 / params.alpha
     times_buf, sizes_buf = np.empty(budget), np.empty(budget)
 
-    def block(first: int, times: np.ndarray, sizes: np.ndarray, offsets: list[int]):
+    def block(first: int, times: np.ndarray, sizes: np.ndarray, offsets: list[int], gens):
+        times, sizes = times[: offsets[-1]], sizes[: offsets[-1]]
         np.subtract(1.0, times, out=times)
         np.multiply(horizon, times, out=times)
         for a, b in zip(offsets, offsets[1:]):
@@ -271,39 +281,31 @@ def _jump_blocks(
         # pass: it tests the smallest size only.
         if sizes.size and not sizes.max() < math.inf:
             raise _overflow(params, eps, first + bisect_right(offsets, int(sizes.argmax())) - 1)
-        # A sorted row strictly increases unless two neighbours are equal, so
-        # one test of the block finds every row to merge.  Where the second of
-        # an equal pair starts a row, that row is merged as it is: unchanged.
-        rows = {
-            bisect_right(offsets, k) - 1
-            for k in (np.flatnonzero(times[1:] == times[:-1]) + 1).tolist()
-        }
-        if rows:
-            parts = [(times[a:b], sizes[a:b]) for a, b in zip(offsets, offsets[1:])]
-            for j in rows:
-                parts[j] = _merge_duplicate_times(*parts[j])
-            times = np.concatenate([t for t, _ in parts])
-            sizes = np.concatenate([s for _, s in parts])
-            offsets = [0, *accumulate(t.size for t, _ in parts)]
-        return first, times, sizes, offsets
+        return first, *_merge_repeats(times, sizes, offsets), gens
 
-    first, offsets = 0, [0]  # the open block: its first driver, its rows in the buffers
+    # The open block: its first driver, its rows in the buffers, their generators.
+    first, offsets, gens = 0, [0], []
     for k, rng in enumerate(rngs):
         n = int(rng.poisson(mean))
         end = offsets[-1] + n
         if end > budget:
-            if k > first:
-                yield block(first, times_buf[: offsets[-1]], sizes_buf[: offsets[-1]], offsets)
+            if gens:
+                yield block(first, times_buf, sizes_buf, offsets, gens)
+                gens.clear()
             first, offsets, end = k, [0], n
             if n > budget:
-                yield block(k, rng.random(n), rng.random(n), [0, n])
+                gens.append(rng)
+                yield block(k, rng.random(n), rng.random(n), [0, n], gens)
+                gens.clear()
                 first = k + 1
                 continue
         rng.random(out=times_buf[offsets[-1] : end])
         rng.random(out=sizes_buf[offsets[-1] : end])
         offsets.append(end)
-    if len(offsets) > 1:
-        yield block(first, times_buf[: offsets[-1]], sizes_buf[: offsets[-1]], offsets)
+        gens.append(rng)
+    if gens:
+        yield block(first, times_buf, sizes_buf, offsets, gens)
+        gens.clear()
 
 
 def sample_truncated_path(
@@ -314,7 +316,7 @@ def sample_truncated_path(
     Event count is Poisson(horizon * tail_mass), times are uniform order
     statistics on (0, horizon], sizes are Pareto on [eps, inf).
     """
-    ((_, times, sizes, _),) = _jump_blocks(params, horizon, eps, (rng,), 0)
+    ((_, times, sizes, _, _),) = _jump_blocks(params, horizon, eps, (rng,), 0)
     return JumpPath(horizon=horizon, times=times, sizes=sizes, cutoff=eps)
 
 
@@ -329,7 +331,7 @@ def extend_truncated_path(
     tail = sample_truncated_path(params, new_horizon - path.horizon, path.cutoff, rng)
     times = np.concatenate([path.times, path.horizon + tail.times])
     sizes = np.concatenate([path.sizes, tail.sizes])
-    times, sizes = _merge_duplicate_times(times, sizes)
+    times, sizes, _ = _merge_repeats(times, sizes, [0, times.size])
     return JumpPath(horizon=new_horizon, times=times, sizes=sizes, cutoff=path.cutoff)
 
 

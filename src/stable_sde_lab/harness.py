@@ -25,8 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-# driver_law_check, thin_path and solve_truncated are unused here:
-# bench/spans.py looks them up in this module by name.
+# driver_law_check, sample_truncated_path, thin_path and solve_truncated are
+# unused here: bench/spans.py looks them up in this module by name.
 from .counterexample import (
     driver_law_check,
     nonuniqueness_demo,
@@ -34,6 +34,7 @@ from .counterexample import (
     write_report_csv,
 )
 from .driver import (
+    JumpPath,
     SamplerIntegrityError,
     StableParams,
     _SAMPLE_JUMPS,
@@ -332,7 +333,7 @@ def _solve_replicate_ladders(
     blocks = []
     buffer = np.empty(_BLOCK_JUMPS)
     first, offsets = 0, [0]  # the open block: its first replicate, its paths in buffer
-    for start, _, sizes, ends in _replicate_jumps(cfg, tag, cfg.horizon, levels[-1]):
+    for start, _, sizes, ends, _ in _replicate_jumps(cfg, tag, cfg.horizon, levels[-1]):
         for r, (a, b) in enumerate(zip(ends, ends[1:]), start):
             end = offsets[-1] + b - a
             if end > _BLOCK_JUMPS:
@@ -459,30 +460,30 @@ _EXTENSION_EVENTS = 1 << 20
 _TIMECHANGE_SPAN = 2.0
 
 
-def _timechange_marginal(
-    phi: MonotonePhi, x0: float, params: StableParams, eps: float, t_eval: float, rng
-) -> float:
-    """X at t_eval from the time-change construction, one driver at a time.
+def _timechange_x(cfg: ExperimentConfig, phi: MonotonePhi, times, sizes, horizon, rng) -> float:
+    """X at T by time change, on the events of a driver drawn from ``rng`` on [0, horizon].
 
-    The driver is sampled on [0, _TIMECHANGE_SPAN * t_eval] and extended
-    (never resampled) until its clock covers t_eval: a stopping rule on one
-    jump stream, so the marginal law is untouched.  Past _EXTENSION_EVENTS
-    events, or 64 extensions, it raises RuntimeError.
+    While its clock ends at or before T, the driver is extended from ``rng``
+    (never resampled) and solved again: a stopping rule on one jump stream,
+    so the marginal law is untouched.  Past _EXTENSION_EVENTS events, or 64
+    extensions, it raises RuntimeError.
     """
-    path = sample_truncated_path(params, _TIMECHANGE_SPAN * t_eval, eps, rng)
+    (eps,) = cfg.cutoffs
+    path = None  # the driver as a JumpPath, once it is extended
     for _ in range(64):
-        states, _, _, values = solve_time_change(
-            phi, x0, path.times, path.sizes, path.horizon, eps, params.alpha
-        )
-        n = len(path)
-        if values[-1] > t_eval:
-            return states[values[1 : n + 1].searchsorted(t_eval, "right")]
+        states, _, _, values = solve_time_change(phi, cfg.x0, times, sizes, horizon, eps, cfg.alpha)
+        n = times.size
+        if values[-1] > cfg.horizon:
+            return states[values[1 : n + 1].searchsorted(cfg.horizon, "right")]
         if n > _EXTENSION_EVENTS:
             raise RuntimeError(
                 f"time-change clock failed to cover the evaluation time on a driver "
                 f"of {n} events, past the {_EXTENSION_EVENTS} that may be extended"
             )
-        path = extend_truncated_path(params, path, 2.0 * path.horizon, rng)
+        if path is None:
+            path = JumpPath(horizon, times, sizes, eps)
+        path = extend_truncated_path(StableParams.default(cfg.alpha), path, 2.0 * horizon, rng)
+        times, sizes, horizon = path.times, path.sizes, path.horizon
     raise RuntimeError(
         "time-change clock failed to cover the evaluation time after 64 extensions"
     )
@@ -491,28 +492,18 @@ def _timechange_marginal(
 def _timechange_samples(cfg: ExperimentConfig, tag: str) -> np.ndarray:
     """X at T from the time-change construction, for every replicate.
 
-    Each driver on [0, _TIMECHANGE_SPAN * T], from _replicate_jumps, is
-    solved by one solve_time_change call on views of its block.  One whose
-    clock ends at or before T goes to _timechange_marginal, with a fresh
-    generator of its stream.  A failure names the replicate and its seed.
+    Each driver on [0, _TIMECHANGE_SPAN * T] goes to _timechange_x as views of
+    its _replicate_jumps block and its generator.  A failure names the
+    replicate and its seed.
     """
     phi = cfg.phi_object()
-    params = StableParams.default(cfg.alpha)
-    (eps,) = cfg.cutoffs
     horizon = _TIMECHANGE_SPAN * cfg.horizon
     xs = np.empty(cfg.replicates)
-    for first, times, sizes, offsets in _replicate_jumps(cfg, tag, horizon, eps):
-        for r, (a, b) in enumerate(zip(offsets, offsets[1:]), first):
+    for first, times, sizes, offsets, rngs in _replicate_jumps(cfg, tag, horizon, cfg.cutoffs[0]):
+        for r, (a, b, rng) in enumerate(zip(offsets, offsets[1:], rngs), first):
             try:
-                states, _, _, values = solve_time_change(
-                    phi, cfg.x0, times[a:b], sizes[a:b], horizon, eps, cfg.alpha
-                )
-                if values[-1] > cfg.horizon:
-                    xs[r] = states[values[1 : b - a + 1].searchsorted(cfg.horizon, "right")]
-                else:
-                    rng = replicate_rng(cfg.seed, r, tag)
-                    xs[r] = _timechange_marginal(phi, cfg.x0, params, eps, cfg.horizon, rng)
-            except (ValueError, RuntimeError) as exc:
+                xs[r] = _timechange_x(cfg, phi, times[a:b], sizes[a:b], horizon, rng)
+            except (ValueError, RuntimeError, FloatingPointError) as exc:
                 raise _replicate_error(exc, cfg, r, tag) from exc
     return xs
 

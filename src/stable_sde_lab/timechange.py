@@ -10,8 +10,8 @@ beyond B(T) the finite simulation cannot speak and a sentinel is returned.
 the checked clock out, with no object built.  It builds the clock from
 checked event times as a running sum, so of Clock's checks it makes only the
 two that its construction leaves open: every slope positive, and the total
-finite.  ``time_change_path`` runs its arithmetic on a JumpPath and returns
-a SolutionPath and its Clock, which makes every clock check.
+finite.  ``time_change_path`` runs the kernel on a JumpPath and returns a
+SolutionPath and its Clock, which makes every clock check.
 """
 
 from __future__ import annotations
@@ -125,7 +125,7 @@ def _clock(
 
 
 def _time_change_arrays(phi, x, times, sizes, horizon, cutoff, alpha):
-    """solve_time_change up to its clock check; time_change_path's Clock makes its own."""
+    """solve_time_change up to its checks of the clock."""
     times, sizes = _check_jumps(horizon, times, sizes, cutoff)
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
@@ -165,12 +165,18 @@ def solve_time_change(
     event times, so they start at 0 and strictly increase, and each value is
     the one before it plus slope * length, exactly, as a running sum.  A
     finite total then makes every value, and so every slope, finite.  A clock
-    that fails the test goes to Clock's checks, which raise the message that
-    Clock would.
+    that fails the test raises FloatingPointError where phi is not finite, as
+    solve_truncated does, and else goes to Clock's checks, which raise the
+    message that Clock would.
     """
     arrays = _time_change_arrays(phi, x, times, sizes, horizon, cutoff, alpha)
-    _, breakpoints, slopes, values = arrays
+    states, breakpoints, slopes, values = arrays
     if not (slopes.min() > 0.0 and values[-1] < math.inf):
+        finite = np.isfinite(phi.eval(states[: slopes.size]))
+        if not finite.all():
+            k = int(finite.argmin())
+            state = states.item(k)
+            raise FloatingPointError(f"phi evaluated non-finite at state {state!r} (event {k})")
         _check_clock(breakpoints, slopes, values)
     return arrays
 
@@ -181,10 +187,10 @@ def time_change_path(
     """solve_time_change on a JumpPath: the solution on [0, B(T)) and its clock.
 
     Driver jumps at u_i map to solution jumps at B(u_i), between which the
-    state is constant; the clock's total is the solution's horizon.  The
-    clock is checked once, by Clock.
+    state is constant; the clock's total is the solution's horizon.  Each of
+    Clock's checks runs once, in Clock, on a clock that passes the kernel's.
     """
-    states, breakpoints, slopes, values = _time_change_arrays(
+    states, breakpoints, slopes, values = solve_time_change(
         phi, x, driver.times, driver.sizes, driver.horizon, driver.cutoff, alpha
     )
     clock = Clock(breakpoints=breakpoints, slopes=slopes, values=values)

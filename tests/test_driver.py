@@ -24,7 +24,6 @@ from stable_sde_lab import (
 from stable_sde_lab.driver import (
     _grid_times,
     _jump_blocks,
-    _merge_duplicate_times,
     _standard_stable,
 )
 from stable_sde_lab.stats import ks_two_sample
@@ -424,15 +423,39 @@ class TestObjectFreeSampler:
             sample_truncated_path(params, 1e5, 1e-3, np.random.default_rng(1))
 
 
+def _state(rng):
+    """A generator's state, or what a _Scripted one has left to draw."""
+    return rng.bit_generator.state if isinstance(rng, np.random.Generator) else rng.uniforms[:]
+
+
 def _block_rows(params, horizon, eps, rngs, budget):
-    """Every driver _jump_blocks yields, in order, as copies, and the blocks' row counts."""
-    rows, lengths = [], []
-    for first, times, sizes, offsets in _jump_blocks(params, horizon, eps, rngs, budget):
+    """Every driver _jump_blocks yields, in order, and the blocks' row counts.
+
+    A row is copies of its times and sizes, its generator, and that
+    generator's state when the block is yielded.  Each block's list of
+    generators is empty once every block is drawn.
+    """
+    rows, lengths, lists = [], [], []
+    for first, times, sizes, offsets, gens in _jump_blocks(params, horizon, eps, rngs, budget):
         assert first == len(rows)
         assert offsets[0] == 0 and offsets[-1] == times.size == sizes.size
+        assert len(gens) == len(offsets) - 1
         lengths.append(np.diff(offsets))
-        rows += [(times[a:b].copy(), sizes[a:b].copy()) for a, b in zip(offsets, offsets[1:])]
+        lists.append(gens)
+        rows += [
+            (times[a:b].copy(), sizes[a:b].copy(), g, _state(g))
+            for a, b, g in zip(offsets, offsets[1:], gens)
+        ]
+    assert not any(lists)
     return rows, lengths
+
+
+def _reference_merge(times, sizes):
+    """Repeated times merged, written out: each time once, with the sum of its sizes."""
+    if not times.size:
+        return times, sizes
+    times, start = np.unique(times, return_index=True)
+    return times, np.add.reduceat(sizes, start)
 
 
 class _Scripted:
@@ -454,17 +477,21 @@ class _Scripted:
 
 
 def _assert_equals_reference(params, horizon, eps, seeds, budget):
-    """Each driver of _jump_blocks is _reference_jumps's on its seed, generator state included."""
+    """Each driver of _jump_blocks is _reference_jumps's on its seed.
+
+    Its generator is yielded with it, in the state _reference_jumps leaves.
+    """
     rngs = [np.random.default_rng(s) for s in seeds]
     rows, lengths = _block_rows(params, horizon, eps, rngs, budget)
     assert len(rows) == len(seeds)
     assert all(n.size == 1 or n.sum() <= budget for n in lengths)
-    for (times, sizes), rng, s in zip(rows, rngs, seeds):
+    for (times, sizes, gen, state), rng, s in zip(rows, rngs, seeds):
         ref = np.random.default_rng(s)
         want_times, want_sizes = _reference_jumps(params, horizon, eps, ref)
         assert times.tobytes() == want_times.tobytes()
         assert sizes.tobytes() == want_sizes.tobytes()
-        assert rng.bit_generator.state == ref.bit_generator.state
+        assert gen is rng
+        assert state == ref.bit_generator.state
 
 
 # The size exponent -1/alpha is -2.0 exactly at 1/2, and not at its neighbour.
@@ -515,29 +542,35 @@ class TestBlockSampler:
         assert flat.tolist() == [len(sample_truncated_path(params, 1.0, 0.05, g)) for g in ref]
 
     def test_repeated_times_merge(self):
-        # Times horizon * (1 - u): equal uniforms give equal times.  Rows:
-        # one repeat; none; no jumps; all equal; and a row whose first time
-        # equals the last time of the row before, which is no repeat.
+        # Times horizon * (1 - u): equal uniforms give equal times.  Rows: no
+        # jumps; one repeat; none; no jumps; all equal; a row whose first time
+        # equals the last time of the row before, which is no repeat; a
+        # repeat at the end; and no jumps.  The empty first and last rows
+        # put offsets 0 and len inside a block.
         scripts = [
+            (0, []),
             (5, [0.5, 0.25, 0.5, 0.75, 0.125] + [0.1, 0.2, 0.3, 0.4, 0.6]),
             (3, [0.3, 0.2, 0.1] + [0.9, 0.8, 0.7]),
             (0, []),
             (3, [0.6, 0.6, 0.6] + [0.1, 0.2, 0.3]),
             (2, [0.1, 0.9] + [0.5, 0.5]),
             (2, [0.05, 0.1] + [0.25, 0.75]),
+            (3, [0.9, 0.5, 0.5] + [0.1, 0.2, 0.3]),
+            (0, []),
         ]
         params = StableParams.default(0.7)
-        for budget in (100, 4, 1, 0):
+        for budget in (100, 7, 4, 3, 1, 0):
             rows, _ = _block_rows(
                 params, 2.0, 0.1, [_Scripted(n, u) for n, u in scripts], budget
             )
-            for (times, sizes), (n, u) in zip(rows, scripts):
-                want_times, want_sizes = _merge_duplicate_times(
+            for (times, sizes, _, left), (n, u) in zip(rows, scripts):
+                want_times, want_sizes = _reference_merge(
                     *_reference_jumps(params, 2.0, 0.1, _Scripted(n, u))
                 )
                 assert times.tobytes() == want_times.tobytes()
                 assert sizes.tobytes() == want_sizes.tobytes()
-            assert [t.size for t, _ in rows] == [4, 3, 0, 1, 2, 2]
+                assert left == []
+            assert [t.size for t, *_ in rows] == [0, 4, 3, 0, 1, 2, 2, 2, 0]
 
     def test_inf_size_names_its_driver(self):
         # Below alpha = 53/1024 a uniform near 1 gives (1 - u)**(-1/alpha) = inf.

@@ -39,7 +39,6 @@ from stable_sde_lab.harness import (
     _couple_levels,
     _exit_code,
     _solve_replicate_ladders,
-    _timechange_marginal,
     _timechange_samples,
     parse_config_text,
     run_experiment,
@@ -701,6 +700,25 @@ class TestGridRunNaming:
         assert str(info.value) in capsys.readouterr().err
 
 
+def _reference_marginal(phi, x0, params, eps, t_eval, rng):
+    """X at t_eval by time change, one driver at a time: drawn, solved, extended.
+
+    The driver is sampled on [0, 2 t_eval] and, while its clock ends at or
+    before t_eval, extended to twice its horizon from the same generator and
+    solved again; past harness._EXTENSION_EVENTS events, or 64 extensions,
+    it raises RuntimeError.
+    """
+    path = sample_truncated_path(params, 2.0 * t_eval, eps, rng)
+    for _ in range(64):
+        solution, clock = time_change_path(phi, x0, path, params.alpha)
+        if clock.total > t_eval:
+            return solution.value_at(t_eval)
+        if len(path) > harness._EXTENSION_EVENTS:
+            raise RuntimeError("past the events that may be extended")
+        path = driver.extend_truncated_path(params, path, 2.0 * path.horizon, rng)
+    raise RuntimeError("after 64 extensions")
+
+
 class TestTimeChangeSide:
     # At a sampler budget of 30 jumps, drivers of about 21 jumps are blocks
     # of one or two, and some are over the budget, alone.
@@ -713,6 +731,8 @@ class TestTimeChangeSide:
             ("phi = shifted-arctan(3,1)\nreplicates = 200\nseed = 3\n", 44, 0),
             # Jumps >= 3 only: drivers with no jump at all.
             ("phi = shifted-arctan(3,1)\ncutoffs = 3\nreplicates = 100\nseed = 5\n", 19, 45),
+            # Drivers extended up to seven times.
+            ("phi = soft-ramp(3,2)\nx0 = 1\ncutoffs = 0.05\nreplicates = 100\nseed = 77\n", 83, 1),
         ],
     )
     def test_equals_scalar_marginal(self, monkeypatch, text, extended, empty, budget):
@@ -726,7 +746,7 @@ class TestTimeChangeSide:
 
         def scalar(r):
             rng = replicate_rng(cfg.seed, r, tag)
-            return _timechange_marginal(phi, cfg.x0, params, eps, cfg.horizon, rng)
+            return _reference_marginal(phi, cfg.x0, params, eps, cfg.horizon, rng)
 
         got = _timechange_samples(cfg, tag)
         drivers = [
@@ -738,6 +758,39 @@ class TestTimeChangeSide:
         assert sum(total <= cfg.horizon for total in totals) == extended
         want = np.array([scalar(r) for r in range(cfg.replicates)])
         assert got.tobytes() == want.tobytes()
+
+    # Drivers extended once or not at all, and drivers extended up to seven times.
+    @pytest.mark.parametrize("budget", [None, 30])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "phi = shifted-arctan(3,1)\nreplicates = 200\nseed = 3\n",
+            "phi = soft-ramp(3,2)\nx0 = 1\ncutoffs = 0.05\nreplicates = 100\nseed = 77\n",
+        ],
+    )
+    def test_one_solve_per_driver_and_extension(self, monkeypatch, text, budget):
+        # A driver is solved once as drawn, and once after each extension.
+        if budget:
+            monkeypatch.setattr(harness, "_SAMPLE_JUMPS", budget)
+        solves, extensions = [], []
+
+        def recording(calls, real):
+            def call(*args):
+                calls.append(None)
+                return real(*args)
+
+            return call
+
+        monkeypatch.setattr(
+            harness, "solve_time_change", recording(solves, harness.solve_time_change)
+        )
+        monkeypatch.setattr(
+            harness, "extend_truncated_path", recording(extensions, harness.extend_truncated_path)
+        )
+        cfg = parse_config_text("experiment = weak-agree\n" + text)
+        _timechange_samples(cfg, "weak-agree-timechange")
+        assert extensions
+        assert len(solves) == cfg.replicates + len(extensions)
 
     def test_one_solve_per_replicate_without_extension(self, tmp_path, monkeypatch):
         # The default phi's clocks all pass T on [0, 2T]: no driver is extended.
@@ -754,17 +807,18 @@ class TestTimeChangeSide:
         assert len(calls) == 300
 
     def test_nonpositive_slope_names_replicate_and_seed(self):
-        # phi(x) = 1 + 1e308 * x is inf once x > 1.8, and inf**-alpha is 0;
-        # replicate 0's driver stays below that.
+        # phi(x) = 1 + 1e308 * x is inf once x > 1.8, and inf**-alpha is a
+        # slope of 0: the solve names the state where phi is not finite.
+        # Replicate 0's driver stays below that.
         cfg = parse_config_text(
             "experiment = weak-agree\nphi = soft-ramp(1,1e308)\ncutoffs = 1\n"
             "replicates = 100\nseed = 0\n"
         )
         tag = "weak-agree-timechange"
-        with np.errstate(over="ignore"), pytest.raises(ValueError) as info:
+        with np.errstate(over="ignore"), pytest.raises(FloatingPointError) as info:
             _timechange_samples(cfg, tag)
         assert str(info.value).startswith(
-            f"replicate 1 (seed {derive_seed(0, 1, tag)}): clock slopes must be positive"
+            f"replicate 1 (seed {derive_seed(0, 1, tag)}): phi evaluated non-finite at state "
         )
 
     def test_uncovered_clock_names_replicate_and_seed(self, monkeypatch):
@@ -786,6 +840,31 @@ class TestTimeChangeSide:
             f"replicate 1 (seed {derive_seed(4, 1, tag)}): time-change clock failed"
         )
 
+    @pytest.mark.parametrize("covering", [63, 64])
+    def test_the_63rd_extension_is_the_last_solved(self, monkeypatch, covering):
+        # As above, but the extension numbered ``covering`` of each driver
+        # stretches its horizon by 2**700, far enough for its clock to pass
+        # T.  The 64th extension is drawn but never solved: the driver fails.
+        def no_new_jumps(params, path, new_horizon, rng):
+            if new_horizon == 2.0 * 2.0**covering:
+                new_horizon *= 2.0**700
+            return JumpPath(new_horizon, path.times, path.sizes, path.cutoff)
+
+        monkeypatch.setattr(harness, "extend_truncated_path", no_new_jumps)
+        cfg = parse_config_text(
+            "experiment = weak-agree\nphi = soft-ramp(1,1e300)\ncutoffs = 1\n"
+            "replicates = 20\nseed = 4\n"
+        )
+        tag = "weak-agree-timechange"
+        if covering == 63:
+            assert np.isfinite(_timechange_samples(cfg, tag)).all()
+            return
+        with pytest.raises(RuntimeError) as info:
+            _timechange_samples(cfg, tag)
+        assert str(info.value) == (
+            f"replicate 1 (seed {derive_seed(4, 1, tag)}): time-change clock failed "
+            "to cover the evaluation time after 64 extensions"
+        )
 
     def test_driver_growth_stops_at_the_event_budget(self, monkeypatch):
         # phi(x) = 1 + 1e100 * x: after a jump the clock all but stops, so
@@ -958,6 +1037,20 @@ class TestCLI:
             assert cli_main(["run", "--config", str(cfg)]) == EXIT_INVARIANT
         err = capsys.readouterr().err
         assert f"replicate 0 (seed {derive_seed(3, 0, 'ladder-driver')}): " in err
+
+    def test_nonfinite_phi_in_the_time_change_exits_2(self, tmp_path, capsys):
+        # The truncation side passes at this seed; the time-change driver's
+        # state passes 1.8, where phi(x) = 1 + 1e308 * x is inf.
+        cfg = tmp_path / "nonfinite.cfg"
+        cfg.write_text(
+            "experiment = weak-agree\nphi = soft-ramp(1,1e308)\ncutoffs = 1\nreplicates = 1\n"
+            f"seed = 1\nout = {tmp_path / 'out'}\n"
+        )
+        with np.errstate(over="ignore"):
+            assert cli_main(["run", "--config", str(cfg)]) == EXIT_INVARIANT
+        seed = derive_seed(1, 0, "weak-agree-timechange")
+        err = capsys.readouterr().err
+        assert f"replicate 0 (seed {seed}): phi evaluated non-finite at state " in err
 
     def test_inf_jump_size_exits_2(self, tmp_path, capsys):
         # Below alpha = 53/1024 a Pareto size can overflow to inf; at this

@@ -99,10 +99,11 @@ class TestBuildClock:
         with pytest.raises(ValueError):
             time_change_path(ARCTAN, 0.0, make_path([0.5], [1.0]), 1.0)
 
-    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_each_call_checks_its_clock_once(self, monkeypatch):
         # time_change_path checks its clock in Clock.  solve_time_change makes
-        # its own check, and calls Clock's only on a clock that fails it.
+        # its own check, and calls Clock's only on a clock that fails it where
+        # phi is finite.
         checks = []
         real = timechange._check_clock
 
@@ -116,8 +117,14 @@ class TestBuildClock:
         assert len(checks) == 1
         solve_time_change(ARCTAN, 0.0, path.times, path.sizes, 1.0, 0.5, 0.5)
         assert len(checks) == 1
-        with pytest.raises(ValueError, match="positive and finite"):
+        with pytest.raises(FloatingPointError, match="non-finite"):
             solve_time_change(SoftRampPhi(1.0, 1e308), 0.0, path.times, path.sizes, 1.0, 0.5, 0.5)
+        assert len(checks) == 1
+        # Finite slopes of about 1e270 over a length of 2**1000 overflow the values.
+        with pytest.raises(ValueError, match="replay tolerance"):
+            solve_time_change(
+                ConstantPhi(1e-300), 0.0, np.array([2.0**999]), np.ones(1), 2.0**1000, 0.5, 0.9
+            )
         assert len(checks) == 2
 
 
@@ -314,9 +321,16 @@ def _outcome(fn):
 
 
 def _clock_checked_outcome(phi, x, times, sizes, horizon, cutoff, alpha):
-    """The kernel's arrays as bytes, each clock checked in full, or what it raised."""
+    """The kernel's arrays as bytes, each clock checked in full, or what it raised.
+
+    phi is checked finite at every state first, as solve_truncated checks it.
+    """
     def checked():
         arrays = timechange._time_change_arrays(phi, x, times, sizes, horizon, cutoff, alpha)
+        states, _, slopes, _ = arrays
+        for k, state in enumerate(states[: slopes.size].tolist()):
+            if not math.isfinite(phi.eval(state)):
+                raise FloatingPointError(f"phi evaluated non-finite at state {state!r} (event {k})")
         timechange._check_clock(*arrays[1:])
         return arrays
 
@@ -422,10 +436,10 @@ class TestTimeChangeKernel:
         "phi, x, times, sizes, horizon, alpha, message",
         [
             # inf**-alpha is a slope of 0.
-            (SoftRampPhi(1.0, 1e308), 0.0, [0.5], [2.0], 1.0, 0.5, "positive and finite"),
-            (SoftRampPhi(1.0, 1.0), 0.0, [0.5], [math.inf], 1.0, 0.5, "positive and finite"),
+            (SoftRampPhi(1.0, 1e308), 0.0, [0.5], [2.0], 1.0, 0.5, "phi evaluated non-finite"),
+            (SoftRampPhi(1.0, 1.0), 0.0, [0.5], [math.inf], 1.0, 0.5, "phi evaluated non-finite"),
             # A NaN start makes every slope NaN.
-            (ARCTAN, math.nan, [0.5], [1.0], 1.0, 0.5, "positive and finite"),
+            (ARCTAN, math.nan, [0.5], [1.0], 1.0, 0.5, "phi evaluated non-finite"),
             # Finite slopes of about 1e270 over a length of 2**1000 overflow the values.
             (ConstantPhi(1e-300), 0.0, [2.0**999], [1.0], 2.0**1000, 0.9, "replay tolerance"),
             # arctan(inf) is finite, so an inf size leaves a sound clock.
@@ -437,14 +451,20 @@ class TestTimeChangeKernel:
     def test_poisoned_clocks_fail_as_clock_fails(
         self, phi, x, times, sizes, horizon, alpha, message
     ):
+        # Where phi is not finite, FloatingPointError names the state; every
+        # other clock fails with Clock's ValueError.  time_change_path fails
+        # as the kernel does.
         times, sizes = np.array(times, dtype=float), np.array(sizes, dtype=float)
         want = _clock_checked_outcome(phi, x, times, sizes, horizon, 0.5, alpha)
         got = _outcome(lambda: solve_time_change(phi, x, times, sizes, horizon, 0.5, alpha))
         assert _as_bytes(got) == want
         if message is None:
             assert not isinstance(want[0], type)
-        else:
-            assert want[0] is ValueError and message in want[1]
+            return
+        error = FloatingPointError if message.startswith("phi") else ValueError
+        assert want[0] is error and message in want[1]
+        driver = JumpPath(horizon, times, sizes, 0.5)
+        assert _outcome(lambda: time_change_path(phi, x, driver, alpha)) == want
 
     def test_negative_zero_start_is_kept(self):
         states = solve_time_change(ARCTAN, -0.0, np.empty(0), np.empty(0), 1.0, 0.5, 0.5)[0]
@@ -470,8 +490,6 @@ class TestTimeChangeKernel:
             (ARCTAN, [0.5], [1.0], 1.0, 0.5, 1.0, "alpha must lie in (0, 1)"),
             (PowerPhi(0.5), [0.5], [1.0], 1.0, 0.5, 0.5, "admissibility"),
             (ARCTAN, [0.5], [1.0], 1.0, 0.0, 0.5, "finite-activity driver"),
-            # phi overflows to inf after the jump, and inf**-alpha is a slope of 0.
-            (SoftRampPhi(1.0, 1e308), [0.5], [2.0], 1.0, 0.5, 0.5, "positive and finite"),
         ],
     )
     def test_fails_as_the_object_path_fails(
