@@ -320,6 +320,31 @@ def sample_truncated_path(
     return JumpPath(horizon=horizon, times=times, sizes=sizes, cutoff=eps)
 
 
+def _extend_jumps(
+    params: StableParams,
+    times: np.ndarray,
+    sizes: np.ndarray,
+    horizon: float,
+    new_horizon: float,
+    eps: float,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray]:
+    """A driver's events on (0, horizon], then fresh jumps >= eps on (horizon, new_horizon].
+
+    extend_truncated_path's arrays: the tail is drawn from ``rng`` as
+    sample_truncated_path draws it, shifted by ``horizon`` and merged with
+    _merge_repeats.  Nothing here checks the events; JumpPath, or the
+    time-change kernel that solves them, does.
+    """
+    ((_, tail_times, tail_sizes, _, _),) = _jump_blocks(
+        params, new_horizon - horizon, eps, (rng,), 0
+    )
+    times = np.concatenate([times, horizon + tail_times])
+    sizes = np.concatenate([sizes, tail_sizes])
+    times, sizes, _ = _merge_repeats(times, sizes, [0, times.size])
+    return times, sizes
+
+
 def extend_truncated_path(
     params: StableParams, path: JumpPath, new_horizon: float, rng: np.random.Generator
 ) -> JumpPath:
@@ -328,10 +353,9 @@ def extend_truncated_path(
         raise ValueError("new_horizon must exceed the current horizon")
     if not (path.cutoff > 0.0):
         raise ValueError("only truncated paths can be extended")
-    tail = sample_truncated_path(params, new_horizon - path.horizon, path.cutoff, rng)
-    times = np.concatenate([path.times, path.horizon + tail.times])
-    sizes = np.concatenate([path.sizes, tail.sizes])
-    times, sizes, _ = _merge_repeats(times, sizes, [0, times.size])
+    times, sizes = _extend_jumps(
+        params, path.times, path.sizes, path.horizon, new_horizon, path.cutoff, rng
+    )
     return JumpPath(horizon=new_horizon, times=times, sizes=sizes, cutoff=path.cutoff)
 
 

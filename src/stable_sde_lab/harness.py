@@ -25,8 +25,9 @@ from pathlib import Path
 
 import numpy as np
 
-# driver_law_check, sample_truncated_path, thin_path and solve_truncated are
-# unused here: bench/spans.py looks them up in this module by name.
+# driver_law_check, extend_truncated_path, sample_truncated_path, thin_path and
+# solve_truncated are unused here: bench/spans.py looks them up in this module
+# by name.
 from .counterexample import (
     driver_law_check,
     nonuniqueness_demo,
@@ -34,10 +35,10 @@ from .counterexample import (
     write_report_csv,
 )
 from .driver import (
-    JumpPath,
     SamplerIntegrityError,
     StableParams,
     _SAMPLE_JUMPS,
+    _extend_jumps,
     _jump_blocks,
     extend_truncated_path,
     levy_tail_mass,
@@ -180,6 +181,8 @@ class ExperimentConfig:
                     f"cutoff {eps!r} gives about {jumps:.3g} jumps per driver on "
                     f"[0, {sampled!r}], more than the {_EXTENSION_EVENTS} allowed per driver"
                 )
+            if self.experiment == "weak-agree":
+                _check_clock_reach(self, jumps)
 
     def phi_object(self) -> MonotonePhi:
         return parse_phi(self.phi)
@@ -282,10 +285,12 @@ def _write_summary(out_dir: Path, rows: tuple[SummaryRow, ...]) -> str:
 
 
 # Jump sizes per solve_ladders call.  The kernel's cost per event rank is
-# mostly fixed numpy overhead, so a block takes as many whole replicates as
-# fit in this budget: one reused float64 buffer of 1 MiB bounds a run's jump
-# memory whatever its replicate count.  A replicate with more jumps than the
-# budget is solved alone, from its own array.
+# mostly fixed numpy overhead: about 11 calls and 14-15 us on ladder-deep with
+# its level-major state, 13 calls and 18.5 us when it was path-major.  So a
+# block takes as many whole replicates as fit in this budget: one reused
+# float64 buffer of 1 MiB bounds a run's jump memory whatever its replicate
+# count.  A replicate with more jumps than the budget is solved alone, from
+# its own array.
 _BLOCK_JUMPS = 1 << 17
 
 
@@ -460,16 +465,58 @@ _EXTENSION_EVENTS = 1 << 20
 _TIMECHANGE_SPAN = 2.0
 
 
+def _check_clock_reach(cfg: ExperimentConfig, jumps: float) -> None:
+    """ConfigError where _timechange_x is certain to fail on every driver of cfg.
+
+    The jumps and phi are positive, so every state is at least x0, and phi is
+    non-decreasing, so no clock slope exceeds phi(x0)**-alpha: no clock passes
+    T before its driver spans u0 = T * phi(x0)**alpha.  The span doubles from
+    _TIMECHANGE_SPAN * T as _timechange_x doubles it, with ``jumps``, the
+    expected events at the first span; up to the spread of the Poisson count,
+    a driver fails as the error says.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi0 = cfg.phi_object().eval(cfg.x0)
+    try:
+        slope = phi0**-cfg.alpha
+    except OverflowError:
+        slope = math.inf
+    if not 0.0 < slope < math.inf:
+        raise ConfigError(
+            f"phi = {cfg.phi!r}: the time-change clock's first slope, phi(x0)**-alpha at "
+            f"x0 = {cfg.x0!r}, is {slope!r}, not positive and finite"
+        )
+    reach = cfg.horizon * phi0**cfg.alpha
+    never = (
+        f"phi = {cfg.phi!r}: no time-change clock passes T before its driver spans "
+        f"T * phi(x0)**alpha = {reach:.3g}"
+    )
+    span = _TIMECHANGE_SPAN * cfg.horizon
+    for _ in range(64):
+        if span > reach:
+            return
+        if jumps > _EXTENSION_EVENTS:
+            raise ConfigError(
+                f"{never}, but at span {span:.3g} a driver has about {jumps:.3g} jumps, "
+                f"past the {_EXTENSION_EVENTS} that may be extended"
+            )
+        span, jumps = 2.0 * span, 2.0 * jumps
+    raise ConfigError(
+        f"{never}, past {span / 2.0:.3g}, the span of the 63rd extension, the last one solved"
+    )
+
+
 def _timechange_x(cfg: ExperimentConfig, phi: MonotonePhi, times, sizes, horizon, rng) -> float:
     """X at T by time change, on the events of a driver drawn from ``rng`` on [0, horizon].
 
     While its clock ends at or before T, the driver is extended from ``rng``
     (never resampled) and solved again: a stopping rule on one jump stream,
-    so the marginal law is untouched.  Past _EXTENSION_EVENTS events, or 64
-    extensions, it raises RuntimeError.
+    so the marginal law is untouched.  The extension stays in arrays, so each
+    solve makes the only check of the events it solves.  Past
+    _EXTENSION_EVENTS events, or 64 extensions, it raises RuntimeError.
     """
     (eps,) = cfg.cutoffs
-    path = None  # the driver as a JumpPath, once it is extended
+    params = StableParams.default(cfg.alpha)
     for _ in range(64):
         states, _, _, values = solve_time_change(phi, cfg.x0, times, sizes, horizon, eps, cfg.alpha)
         n = times.size
@@ -480,10 +527,8 @@ def _timechange_x(cfg: ExperimentConfig, phi: MonotonePhi, times, sizes, horizon
                 f"time-change clock failed to cover the evaluation time on a driver "
                 f"of {n} events, past the {_EXTENSION_EVENTS} that may be extended"
             )
-        if path is None:
-            path = JumpPath(horizon, times, sizes, eps)
-        path = extend_truncated_path(StableParams.default(cfg.alpha), path, 2.0 * horizon, rng)
-        times, sizes, horizon = path.times, path.sizes, path.horizon
+        times, sizes = _extend_jumps(params, times, sizes, horizon, 2.0 * horizon, eps, rng)
+        horizon *= 2.0
     raise RuntimeError(
         "time-change clock failed to cover the evaluation time after 64 extensions"
     )

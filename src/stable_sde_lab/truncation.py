@@ -171,12 +171,12 @@ def solve_ladders(
     """Every ladder level of a block of base paths, in one event loop.
 
     Path j's jump sizes, in time order, are ``sizes[offsets[j]:offsets[j+1]]``.
-    The state of all paths at all levels is one ``(n_paths, n_levels)``
-    array, advanced by event rank: at rank k each path with more than k
-    jumps reads its k-th jump dz, and level l takes it where
-    ``dz >= cutoffs[l]``, the thinning of ``thin_path``.  Each level applies
-    the arithmetic of ``solve_truncated``, so the result equals
-    ``build_ladder`` on the same paths bit for bit.
+    The state is one level-major ``(n_levels, n_paths)`` array, longest paths
+    first, advanced by event rank in about 11 numpy calls: at rank k the paths
+    with more than k jumps, a prefix of every row, read their k-th jumps dz in
+    one gather, and level l takes dz where ``dz >= cutoffs[l]``, the thinning
+    of ``thin_path``.  Each level applies the arithmetic of ``solve_truncated``,
+    so the result equals ``build_ladder`` on the same paths bit for bit.
 
     Returns the final states ``(n, L)``, the overflow-guard hits ``(n, L)``,
     the ``ladder_violations`` count of each path ``(n,)``, and the gap
@@ -185,12 +185,11 @@ def solve_ladders(
     that took the jump below the next coarser level, and a gap is the running
     max, from 0, of ``|x[fine] - x[coarse]|``.  A coarser level's events are
     a subset of the finer one's, so both are exact at the union of events.
-
     A non-finite phi where a level takes a jump raises FloatingPointError
     naming the first such path in input order.
     """
     _require_solvable(phi, x0)
-    cuts = _check_cutoffs(cutoffs)
+    cuts = _check_cutoffs(cutoffs)[:, None]  # a column: dz >= cuts is level-major
     sizes = np.asarray(sizes, dtype=float)
     offsets = np.asarray(offsets, dtype=np.intp)
     lengths = np.diff(offsets)
@@ -210,42 +209,43 @@ def solve_ladders(
     max_len = int(lengths[0]) if n else 0
     alive = n - np.searchsorted(lengths[::-1], np.arange(max_len), side="right")
 
-    x = np.full((n, levels), float(x0))
-    guard_hits = np.zeros((n, levels), dtype=np.int64)
-    below = np.zeros((n, levels - 1), dtype=np.int64)
-    gaps = np.zeros((n, fine.size))
+    x = np.full((levels, n), float(x0))
+    guard_hits = np.zeros((levels, n), dtype=np.int64)
+    below = np.zeros((levels - 1, n), dtype=np.int64)
+    gaps = np.zeros((fine.size, n))
+    finer_below = np.empty((levels - 1, n), dtype=bool)
     with np.errstate(over="ignore"):  # an overflow is clamped by the guard
         for k in range(max_len):
             m = alive[k]
-            xs = x[:m]
-            dz = sizes[first[:m] + k][:, None]
+            xs = x[:, :m]
+            dz = sizes[first[:m] + k]
             hit = dz >= cuts
             speed = phi.eval(xs)
-            if not math.isfinite(speed.sum()):  # one non-finite entry suffices
-                # A level that skips this jump may sit where phi is not finite.
-                bad = hit & ~np.isfinite(speed)
-                rows = np.flatnonzero(bad.any(axis=1))
-                if rows.size:
-                    i = rows[np.argmin(order[rows])]  # the first path in input order
-                    level = np.flatnonzero(bad[i])[0]
-                    raise FloatingPointError(
-                        f"phi evaluated non-finite at state {float(xs[i, level])!r} "
-                        f"(path {order[i]}, event {k}, level {level})"
-                    )
             new = speed * dz
             new += xs
-            if not new.max() <= OVERFLOW_GUARD:  # NaN, too, takes the exact branch
+            # Every dz > 0, so an inf or NaN speed fails this test too.
+            if not new.max() <= OVERFLOW_GUARD:
+                # A level that skips this jump may sit where phi is not finite.
+                bad = hit & ~np.isfinite(speed)
+                cols = np.flatnonzero(bad.any(axis=0))
+                if cols.size:
+                    i = cols[np.argmin(order[cols])]  # the first path in input order
+                    level = np.flatnonzero(bad[:, i])[0]
+                    raise FloatingPointError(
+                        f"phi evaluated non-finite at state {float(xs[level, i])!r} "
+                        f"(path {order[i]}, event {k}, level {level})"
+                    )
                 over = hit & (new > OVERFLOW_GUARD)
-                guard_hits[:m] += over
+                guard_hits[:, :m] += over
                 np.copyto(new, OVERFLOW_GUARD, where=over)
             np.copyto(xs, new, where=hit)
-            finer_below = xs[:, 1:] < xs[:, :-1]
-            if finer_below.any():
-                below[:m] += hit[:, 1:] & finer_below
+            finer = np.less(xs[1:], xs[:-1], out=finer_below[:, :m])
+            if finer.any():
+                below[:, :m] += hit[1:] & finer
             if fine.size:
-                np.maximum(gaps[:m], np.abs(xs[:, fine] - xs[:, coarse]), out=gaps[:m])
+                np.maximum(gaps[:, :m], np.abs(xs[fine] - xs[coarse]), out=gaps[:, :m])
     inverse = np.argsort(order)
-    return x[inverse], guard_hits[inverse], below.sum(axis=1)[inverse], gaps[inverse]
+    return x.T[inverse], guard_hits.T[inverse], below.sum(axis=0)[inverse], gaps.T[inverse]
 
 
 def build_ladder(

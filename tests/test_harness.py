@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 import stable_sde_lab
 from stable_sde_lab import (
-    JumpPath,
     StableParams,
     ladder_violations,
     sample_truncated_path,
@@ -23,7 +22,7 @@ from stable_sde_lab import (
     thin_path,
     time_change_path,
 )
-from stable_sde_lab import SamplerIntegrityError, cli, counterexample, driver, harness
+from stable_sde_lab import SamplerIntegrityError, cli, counterexample, driver, harness, timechange
 from stable_sde_lab.cli import main as cli_main
 from stable_sde_lab.harness import (
     EXIT_CONFIG,
@@ -40,6 +39,7 @@ from stable_sde_lab.harness import (
     _exit_code,
     _solve_replicate_ladders,
     _timechange_samples,
+    load_config,
     parse_config_text,
     run_experiment,
 )
@@ -719,6 +719,16 @@ def _reference_marginal(phi, x0, params, eps, t_eval, rng):
     raise RuntimeError("after 64 extensions")
 
 
+def _recording(calls, real):
+    """real, appending to calls at each call."""
+
+    def call(*args):
+        calls.append(None)
+        return real(*args)
+
+    return call
+
+
 class TestTimeChangeSide:
     # At a sampler budget of 30 jumps, drivers of about 21 jumps are blocks
     # of one or two, and some are over the budget, alone.
@@ -773,24 +783,31 @@ class TestTimeChangeSide:
         if budget:
             monkeypatch.setattr(harness, "_SAMPLE_JUMPS", budget)
         solves, extensions = [], []
-
-        def recording(calls, real):
-            def call(*args):
-                calls.append(None)
-                return real(*args)
-
-            return call
-
         monkeypatch.setattr(
-            harness, "solve_time_change", recording(solves, harness.solve_time_change)
+            harness, "solve_time_change", _recording(solves, harness.solve_time_change)
         )
         monkeypatch.setattr(
-            harness, "extend_truncated_path", recording(extensions, harness.extend_truncated_path)
+            harness, "_extend_jumps", _recording(extensions, harness._extend_jumps)
         )
         cfg = parse_config_text("experiment = weak-agree\n" + text)
         _timechange_samples(cfg, "weak-agree-timechange")
         assert extensions
         assert len(solves) == cfg.replicates + len(extensions)
+
+    def test_events_are_checked_once_per_solve(self, monkeypatch):
+        # An extended driver stays in arrays: solve_time_change checks the
+        # events it solves, and nothing else checks them.
+        solves, checks = [], []
+        monkeypatch.setattr(
+            harness, "solve_time_change", _recording(solves, harness.solve_time_change)
+        )
+        check = _recording(checks, driver._check_jumps)
+        for module in (driver, timechange):
+            monkeypatch.setattr(module, "_check_jumps", check)
+        cfg = load_config(Path(__file__).parent / "c10" / "weak-multi.cfg")
+        _timechange_samples(cfg, "weak-agree-timechange")
+        assert len(solves) > cfg.replicates  # some drivers are extended
+        assert len(checks) == len(solves)
 
     def test_one_solve_per_replicate_without_extension(self, tmp_path, monkeypatch):
         # The default phi's clocks all pass T on [0, 2T]: no driver is extended.
@@ -825,10 +842,10 @@ class TestTimeChangeSide:
         # phi(x) = 1 + 1e300 * x: after a jump the clock all but stops, and
         # replicate 0's first jump comes after T.  A real extension would
         # sample about 2**64 jumps before giving up, so this one adds none.
-        def no_new_jumps(params, path, new_horizon, rng):
-            return JumpPath(new_horizon, path.times, path.sizes, path.cutoff)
+        def no_new_jumps(params, times, sizes, horizon, new_horizon, eps, rng):
+            return times, sizes
 
-        monkeypatch.setattr(harness, "extend_truncated_path", no_new_jumps)
+        monkeypatch.setattr(harness, "_extend_jumps", no_new_jumps)
         cfg = parse_config_text(
             "experiment = weak-agree\nphi = soft-ramp(1,1e300)\ncutoffs = 1\n"
             "replicates = 20\nseed = 4\n"
@@ -843,14 +860,15 @@ class TestTimeChangeSide:
     @pytest.mark.parametrize("covering", [63, 64])
     def test_the_63rd_extension_is_the_last_solved(self, monkeypatch, covering):
         # As above, but the extension numbered ``covering`` of each driver
-        # stretches its horizon by 2**700, far enough for its clock to pass
-        # T.  The 64th extension is drawn but never solved: the driver fails.
-        def no_new_jumps(params, path, new_horizon, rng):
+        # drops every event: its clock then runs at phi(0)**-alpha = 1 and
+        # passes T.  The 64th extension is drawn but never solved: the driver
+        # fails.
+        def no_new_jumps(params, times, sizes, horizon, new_horizon, eps, rng):
             if new_horizon == 2.0 * 2.0**covering:
-                new_horizon *= 2.0**700
-            return JumpPath(new_horizon, path.times, path.sizes, path.cutoff)
+                return times[:0], sizes[:0]
+            return times, sizes
 
-        monkeypatch.setattr(harness, "extend_truncated_path", no_new_jumps)
+        monkeypatch.setattr(harness, "_extend_jumps", no_new_jumps)
         cfg = parse_config_text(
             "experiment = weak-agree\nphi = soft-ramp(1,1e300)\ncutoffs = 1\n"
             "replicates = 20\nseed = 4\n"
@@ -873,14 +891,14 @@ class TestTimeChangeSide:
         # million events and about 190 MB, so the test cuts the budget.
         budget = 300
         extended = []
-        real = harness.extend_truncated_path
+        real = harness._extend_jumps
 
-        def recording(params, path, new_horizon, rng):
-            extended.append(len(path))
-            return real(params, path, new_horizon, rng)
+        def recording(params, times, *args):
+            extended.append(times.size)
+            return real(params, times, *args)
 
         monkeypatch.setattr(harness, "_EXTENSION_EVENTS", budget)
-        monkeypatch.setattr(harness, "extend_truncated_path", recording)
+        monkeypatch.setattr(harness, "_extend_jumps", recording)
         cfg = parse_config_text(
             "experiment = weak-agree\nphi = soft-ramp(1,1e100)\ncutoffs = 1\n"
             "replicates = 20\nseed = 4\n"
@@ -1051,6 +1069,41 @@ class TestCLI:
         seed = derive_seed(1, 0, "weak-agree-timechange")
         err = capsys.readouterr().err
         assert f"replicate 0 (seed {seed}): phi evaluated non-finite at state " in err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # phi(x0)**-alpha overflows: the clock's first slope is inf.
+            (
+                "phi = constant(5e-324)\nalpha = 0.9999999\nT = 1e-300\ncutoffs = 1e-6\n"
+                "replicates = 5\nseed = 32\n",
+                "first slope, phi(x0)**-alpha at x0 = 0.0, is inf, not positive and finite",
+            ),
+            # A driver passes 2**20 events before it can span T * phi(x0)**alpha.
+            (
+                "phi = piecewise-linear(-1:1e-300,0:1,1:1e300)\nx0 = 0.5\ncutoffs = 1e-6\n"
+                "replicates = 1\nseed = 13\n",
+                "past the 1048576 that may be extended",
+            ),
+            # 63 doublings of [0, 2T] fall short of T * phi(x0)**alpha.
+            (
+                "phi = shifted-arctan(1e-300,1e300)\nx0 = -0.0\nT = 1e-300\nalpha = 0.9\n"
+                "cutoffs = 1e-300\nreplicates = 2\nseed = 4\n",
+                "the span of the 63rd extension, the last one solved",
+            ),
+        ],
+        ids=["slope-overflows", "too-many-events", "too-many-extensions"],
+    )
+    def test_time_change_certain_to_fail_exits_3(self, tmp_path, capsys, text, message):
+        # Every driver of these configs would fail; they exited 4 with a
+        # traceback before the config check.
+        cfg = tmp_path / "never.cfg"
+        cfg.write_text(f"experiment = weak-agree\n{text}out = {tmp_path / 'out'}\n")
+        assert cli_main(["run", "--config", str(cfg)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: phi = ") and err.count("\n") == 1
+        assert message in err
+        assert not (tmp_path / "out").exists()
 
     def test_inf_jump_size_exits_2(self, tmp_path, capsys):
         # Below alpha = 53/1024 a Pareto size can overflow to inf; at this

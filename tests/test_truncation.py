@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from stable_sde_lab import (
     ConstantPhi,
     JumpPath,
+    Ladder,
     MonotonePhi,
     PiecewiseLinearPhi,
     PowerPhi,
@@ -260,25 +261,54 @@ class DecreasingPhi(MonotonePhi):
         return "3 - arctan(x)"
 
 
-def _scalar_ladders(phi, x0, params, cutoffs, seed, n_paths, pairs=()):
-    """build_ladder on path j's stream, read the way the kernel reports it.
+def _bases(params, cutoffs, seed, n_paths):
+    """Path j's base path, drawn from stream (seed, j) as build_ladder draws it."""
+    return [
+        sample_truncated_path(params, 1.0, cutoffs[-1], np.random.default_rng([seed, j]))
+        for j in range(n_paths)
+    ]
+
+
+class BandPhi(MonotonePhi):
+    """1, except ``value`` (inf or NaN) on [2, 2.5): a phi the kernel must not read there.
+
+    It claims admissibility so that both solvers accept it.
+    """
+
+    assumption_ok = True
+
+    def __init__(self, value: float) -> None:
+        self.value = value
+
+    def eval(self, x):
+        x = np.asarray(x, dtype=float)
+        out = np.where((x >= 2.0) & (x < 2.5), self.value, 1.0)
+        return float(out) if out.ndim == 0 else out
+
+    def describe(self) -> str:
+        return f"1, {self.value} on [2, 2.5)"
+
+
+def _scalar_ladders(phi, x0, bases, cutoffs, pairs=()):
+    """build_ladder's solves of each base path, read the way the kernel reports them.
 
     The gap of the pair (fine, coarse) is sup_gap of the solutions on the
     two thinnings of the base path.
     """
     ladders = [
-        build_ladder(phi, x0, params, 1.0, cutoffs, np.random.default_rng([seed, j]))
-        for j in range(n_paths)
+        Ladder(
+            tuple(cutoffs),
+            tuple(solve_truncated(phi, x0, thin_path(base, eps)) for eps in cutoffs),
+            base,
+        )
+        for base in bases
     ]
-    shape = (n_paths, len(cutoffs))
+    shape = (len(bases), len(cutoffs))
     final = [sol.final for lad in ladders for sol in lad.solutions]
     guard = [sol.guard_hits for lad in ladders for sol in lad.solutions]
     violations = [ladder_violations(lad) for lad in ladders]
     gaps = [
-        sup_gap(
-            solve_truncated(phi, x0, thin_path(lad.base, cutoffs[fine])),
-            solve_truncated(phi, x0, thin_path(lad.base, cutoffs[coarse])),
-        )
+        sup_gap(lad.solutions[fine], lad.solutions[coarse])
         for lad in ladders
         for fine, coarse in pairs
     ]
@@ -286,18 +316,15 @@ def _scalar_ladders(phi, x0, params, cutoffs, seed, n_paths, pairs=()):
         np.array(final, dtype=float).reshape(shape),
         np.array(guard, dtype=np.int64).reshape(shape),
         np.array(violations, dtype=np.int64),
-        np.array(gaps, dtype=float).reshape(n_paths, len(pairs)),
+        np.array(gaps, dtype=float).reshape(len(bases), len(pairs)),
     )
 
 
-def _kernel_ladders(phi, x0, params, cutoffs, seed, n_paths, pairs=()):
-    """solve_ladders on the same paths, sampled from the same streams."""
-    rngs = [np.random.default_rng([seed, j]) for j in range(n_paths)]
-    sizes = [sample_truncated_path(params, 1.0, cutoffs[-1], rng).sizes for rng in rngs]
-    offsets = np.cumsum([0] + [s.size for s in sizes])
-    return solve_ladders(
-        phi, x0, np.concatenate([np.empty(0)] + sizes), offsets, cutoffs, pairs
-    )
+def _kernel_ladders(phi, x0, bases, cutoffs, pairs=()):
+    """solve_ladders on the same base paths, as one block."""
+    offsets = np.cumsum([0] + [len(base) for base in bases])
+    sizes = np.concatenate([np.empty(0)] + [base.sizes for base in bases])
+    return solve_ladders(phi, x0, sizes, offsets, cutoffs, pairs)
 
 
 def _outcome(solver, *args):
@@ -348,7 +375,9 @@ class TestSolveLadders:
         alpha=st.floats(0.05, 0.95),
         cutoffs=st.lists(st.floats(2e-3, 1.0), min_size=1, max_size=5, unique=True),
         x0=st.one_of(st.floats(-10.0, 10.0), st.just(1e298)),
-        n_paths=st.integers(0, 6),
+        # Up to 40 paths of unequal lengths: the paths alive at a rank, a
+        # prefix of every level's row, shrink over many columns.
+        n_paths=st.integers(0, 40),
         seed=st.integers(0, 2**32 - 1),
         pairs=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=4),
     )
@@ -357,9 +386,40 @@ class TestSolveLadders:
         # (fine, coarse) level pairs, adjacent or not, and equal levels too.
         levels = len(cutoffs)
         pairs = [sorted((i % levels, j % levels), reverse=True) for i, j in pairs]
-        args = (phi, x0, StableParams.default(alpha), cutoffs, seed, n_paths, pairs)
+        bases = _bases(StableParams.default(alpha), cutoffs, seed, n_paths)
+        args = (phi, x0, bases, cutoffs, pairs)
         got, want = _outcome(_kernel_ladders, *args), _outcome(_scalar_ladders, *args)
         _assert_same_outcome(got, want)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_nonfinite_phi_at_a_level_that_skips_the_jump(self, value):
+        # Path 0's coarse level skips its first and last jumps and sits at 2
+        # before the last, where phi is not finite; the fine level takes every
+        # jump from where phi is 1.  Neither solver evaluates phi there.
+        phi = BandPhi(value)
+        paths = [([0.2, 0.5, 0.7], [0.5, 2.0, 0.5]), ([0.3], [1.5])]
+        bases = [make_path(t, s, cutoff=0.1) for t, s in paths]
+        args = (phi, 0.0, bases, [1.0, 0.1], [(1, 0)])
+        got = _kernel_ladders(*args)
+        _assert_same_outcome(got, _scalar_ladders(*args))
+        assert got[0].tolist() == [[2.0, 3.0], [1.5, 1.5]]
+
+    def test_finite_speeds_whose_sum_overflows(self):
+        # 1e308 at 80 entries sums to inf; every state a jump of more than
+        # 1.8 takes is clamped at the guard.
+        phi = ConstantPhi(1e308)
+        bases = _bases(StableParams.default(0.5), [1.0, 0.1], 3, 40)
+        got = _kernel_ladders(phi, 0.0, bases, [1.0, 0.1], [(1, 0)])
+        _assert_same_outcome(got, _scalar_ladders(phi, 0.0, bases, [1.0, 0.1], [(1, 0)]))
+        assert got[1].sum() > 0
+
+    def test_negative_zero_start(self):
+        # A level that takes no jump ends at -0.0, not 0.0.
+        cutoffs = [1.0, 0.5]
+        bases = _bases(StableParams.default(0.3), cutoffs, 11, 40)
+        got = _kernel_ladders(ARCTAN, -0.0, bases, cutoffs, [(1, 0)])
+        _assert_same_outcome(got, _scalar_ladders(ARCTAN, -0.0, bases, cutoffs, [(1, 0)]))
+        assert np.signbit(got[0]).sum() > len(bases) // 4
 
     @pytest.mark.parametrize(
         "phi, x0",
@@ -371,7 +431,8 @@ class TestSolveLadders:
         # vacuous; these two make the counts and the guard hits non-zero.
         # The pairs hold adjacent, non-adjacent and equal levels.
         pairs = [(1, 0), (3, 0), (2, 1), (3, 1), (2, 2)]
-        args = (phi, x0, StableParams.default(0.6), [0.1, 0.03, 0.01, 0.003], 17, 60, pairs)
+        cutoffs = [0.1, 0.03, 0.01, 0.003]
+        args = (phi, x0, _bases(StableParams.default(0.6), cutoffs, 17, 60), cutoffs, pairs)
         got = _kernel_ladders(*args)
         _assert_same_outcome(got, _scalar_ladders(*args))
         assert got[3][:, :4].sum() > 0
@@ -422,3 +483,12 @@ class TestSolveLadders:
         sizes = [1e-3, 1.0, 5.0, 1.0, 1.0]
         with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match=r"\(path 2, "):
             solve_ladders(phi, 10.0, sizes, [0, 1, 1, 2, 5], [0.5])
+
+    def test_nonfinite_phi_names_its_state_and_level(self):
+        # phi(3) overflows.  Both levels of path 0 take its jump of 3; at its
+        # second jump the fine level takes 0.5 from 3, while path 1's coarse
+        # level sits at 0.
+        phi = SoftRampPhi(1.0, 1e308)
+        message = r"at state 3\.0 \(path 0, event 1, level 1\)$"
+        with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match=message):
+            solve_ladders(phi, 0.0, [3.0, 0.5, 0.2, 0.2], [0, 2, 4], [1.0, 0.1])
