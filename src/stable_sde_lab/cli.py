@@ -13,6 +13,7 @@ from .harness import (
     EXIT_CRASH,
     EXIT_INVARIANT,
     EXIT_PASS,
+    ClockCoverageError,
     ConfigError,
     ExperimentResult,
     load_config,
@@ -70,7 +71,7 @@ def _main(argv: list[str] | None) -> int:
         return EXIT_CONFIG
     try:
         result = run_experiment(cfg)
-    except (FloatingPointError, SamplerIntegrityError) as exc:
+    except (FloatingPointError, SamplerIntegrityError, ClockCoverageError) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     _print_result(result)

@@ -217,20 +217,13 @@ def _merge_repeats(times: np.ndarray, sizes: np.ndarray, offsets: list[int]):
     return times[first], np.add.reduceat(sizes, first), first.searchsorted(offsets).tolist()
 
 
-# The jump budget of a _jump_blocks block in the lab's runs: its two reused
-# float64 buffers take 8 KiB each.  A block's fixed cost, a dozen numpy
-# calls, is spread over about 50 drivers of 20 jumps; a budget of 2**12 was
-# no faster on weak-agree-wide.
-_SAMPLE_JUMPS = 1 << 10
-
-
 def _jump_blocks(
     params: StableParams,
     horizon: float,
     eps: float,
     rngs: Iterable[np.random.Generator],
     budget: int,
-) -> Iterator[tuple[int, np.ndarray, np.ndarray, list[int], list[np.random.Generator]]]:
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, list[int]]]:
     """Compound-Poisson jumps >= eps on (0, horizon], one driver per generator of ``rngs``.
 
     Each driver draws from its generator a Poisson count n of mean
@@ -243,11 +236,11 @@ def _jump_blocks(
     the time-change kernel do (_check_jumps), and the ladder kernel checks
     the sizes it reads.
 
-    Yields ``(first, times, sizes, offsets, generators)``: the driver drawn
-    from ``generators[j]``, generator ``first + j`` of ``rngs``, has the
-    events ``times[offsets[j]:offsets[j+1]]`` with
-    ``sizes[offsets[j]:offsets[j+1]]``; each generator is left where its
-    draws end.
+    Yields ``(first, times, sizes, offsets)``: driver ``first + j``, drawn
+    from that generator of ``rngs``, has the events
+    ``times[offsets[j]:offsets[j+1]]`` with ``sizes[offsets[j]:offsets[j+1]]``.
+    Each generator is left where its driver's draws end; none is yielded or
+    kept past its driver.
 
     Per driver only the generator is called: the Poisson count, then the
     times' and the sizes' uniforms, drawn with ``out=`` into two buffers of
@@ -258,9 +251,7 @@ def _jump_blocks(
     holds whole drivers up to ``budget`` jumps; a driver with more is a block
     of its own, in arrays of its own, so at budget 0 every driver with jumps
     has arrays of its own (sample_truncated_path).  A block's arrays are
-    otherwise overwritten by the next, so read them before drawing it.  Its
-    list of generators is emptied then, or after the last block: a generator
-    kept longer would keep what seeded it alive (replicate_rngs's seed words).
+    otherwise overwritten by the next, so read them before drawing it.
     """
     if not (horizon > 0.0):
         raise ValueError(f"horizon must be positive, got {horizon}")
@@ -268,44 +259,41 @@ def _jump_blocks(
     power = -1.0 / params.alpha
     times_buf, sizes_buf = np.empty(budget), np.empty(budget)
 
-    def block(first: int, times: np.ndarray, sizes: np.ndarray, offsets: list[int], gens):
+    def block(first: int, times: np.ndarray, sizes: np.ndarray, offsets: list[int]):
         times, sizes = times[: offsets[-1]], sizes[: offsets[-1]]
         np.subtract(1.0, times, out=times)
         np.multiply(horizon, times, out=times)
         for a, b in zip(offsets, offsets[1:]):
             times[a:b].sort()
         np.subtract(1.0, sizes, out=sizes)
-        sizes **= power
-        np.multiply(eps, sizes, out=sizes)
         # Below alpha = 53/1024 a u near 1 gives inf, which _check_jumps would
-        # pass: it tests the smallest size only.
+        # pass: it tests the smallest size only.  The max below raises on it,
+        # with no numpy warning beside the error.
+        with np.errstate(over="ignore"):
+            sizes **= power
+            np.multiply(eps, sizes, out=sizes)
         if sizes.size and not sizes.max() < math.inf:
             raise _overflow(params, eps, first + bisect_right(offsets, int(sizes.argmax())) - 1)
-        return first, *_merge_repeats(times, sizes, offsets), gens
+        return first, *_merge_repeats(times, sizes, offsets)
 
-    # The open block: its first driver, its rows in the buffers, their generators.
-    first, offsets, gens = 0, [0], []
+    # The open block: its first driver and its rows in the buffers.
+    first, offsets = 0, [0]
     for k, rng in enumerate(rngs):
         n = int(rng.poisson(mean))
         end = offsets[-1] + n
         if end > budget:
-            if gens:
-                yield block(first, times_buf, sizes_buf, offsets, gens)
-                gens.clear()
+            if len(offsets) > 1:
+                yield block(first, times_buf, sizes_buf, offsets)
             first, offsets, end = k, [0], n
             if n > budget:
-                gens.append(rng)
-                yield block(k, rng.random(n), rng.random(n), [0, n], gens)
-                gens.clear()
+                yield block(k, rng.random(n), rng.random(n), [0, n])
                 first = k + 1
                 continue
         rng.random(out=times_buf[offsets[-1] : end])
         rng.random(out=sizes_buf[offsets[-1] : end])
         offsets.append(end)
-        gens.append(rng)
-    if gens:
-        yield block(first, times_buf, sizes_buf, offsets, gens)
-        gens.clear()
+    if len(offsets) > 1:
+        yield block(first, times_buf, sizes_buf, offsets)
 
 
 def sample_truncated_path(
@@ -316,7 +304,7 @@ def sample_truncated_path(
     Event count is Poisson(horizon * tail_mass), times are uniform order
     statistics on (0, horizon], sizes are Pareto on [eps, inf).
     """
-    ((_, times, sizes, _, _),) = _jump_blocks(params, horizon, eps, (rng,), 0)
+    ((_, times, sizes, _),) = _jump_blocks(params, horizon, eps, (rng,), 0)
     return JumpPath(horizon=horizon, times=times, sizes=sizes, cutoff=eps)
 
 
@@ -336,7 +324,7 @@ def _extend_jumps(
     _merge_repeats.  Nothing here checks the events; JumpPath, or the
     time-change kernel that solves them, does.
     """
-    ((_, tail_times, tail_sizes, _, _),) = _jump_blocks(
+    ((_, tail_times, tail_sizes, _),) = _jump_blocks(
         params, new_horizon - horizon, eps, (rng,), 0
     )
     times = np.concatenate([times, horizon + tail_times])

@@ -37,7 +37,6 @@ from .counterexample import (
 from .driver import (
     SamplerIntegrityError,
     StableParams,
-    _SAMPLE_JUMPS,
     _extend_jumps,
     _jump_blocks,
     extend_truncated_path,
@@ -60,6 +59,7 @@ from .truncation import (
 )
 
 __all__ = [
+    "ClockCoverageError",
     "ConfigError",
     "ExperimentConfig",
     "SummaryRow",
@@ -136,7 +136,9 @@ class ExperimentConfig:
         couple = self.experiment == "uniqueness-couple"
         levels = _couple_levels(self.cutoffs)[0] if couple else self.cutoffs
         if not levels[-1] > 0.0:
-            raise ConfigError(f"uniqueness-couple needs eps/2 > 0, got eps = {self.cutoffs[-1]!r}")
+            raise ConfigError(
+                f"uniqueness-couple needs cutoffs whose halves are > 0, got {self.cutoffs[-1]!r}"
+            )
         if self.experiment == "weak-agree" and len(self.cutoffs) > 1:
             raise ConfigError(
                 f"weak-agree compares the two constructions at one cutoff; "
@@ -284,13 +286,11 @@ def _write_summary(out_dir: Path, rows: tuple[SummaryRow, ...]) -> str:
     return str(path)
 
 
-# Jump sizes per solve_ladders call.  The kernel's cost per event rank is
-# mostly fixed numpy overhead: about 11 calls and 14-15 us on ladder-deep with
-# its level-major state, 13 calls and 18.5 us when it was path-major.  So a
-# block takes as many whole replicates as fit in this budget: one reused
-# float64 buffer of 1 MiB bounds a run's jump memory whatever its replicate
-# count.  A replicate with more jumps than the budget is solved alone, from
-# its own array.
+# The jump budget of a block of replicates, sampled and solved as one.  The
+# ladder kernel's cost per event rank is mostly fixed numpy overhead (about 11
+# calls on ladder-deep), so a block takes as many whole replicates as fit, and
+# the sampler's two reused 1 MiB buffers bound a run's jump memory whatever
+# its replicate count.  A replicate with more jumps is a block of its own.
 _BLOCK_JUMPS = 1 << 17
 
 
@@ -304,7 +304,7 @@ def _replicate_jumps(cfg: ExperimentConfig, tag: str, horizon: float, eps: float
     """_jump_blocks of the drivers of replicates r, from streams (master seed, r, tag)."""
     rngs = replicate_rngs(cfg.seed, range(cfg.replicates), tag)
     try:
-        yield from _jump_blocks(StableParams.default(cfg.alpha), horizon, eps, rngs, _SAMPLE_JUMPS)
+        yield from _jump_blocks(StableParams.default(cfg.alpha), horizon, eps, rngs, _BLOCK_JUMPS)
     except SamplerIntegrityError as exc:
         raise _replicate_error(exc, cfg, exc.driver, tag) from exc
 
@@ -315,10 +315,9 @@ def _solve_replicate_ladders(
     """Final states, guard hits, ladder violations and pair gaps of every replicate.
 
     Base paths are sampled at the finest of the decreasing ``levels`` by
-    _replicate_jumps.  Their sizes are copied into one buffer, and blocks of
-    replicates, in order and up to _BLOCK_JUMPS jumps each, are solved at
-    every level by one solve_ladders call, which checks the sizes.  A
-    failure names the first replicate that fails and its derived seed.
+    _replicate_jumps, and each block it yields is solved as drawn, at every
+    level, by one solve_ladders call, which checks the sizes.  A failure
+    names the first replicate that fails and its derived seed.
     """
     phi = cfg.phi_object()
 
@@ -335,24 +334,10 @@ def _solve_replicate_ladders(
                     raise _replicate_error(exc, cfg, first + j, tag) from exc
             raise  # a path fails alone as it fails in its block: not reached
 
-    blocks = []
-    buffer = np.empty(_BLOCK_JUMPS)
-    first, offsets = 0, [0]  # the open block: its first replicate, its paths in buffer
-    for start, _, sizes, ends, _ in _replicate_jumps(cfg, tag, cfg.horizon, levels[-1]):
-        for r, (a, b) in enumerate(zip(ends, ends[1:]), start):
-            end = offsets[-1] + b - a
-            if end > _BLOCK_JUMPS:
-                if r > first:
-                    blocks.append(solve(first, buffer[: offsets[-1]], offsets))
-                first, offsets, end = r, [0], b - a
-                if end > _BLOCK_JUMPS:
-                    blocks.append(solve(r, sizes[a:b], [0, end]))
-                    first = r + 1
-                    continue
-            buffer[offsets[-1] : end] = sizes[a:b]
-            offsets.append(end)
-    if cfg.replicates > first:
-        blocks.append(solve(first, buffer[: offsets[-1]], offsets))
+    blocks = [
+        solve(first, sizes, offsets)
+        for first, _, sizes, offsets in _replicate_jumps(cfg, tag, cfg.horizon, levels[-1])
+    ]
     return tuple(np.concatenate(parts) for parts in zip(*blocks))
 
 
@@ -506,30 +491,43 @@ def _check_clock_reach(cfg: ExperimentConfig, jumps: float) -> None:
     )
 
 
-def _timechange_x(cfg: ExperimentConfig, phi: MonotonePhi, times, sizes, horizon, rng) -> float:
-    """X at T by time change, on the events of a driver drawn from ``rng`` on [0, horizon].
+class ClockCoverageError(RuntimeError):
+    """A time-change clock ends at or before T on a driver that is not extended again."""
 
-    While its clock ends at or before T, the driver is extended from ``rng``
-    (never resampled) and solved again: a stopping rule on one jump stream,
-    so the marginal law is untouched.  The extension stays in arrays, so each
-    solve makes the only check of the events it solves.  Past
-    _EXTENSION_EVENTS events, or 64 extensions, it raises RuntimeError.
+
+def _timechange_x(
+    cfg: ExperimentConfig, phi: MonotonePhi, times, sizes, horizon, replicate: int, tag: str
+) -> float:
+    """X at T by time change, on the events of replicate's driver on [0, horizon].
+
+    While its clock ends at or before T, the driver is extended from its
+    stream (master seed, replicate, tag), never resampled, and solved again:
+    a stopping rule on one jump stream, so the marginal law is untouched.
+    The first extension replays the stream: the one-driver _jump_blocks draws
+    the driver again and leaves the generator where the block pass left it.
+    The extension stays in arrays, so each solve makes the only check of the
+    events it solves.  Past _EXTENSION_EVENTS events, or 64 extensions, it
+    raises ClockCoverageError.
     """
     (eps,) = cfg.cutoffs
     params = StableParams.default(cfg.alpha)
+    rng = None
     for _ in range(64):
         states, _, _, values = solve_time_change(phi, cfg.x0, times, sizes, horizon, eps, cfg.alpha)
         n = times.size
         if values[-1] > cfg.horizon:
             return states[values[1 : n + 1].searchsorted(cfg.horizon, "right")]
         if n > _EXTENSION_EVENTS:
-            raise RuntimeError(
+            raise ClockCoverageError(
                 f"time-change clock failed to cover the evaluation time on a driver "
                 f"of {n} events, past the {_EXTENSION_EVENTS} that may be extended"
             )
+        if rng is None:
+            rng = replicate_rng(cfg.seed, replicate, tag)
+            ((_, times, sizes, _),) = _jump_blocks(params, horizon, eps, (rng,), 0)
         times, sizes = _extend_jumps(params, times, sizes, horizon, 2.0 * horizon, eps, rng)
         horizon *= 2.0
-    raise RuntimeError(
+    raise ClockCoverageError(
         "time-change clock failed to cover the evaluation time after 64 extensions"
     )
 
@@ -538,16 +536,15 @@ def _timechange_samples(cfg: ExperimentConfig, tag: str) -> np.ndarray:
     """X at T from the time-change construction, for every replicate.
 
     Each driver on [0, _TIMECHANGE_SPAN * T] goes to _timechange_x as views of
-    its _replicate_jumps block and its generator.  A failure names the
-    replicate and its seed.
+    its _replicate_jumps block.  A failure names the replicate and its seed.
     """
     phi = cfg.phi_object()
     horizon = _TIMECHANGE_SPAN * cfg.horizon
     xs = np.empty(cfg.replicates)
-    for first, times, sizes, offsets, rngs in _replicate_jumps(cfg, tag, horizon, cfg.cutoffs[0]):
-        for r, (a, b, rng) in enumerate(zip(offsets, offsets[1:], rngs), first):
+    for first, times, sizes, offsets in _replicate_jumps(cfg, tag, horizon, cfg.cutoffs[0]):
+        for r, (a, b) in enumerate(zip(offsets, offsets[1:]), first):
             try:
-                xs[r] = _timechange_x(cfg, phi, times[a:b], sizes[a:b], horizon, rng)
+                xs[r] = _timechange_x(cfg, phi, times[a:b], sizes[a:b], horizon, r, tag)
             except (ValueError, RuntimeError, FloatingPointError) as exc:
                 raise _replicate_error(exc, cfg, r, tag) from exc
     return xs

@@ -301,7 +301,7 @@ C10_CONFIGS = sorted((Path(__file__).parent / "c10").glob("*.cfg"))
 
 
 def test_c10_byte_identical_determinism(tmp_path):
-    assert len(C10_CONFIGS) == 15
+    assert len(C10_CONFIGS) == 16
     all_ok = True
     for path in C10_CONFIGS:
         name = path.stem

@@ -431,22 +431,18 @@ def _state(rng):
 def _block_rows(params, horizon, eps, rngs, budget):
     """Every driver _jump_blocks yields, in order, and the blocks' row counts.
 
-    A row is copies of its times and sizes, its generator, and that
-    generator's state when the block is yielded.  Each block's list of
-    generators is empty once every block is drawn.
+    A row is copies of its times and sizes, and its generator's state once
+    every block is drawn.
     """
-    rows, lengths, lists = [], [], []
-    for first, times, sizes, offsets, gens in _jump_blocks(params, horizon, eps, rngs, budget):
-        assert first == len(rows)
+    rngs = list(rngs)
+    drawn, lengths = [], []
+    for first, times, sizes, offsets in _jump_blocks(params, horizon, eps, rngs, budget):
+        assert first == len(drawn)
         assert offsets[0] == 0 and offsets[-1] == times.size == sizes.size
-        assert len(gens) == len(offsets) - 1
         lengths.append(np.diff(offsets))
-        lists.append(gens)
-        rows += [
-            (times[a:b].copy(), sizes[a:b].copy(), g, _state(g))
-            for a, b, g in zip(offsets, offsets[1:], gens)
-        ]
-    assert not any(lists)
+        drawn += [(times[a:b].copy(), sizes[a:b].copy()) for a, b in zip(offsets, offsets[1:])]
+    assert len(drawn) == len(rngs)
+    rows = [(times, sizes, _state(g)) for (times, sizes), g in zip(drawn, rngs)]
     return rows, lengths
 
 
@@ -479,18 +475,17 @@ class _Scripted:
 def _assert_equals_reference(params, horizon, eps, seeds, budget):
     """Each driver of _jump_blocks is _reference_jumps's on its seed.
 
-    Its generator is yielded with it, in the state _reference_jumps leaves.
+    Its generator is left in the state _reference_jumps leaves.
     """
     rngs = [np.random.default_rng(s) for s in seeds]
     rows, lengths = _block_rows(params, horizon, eps, rngs, budget)
     assert len(rows) == len(seeds)
     assert all(n.size == 1 or n.sum() <= budget for n in lengths)
-    for (times, sizes, gen, state), rng, s in zip(rows, rngs, seeds):
+    for (times, sizes, state), s in zip(rows, seeds):
         ref = np.random.default_rng(s)
         want_times, want_sizes = _reference_jumps(params, horizon, eps, ref)
         assert times.tobytes() == want_times.tobytes()
         assert sizes.tobytes() == want_sizes.tobytes()
-        assert gen is rng
         assert state == ref.bit_generator.state
 
 
@@ -563,7 +558,7 @@ class TestBlockSampler:
             rows, _ = _block_rows(
                 params, 2.0, 0.1, [_Scripted(n, u) for n, u in scripts], budget
             )
-            for (times, sizes, _, left), (n, u) in zip(rows, scripts):
+            for (times, sizes, left), (n, u) in zip(rows, scripts):
                 want_times, want_sizes = _reference_merge(
                     *_reference_jumps(params, 2.0, 0.1, _Scripted(n, u))
                 )

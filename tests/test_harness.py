@@ -2,13 +2,15 @@ import ast
 import importlib
 import math
 import os
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import stable_sde_lab
@@ -33,6 +35,7 @@ from stable_sde_lab.harness import (
     ConfigError,
     ExperimentConfig,
     SummaryRow,
+    _SOLVE_KEYS,
     _build_replicate_ladder,
     _couple_gaps,
     _couple_levels,
@@ -729,6 +732,59 @@ def _recording(calls, real):
     return call
 
 
+def _replay_states(master, tag, params, eps, drivers, budget):
+    """Per replicate: its driver's jump count, and whether replaying it matches.
+
+    A replay makes replicate_rng(master, r, tag) and draws the driver from
+    it with the one-driver _jump_blocks; it matches when it draws the rows
+    of a block pass over replicate_rngs and leaves the generator in the state
+    the block pass left replicate_rngs's generator r.
+    """
+    rngs = list(replicate_rngs(master, range(drivers), tag))
+    rows = []
+    for _, times, sizes, offsets in driver._jump_blocks(params, 2.0, eps, rngs, budget):
+        rows += [(times[a:b].tobytes(), sizes[a:b].tobytes()) for a, b in zip(offsets, offsets[1:])]
+    counts, matches = [], []
+    for r, (rng, (times, sizes)) in enumerate(zip(rngs, rows)):
+        again = replicate_rng(master, r, tag)
+        ((_, want_times, want_sizes, _),) = driver._jump_blocks(params, 2.0, eps, (again,), 0)
+        counts.append(len(times) // 8)
+        matches.append(
+            (want_times.tobytes(), want_sizes.tobytes()) == (times, sizes)
+            and again.bit_generator.state == rng.bit_generator.state
+        )
+    return counts, matches
+
+
+class TestStreamReplay:
+    """An extension replays its replicate's stream to where the block pass left it."""
+
+    @given(
+        master=st.integers(min_value=0, max_value=2**64 - 1),
+        alpha=st.floats(min_value=0.1, max_value=0.9),
+        # Up to about 60 jumps a driver, and none at all.
+        eps=st.floats(min_value=0.005, max_value=50.0),
+        drivers=st.integers(min_value=1, max_value=30),
+        budget=st.one_of(
+            st.just(0), st.integers(min_value=1, max_value=60), st.just(harness._BLOCK_JUMPS)
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_replay_equals_the_block_pass(self, master, alpha, eps, drivers, budget):
+        params = StableParams.default(alpha)
+        _, matches = _replay_states(master, "weak-agree-timechange", params, eps, drivers, budget)
+        assert all(matches)
+
+    @pytest.mark.parametrize("budget", [0, 6, harness._BLOCK_JUMPS])
+    def test_replay_at_the_block_edges(self, budget):
+        # About 3.6 jumps a driver: drivers with none, and at a budget of 6
+        # some over it, alone.
+        params = StableParams.default(0.5)
+        counts, matches = _replay_states(7, "ladder-driver", params, 0.1, 200, budget)
+        assert all(matches)
+        assert 0 in counts and max(counts) > 6
+
+
 class TestTimeChangeSide:
     # At a sampler budget of 30 jumps, drivers of about 21 jumps are blocks
     # of one or two, and some are over the budget, alone.
@@ -747,7 +803,7 @@ class TestTimeChangeSide:
     )
     def test_equals_scalar_marginal(self, monkeypatch, text, extended, empty, budget):
         if budget:
-            monkeypatch.setattr(harness, "_SAMPLE_JUMPS", budget)
+            monkeypatch.setattr(harness, "_BLOCK_JUMPS", budget)
         cfg = parse_config_text("experiment = weak-agree\n" + text)
         tag = "weak-agree-timechange"
         params = StableParams.default(cfg.alpha)
@@ -781,7 +837,7 @@ class TestTimeChangeSide:
     def test_one_solve_per_driver_and_extension(self, monkeypatch, text, budget):
         # A driver is solved once as drawn, and once after each extension.
         if budget:
-            monkeypatch.setattr(harness, "_SAMPLE_JUMPS", budget)
+            monkeypatch.setattr(harness, "_BLOCK_JUMPS", budget)
         solves, extensions = [], []
         monkeypatch.setattr(
             harness, "solve_time_change", _recording(solves, harness.solve_time_change)
@@ -1121,12 +1177,18 @@ class TestCLI:
 
         with np.errstate(over="ignore"):
             first = next(r for r in range(cfg.replicates) if draws_inf(r))
-            assert first == 33
-            path = tmp_path / "inf.cfg"
-            path.write_text(text + f"replicates = 200\nout = {tmp_path / 'out'}\n")
+        assert first == 33
+        path = tmp_path / "inf.cfg"
+        path.write_text(text + f"replicates = 200\nout = {tmp_path / 'out'}\n")
+        # The sampler raises on the inf, not numpy: no overflow warning joins
+        # the one line on stderr.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             assert cli_main(["run", "--config", str(path)]) == EXIT_INVARIANT
+        assert not caught
         seed = derive_seed(2, first, "ladder-driver")
-        assert f"replicate {first} (seed {seed}): jump size overflowed to inf" in capsys.readouterr().err
+        (line,) = capsys.readouterr().err.splitlines()
+        assert f"replicate {first} (seed {seed}): jump size overflowed to inf" in line
 
     # The grid runs sample on worker threads, outside any np.errstate here.
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -1151,6 +1213,122 @@ class TestCLI:
         assert cli_main(["run", "--config", str(cfg)]) == EXIT_CRASH
         err = capsys.readouterr().err
         assert "Traceback" in err and "not a failure of the experiment" in err
+
+    def test_uncovered_clock_exits_2(self, tmp_path, capsys):
+        # phi(x) = 1 + 1e100 * x: after a jump the clock all but stops, so
+        # replicate 1's time-change driver doubles without covering T until
+        # it passes the 2**20 events that may be extended (about 120 MiB).
+        cfg = tmp_path / "uncovered.cfg"
+        cfg.write_text(
+            "experiment = weak-agree\nphi = soft-ramp(1,1e100)\nx0 = 0\ncutoffs = 1\n"
+            f"replicates = 5\nseed = 4\nout = {tmp_path / 'out'}\n"
+        )
+        assert cli_main(["run", "--config", str(cfg)]) == EXIT_INVARIANT
+        seed = derive_seed(4, 1, "weak-agree-timechange")
+        assert capsys.readouterr().err == (
+            f"invariant violation: replicate 1 (seed {seed}): time-change clock failed to "
+            "cover the evaluation time on a driver of 1406103 events, past the 1048576 "
+            "that may be extended\n"
+        )
+
+    def test_bare_runtime_error_exits_4(self, tmp_path, monkeypatch, capsys):
+        # Only the extension guards' ClockCoverageError is a failure of the run.
+        def crash(*args):
+            raise RuntimeError("not a guard")
+
+        monkeypatch.setattr(harness, "_timechange_x", crash)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"experiment = weak-agree\nreplicates = 5\nout = {tmp_path / 'out'}\n")
+        assert cli_main(["run", "--config", str(cfg)]) == EXIT_CRASH
+        err = capsys.readouterr().err
+        seed = derive_seed(0, 0, "weak-agree-timechange")
+        assert "Traceback" in err and f"RuntimeError: replicate 0 (seed {seed})" in err
+
+
+def _edge(valid, invalid):
+    """Edge values of a key: the invalid ones come in about one draw of 2 * len(valid) + 1."""
+    return st.sampled_from([*valid] * 2 * len(invalid) + [*invalid])
+
+
+# Edge values of every key the four truncation experiments read.  The cutoffs
+# keep a driver's expected jumps either small or past the 2**20 of the config
+# check, so a run takes milliseconds.
+_FUZZ_KEYS = {
+    "alpha": _edge(
+        ["5e-324", "0.01", "0.0517578125", "0.5", "0.9999999999999999"], ["0", "1", "nan"]
+    ),
+    "phi": _edge(
+        [
+            "constant(1)",
+            "constant(5e-324)",
+            "constant(1e300)",
+            "shifted-arctan(2,0.6366)",
+            "shifted-arctan(1e-300,1e300)",
+            "soft-ramp(1,1e100)",
+            "soft-ramp(1,1e308)",
+            "piecewise-linear(-1:1e-300,0:1,1:1e300)",
+        ],
+        ["power(0.5)", "constant(nan)", "constant("],
+    ),
+    "x0": _edge(["0", "-0.0", "5e-324", "10", "1e300", "-1e300"], ["1e301", "nan", "inf"]),
+    "T": _edge(["5e-324", "1e-300", "1", "2", "1e300"], ["0", "nan", "inf"]),
+    # Sorted decreasing, or not: a list that does not decrease is a config error.
+    "cutoffs": st.tuples(
+        st.lists(
+            _edge(["5e-324", "1e-300", "1e-3", "0.5", "1", "1e300"], ["0", "nan", "inf"]),
+            min_size=1,
+            max_size=4,
+            unique=True,
+        ),
+        st.booleans(),
+    ).map(lambda c: ", ".join(sorted(c[0], key=float, reverse=True) if c[1] else c[0])),
+    "replicates": _edge(["1", "2", "5"], ["0"]),
+    "seed": _edge(["0", "4", "18446744073709551615"], ["18446744073709551616", "-1"]),
+    "ks_p_threshold": _edge(["5e-324", "0.01", "0.9999999999999999"], ["0", "1", "nan"]),
+    "couple_decay_max": _edge(["5e-324", "0.1", "1"], ["0", "1.5", "nan"]),
+}
+
+# A line that names a key the fuzzed configs set, or a replicate and its seed.
+_NAMES_A_KEY = r"\b(alpha|phi|x0|T|cutoffs?|replicates|seed|ks_p_threshold|couple_decay_max)\b"
+_NAMES_A_REPLICATE = r"replicate \d+ \(seed \d+\)"
+
+
+@st.composite
+def _fuzz_configs(draw):
+    experiment = draw(
+        st.sampled_from(["strong-construct", "ladder-monotone", "weak-agree", "uniqueness-couple"])
+    )
+    keys = [*_SOLVE_KEYS, "seed"]
+    keys += {"weak-agree": ["ks_p_threshold"], "uniqueness-couple": ["couple_decay_max"]}.get(
+        experiment, []
+    )
+    lines = [f"experiment = {experiment}", f"replicates = {draw(_FUZZ_KEYS['replicates'])}"]
+    lines += [f"{key} = {draw(_FUZZ_KEYS[key])}" for key in keys if draw(st.booleans())]
+    return "\n".join(lines) + "\n"
+
+
+class TestCLIFuzz:
+    @given(text=_fuzz_configs())
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_exit_codes_mean_what_the_readme_says(self, tmp_path, capsys, text):
+        # No traceback (exit 4) from a config; a failure prints one line, with
+        # no numpy warning beside it, that names a key or a replicate and its seed.
+        cfg = tmp_path / "fuzz.cfg"
+        cfg.write_text(text + f"out = {tmp_path / 'out'}\n")
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli_main(["run", "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert code in (EXIT_PASS, EXIT_STATISTICAL, EXIT_INVARIANT, EXIT_CONFIG), err
+        assert not caught, [str(w.message) for w in caught]
+        if code in (EXIT_INVARIANT, EXIT_CONFIG):
+            (line,) = err.splitlines()
+            assert re.search(_NAMES_A_KEY if code == EXIT_CONFIG else _NAMES_A_REPLICATE, line)
 
 
 class TestExports:
