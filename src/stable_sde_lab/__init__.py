@@ -11,7 +11,6 @@ from .driver import (
     JumpPath,
     SamplerIntegrityError,
     StableParams,
-    laplace_exponent,
     levy_tail_mass,
     sample_exact_increment,
     sample_grid_path,
@@ -28,25 +27,14 @@ from .phi import (
     parse_phi,
 )
 from .stats import KSReport, ks_two_sample
-from .timechange import (
-    BEYOND_HORIZON,
-    Clock,
-    build_forward_clock,
-    clock_eval,
-    clock_roundtrip_residual,
-    invert_clock,
-    solve_time_change,
-    time_change_path,
-)
+from .timechange import BEYOND_HORIZON, Clock, invert_clock, solve_time_change
 from .truncation import (
     Ladder,
     SolutionPath,
     build_ladder,
-    coupled_pair_distance,
     ladder_violations,
     solve_ladders,
     solve_truncated,
-    sup_gap,
 )
 from .counterexample import (
     CounterexampleRun,

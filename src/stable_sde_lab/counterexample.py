@@ -150,10 +150,11 @@ def _clock_values(
     z holds the driver values on the grid times (ds = np.diff(times)).
     buffers, two arrays of times.size, take the clock terms and the returned
     values; fresh ones are allocated when it is None.
-    Raises what the full construction raises: ValueError on bad parameters,
-    on a decreasing driver (which ``GridPath`` would reject) or on a clock
-    that is not finite and strictly increasing (which ``Clock`` would
-    reject), SamplerIntegrityError on a non-positive or NaN driver.
+    Raises what the full construction raises: ValueError on bad parameters
+    or on a decreasing driver (which ``GridPath`` would reject),
+    FloatingPointError on a clock that is not finite and strictly increasing
+    (which ``Clock`` would reject), SamplerIntegrityError on a non-positive,
+    NaN or inf driver.
     """
     # Written over the condition that must fail, so NaN passes, as in GridPath.
     if z[0] != 0.0 or (z[1:] < z[:-1]).any():
@@ -164,10 +165,11 @@ def _clock_values(
         raise ValueError(f"beta must lie in (0, 1), got {beta}")
     if times.size < 101:
         raise ValueError("grid too coarse for the head fit, need m >= 100 steps")
-    # Also rejects NaN, which the monotonicity check lets through.
-    if not (z[1:] > 0.0).all():
+    # Also rejects NaN, which the monotonicity check lets through; past it,
+    # z[-1] is the largest value, so a finite z[-1] leaves no inf.
+    if not ((z[1:] > 0.0).all() and z[-1] < math.inf):
         raise SamplerIntegrityError(
-            "driver hit a non-positive or NaN value at a positive grid time"
+            "driver hit a non-positive, NaN or inf value at a positive grid time"
         )
     # Left-endpoint integrand over [s_i, s_{i+1}], i >= 1; the i = 0 term is
     # the singular head, replaced by the fitted correction.  The exponents
@@ -184,7 +186,7 @@ def _clock_values(
     values += head_value
     values[0] = 0.0
     if not (math.isfinite(values[-1]) and (values[1:] > values[:-1]).all()):
-        raise ValueError("singular clock must be finite and strictly increasing")
+        raise FloatingPointError("singular clock must be finite and strictly increasing")
     return values, head_coeff, head_value
 
 
@@ -328,7 +330,9 @@ def _map_runs(check: str, fn, generators: list, m: int) -> list:
     accumulate such as np.cumsum(x, out=x), so no run sums in place.  A
     failing run k raises again, with its type, named "{check} run {k}"; the
     chunks are read back in spawn order, so the first in spawn order raises.
-    numpy's errstate does not reach the workers: fn must set its own.
+    numpy's errstate does not reach the workers, so each sets its own: a
+    run's non-finite arithmetic raises, or reaches a report row as NaN or
+    inf, with no numpy warning.
     """
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
@@ -340,11 +344,12 @@ def _map_runs(check: str, fn, generators: list, m: int) -> list:
     def chunk_runs(chunk: list) -> list:
         buf = np.empty((3, m + 1))
         out = []
-        for k, g in chunk:
-            try:
-                out.append(fn(k, g, buf))
-            except (ValueError, SamplerIntegrityError) as exc:
-                raise type(exc)(f"{check} run {k}: {exc}") from exc
+        with np.errstate(all="ignore"):
+            for k, g in chunk:
+                try:
+                    out.append(fn(k, g, buf))
+                except (ValueError, FloatingPointError, SamplerIntegrityError) as exc:
+                    raise type(exc)(f"{check} run {k}: {exc}") from exc
         return out
 
     if workers <= 1:

@@ -22,7 +22,6 @@ __all__ = [
     "JumpPath",
     "GridPath",
     "levy_tail_mass",
-    "laplace_exponent",
     "sample_truncated_path",
     "extend_truncated_path",
     "thin_path",
@@ -183,13 +182,6 @@ def levy_tail_mass(params: StableParams, eps: float) -> float:
     if not (eps > 0.0):
         raise ValueError(f"eps must be positive, got {eps}")
     return params.c * eps ** (-params.alpha) / params.alpha
-
-
-def laplace_exponent(params: StableParams, lam: float) -> float:
-    """psi(lam) = c * gamma(1-alpha) * lam**alpha / alpha; lam**alpha by default."""
-    if not (lam > 0.0):
-        raise ValueError(f"lambda must be positive, got {lam}")
-    return params.c * math.gamma(1.0 - params.alpha) * lam**params.alpha / params.alpha
 
 
 def _overflow(params: StableParams, eps: float, driver: int) -> SamplerIntegrityError:
@@ -405,10 +397,14 @@ def sample_exact_increment(
     if size is not None and size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
     scale = (dt ** (1.0 / params.alpha)) * params.unit_time_scale
-    out = _standard_stable(params.alpha, 1 if size is None else size, rng)
-    out *= scale
     # At extreme alpha the scale underflows to 0 while a draw overflows to
-    # inf; max propagates the NaN of 0 * inf.
+    # inf, or alpha * u underflows to 0 and its log is -inf; max propagates
+    # the NaN of 0 * inf, and the caller's checks see the rest.  The errstate
+    # is set here, in whatever thread draws, with no numpy warning beside
+    # the error.
+    with np.errstate(all="ignore"):
+        out = _standard_stable(params.alpha, 1 if size is None else size, rng)
+        out *= scale
     if math.isnan(out.max()):
         raise SamplerIntegrityError(
             f"exact increment sampler produced NaN (alpha={params.alpha!r}, dt={dt!r})"

@@ -496,21 +496,20 @@ class ClockCoverageError(RuntimeError):
 
 
 def _timechange_x(
-    cfg: ExperimentConfig, phi: MonotonePhi, times, sizes, horizon, replicate: int, tag: str
+    cfg: ExperimentConfig, phi: MonotonePhi, times, sizes, horizon, eps, replicate: int, tag: str
 ) -> float:
     """X at T by time change, on the events of replicate's driver on [0, horizon].
 
-    While its clock ends at or before T, the driver is extended from its
-    stream (master seed, replicate, tag), never resampled, and solved again:
-    a stopping rule on one jump stream, so the marginal law is untouched.
-    The first extension replays the stream: the one-driver _jump_blocks draws
-    the driver again and leaves the generator where the block pass left it.
-    The extension stays in arrays, so each solve makes the only check of the
-    events it solves.  Past _EXTENSION_EVENTS events, or 64 extensions, it
-    raises ClockCoverageError.
+    The driver is truncated at eps.  While its clock ends at or before T, the
+    driver is extended from its stream (master seed, replicate, tag), never
+    resampled, and solved again: a stopping rule on one jump stream, so the
+    marginal law is untouched.  The first extension replays the stream: the
+    one-driver _jump_blocks draws the driver again and leaves the generator
+    where the block pass left it, and only then are the driver's parameters
+    built.  The extension stays in arrays, so each solve makes the only check
+    of the events it solves.  Past _EXTENSION_EVENTS events, or 64
+    extensions, it raises ClockCoverageError.
     """
-    (eps,) = cfg.cutoffs
-    params = StableParams.default(cfg.alpha)
     rng = None
     for _ in range(64):
         states, _, _, values = solve_time_change(phi, cfg.x0, times, sizes, horizon, eps, cfg.alpha)
@@ -523,6 +522,7 @@ def _timechange_x(
                 f"of {n} events, past the {_EXTENSION_EVENTS} that may be extended"
             )
         if rng is None:
+            params = StableParams.default(cfg.alpha)
             rng = replicate_rng(cfg.seed, replicate, tag)
             ((_, times, sizes, _),) = _jump_blocks(params, horizon, eps, (rng,), 0)
         times, sizes = _extend_jumps(params, times, sizes, horizon, 2.0 * horizon, eps, rng)
@@ -540,13 +540,17 @@ def _timechange_samples(cfg: ExperimentConfig, tag: str) -> np.ndarray:
     """
     phi = cfg.phi_object()
     horizon = _TIMECHANGE_SPAN * cfg.horizon
+    (eps,) = cfg.cutoffs
     xs = np.empty(cfg.replicates)
-    for first, times, sizes, offsets in _replicate_jumps(cfg, tag, horizon, cfg.cutoffs[0]):
-        for r, (a, b) in enumerate(zip(offsets, offsets[1:]), first):
-            try:
-                xs[r] = _timechange_x(cfg, phi, times[a:b], sizes[a:b], horizon, r, tag)
-            except (ValueError, RuntimeError, FloatingPointError) as exc:
-                raise _replicate_error(exc, cfg, r, tag) from exc
+    # A clock total that overflows raises FloatingPointError, with no numpy
+    # warning beside it; one errstate here, not one per solve.
+    with np.errstate(over="ignore"):
+        for first, times, sizes, offsets in _replicate_jumps(cfg, tag, horizon, eps):
+            for r, (a, b) in enumerate(zip(offsets, offsets[1:]), first):
+                try:
+                    xs[r] = _timechange_x(cfg, phi, times[a:b], sizes[a:b], horizon, eps, r, tag)
+                except (ValueError, RuntimeError, FloatingPointError) as exc:
+                    raise _replicate_error(exc, cfg, r, tag) from exc
     return xs
 
 
@@ -637,7 +641,7 @@ def _grid_check(check, cfg: ExperimentConfig, tag: str, *args, **kwargs):
         return check(
             cfg.alpha, cfg.beta, *args, cfg.replicates, rng, m_per_unit=cfg.grid_m, **kwargs
         )
-    except (ValueError, SamplerIntegrityError) as exc:
+    except (ValueError, FloatingPointError, SamplerIntegrityError) as exc:
         seed = derive_seed(cfg.seed, 0, tag)
         raise type(exc)(f"stream '{tag}' (seed {seed}): {exc}") from exc
 

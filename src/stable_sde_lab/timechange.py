@@ -10,8 +10,7 @@ beyond B(T) the finite simulation cannot speak and a sentinel is returned.
 the checked clock out, with no object built.  It builds the clock from
 checked event times as a running sum, so of Clock's checks it makes only the
 two that its construction leaves open: every slope positive, and the total
-finite.  ``time_change_path`` runs the kernel on a JumpPath and returns a
-SolutionPath and its Clock, which makes every clock check.
+finite.  ``Clock(*arrays[1:])`` on its arrays makes every clock check.
 """
 
 from __future__ import annotations
@@ -21,19 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .driver import JumpPath, _check_jumps
+from .driver import _check_jumps
 from .phi import MonotonePhi
-from .truncation import SolutionPath
 
 __all__ = [
     "Clock",
     "BEYOND_HORIZON",
-    "build_forward_clock",
     "invert_clock",
-    "clock_eval",
     "solve_time_change",
-    "time_change_path",
-    "clock_roundtrip_residual",
 ]
 
 # Finite-horizon stand-in for an infinite clock: inversion past B(T) has no
@@ -166,8 +160,9 @@ def solve_time_change(
     the one before it plus slope * length, exactly, as a running sum.  A
     finite total then makes every value, and so every slope, finite.  A clock
     that fails the test raises FloatingPointError where phi is not finite, as
-    solve_truncated does, and else goes to Clock's checks, which raise the
-    message that Clock would.
+    solve_truncated does, or where every slope is positive and finite, so that
+    the running sum overflowed; else it goes to Clock's checks, which raise
+    the message that Clock would.
     """
     arrays = _time_change_arrays(phi, x, times, sizes, horizon, cutoff, alpha)
     states, breakpoints, slopes, values = arrays
@@ -177,35 +172,13 @@ def solve_time_change(
             k = int(finite.argmin())
             state = states.item(k)
             raise FloatingPointError(f"phi evaluated non-finite at state {state!r} (event {k})")
+        if slopes.min() > 0.0 and slopes.max() < math.inf:
+            raise FloatingPointError(
+                f"time-change clock overflowed to inf, with finite slopes up to "
+                f"{float(slopes.max())!r}"
+            )
         _check_clock(breakpoints, slopes, values)
     return arrays
-
-
-def time_change_path(
-    phi: MonotonePhi, x: float, driver: JumpPath, alpha: float
-) -> tuple[SolutionPath, Clock]:
-    """solve_time_change on a JumpPath: the solution on [0, B(T)) and its clock.
-
-    Driver jumps at u_i map to solution jumps at B(u_i), between which the
-    state is constant; the clock's total is the solution's horizon.  Each of
-    Clock's checks runs once, in Clock, on a clock that passes the kernel's.
-    """
-    states, breakpoints, slopes, values = solve_time_change(
-        phi, x, driver.times, driver.sizes, driver.horizon, driver.cutoff, alpha
-    )
-    clock = Clock(breakpoints=breakpoints, slopes=slopes, values=values)
-    n = len(driver)
-    solution = SolutionPath(
-        x0=float(x), horizon=clock.total, times=values[1 : n + 1].copy(), post_values=states[1:]
-    )
-    return solution, clock
-
-
-def build_forward_clock(phi: MonotonePhi, solution: SolutionPath, alpha: float) -> Clock:
-    """Clock on the solution timeline with integrand phi(X_s)**(+alpha)."""
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    return Clock(*_clock(phi, solution.states, solution.times, solution.horizon, alpha))
 
 
 def invert_clock(clock: Clock, t: float) -> float:
@@ -224,35 +197,3 @@ def invert_clock(clock: Clock, t: float) -> float:
     if values[i] == t:
         return float(clock.breakpoints[i])
     return float(clock.breakpoints[i] + (t - values[i]) / clock.slopes[i])
-
-
-def clock_eval(clock: Clock, s: float) -> float:
-    """Piecewise-linear evaluation B(s) for s in [0, horizon]."""
-    if s < 0.0 or s > clock.horizon:
-        raise ValueError(f"s={s} outside [0, {clock.horizon}]")
-    if s >= clock.breakpoints[-1]:
-        return clock.total
-    i = int(np.searchsorted(clock.breakpoints, s, side="right")) - 1
-    return float(clock.values[i] + clock.slopes[i] * (s - clock.breakpoints[i]))
-
-
-def clock_roundtrip_residual(
-    phi: MonotonePhi, x: float, driver: JumpPath, alpha: float
-) -> float:
-    """Max inversion residual between the clock and its forward counterpart.
-
-    The forward clock is rebuilt from the solved path with integrand
-    phi(X)**(+alpha); composing the two must return every event time, which
-    pins exactness of the piecewise-linear arithmetic.
-    """
-    solution, clock = time_change_path(phi, x, driver, alpha)
-    forward = build_forward_clock(phi, solution, alpha)
-    # Forward breakpoints coincide with the clock's values, so the forward
-    # values must reproduce the driver coordinates u_i...
-    residual = float(np.max(np.abs(forward.values - clock.breakpoints)))
-    # ...and pushing those recovered coordinates back through the clock must
-    # land on the solution coordinates t_i.
-    for u_recovered, t_expected in zip(forward.values, forward.breakpoints):
-        t = clock_eval(clock, min(u_recovered, clock.horizon))
-        residual = max(residual, abs(t - t_expected))
-    return residual

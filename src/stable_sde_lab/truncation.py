@@ -23,8 +23,6 @@ __all__ = [
     "solve_ladders",
     "build_ladder",
     "ladder_violations",
-    "coupled_pair_distance",
-    "sup_gap",
 ]
 
 OVERFLOW_GUARD = 1e300
@@ -180,11 +178,12 @@ def solve_ladders(
 
     Returns the final states ``(n, L)``, the overflow-guard hits ``(n, L)``,
     the ``ladder_violations`` count of each path ``(n,)``, and the gap
-    ``(n, len(pairs))`` of each ``(fine, coarse)`` pair of level indices,
-    ``sup_gap`` of their solutions.  After each rank, a violation is a level
-    that took the jump below the next coarser level, and a gap is the running
-    max, from 0, of ``|x[fine] - x[coarse]|``.  A coarser level's events are
-    a subset of the finer one's, so both are exact at the union of events.
+    ``(n, len(pairs))`` of each ``(fine, coarse)`` pair of level indices, the
+    exact sup over [0, T] of the distance between their solutions.  After each
+    rank, a violation is a level that took the jump below the next coarser
+    level, and a gap is the running max, from 0, of ``|x[fine] - x[coarse]|``.
+    A coarser level's events are a subset of the finer one's, so both are
+    exact at the union of events.
     A non-finite phi where a level takes a jump raises FloatingPointError
     naming the first such path in input order.
     """
@@ -277,28 +276,3 @@ def ladder_violations(ladder: Ladder) -> int:
         ts = np.union1d(coarse.times, fine.times)
         violations += int(np.sum(fine.values_at(ts) < coarse.values_at(ts)))
     return violations
-
-
-def sup_gap(a: SolutionPath, b: SolutionPath) -> float:
-    """Exact sup over [0, min horizon] of |a - b| for piecewise-constant paths."""
-    ts = np.union1d(a.times, b.times)
-    ts = ts[ts <= min(a.horizon, b.horizon)]
-    ts = np.concatenate(([0.0], ts))
-    return float(np.max(np.abs(a.values_at(ts) - b.values_at(ts))))
-
-
-def coupled_pair_distance(
-    phi: MonotonePhi,
-    x0: float,
-    params: StableParams,
-    horizon: float,
-    eps: float,
-    rng: np.random.Generator,
-) -> float:
-    """Sup-distance between the eps and eps/2 solutions on one noise path."""
-    if not (eps > 0.0):
-        raise ValueError("eps must be positive")
-    base = sample_truncated_path(params, horizon, eps / 2.0, rng)
-    fine = solve_truncated(phi, x0, base)
-    coarse = solve_truncated(phi, x0, thin_path(base, eps))
-    return sup_gap(fine, coarse)

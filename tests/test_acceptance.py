@@ -15,13 +15,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from references import clock_roundtrip_residual, solve_path, sup_gap
 from stable_sde_lab import (
     ConstantPhi,
     ShiftedArctanPhi,
+    Clock,
     StableParams,
     build_ladder,
-    clock_roundtrip_residual,
-    coupled_pair_distance,
     invert_clock,
     ks_two_sample,
     ladder_violations,
@@ -31,7 +31,6 @@ from stable_sde_lab import (
     sample_truncated_path,
     scaling_law_check,
     solve_truncated,
-    time_change_path,
 )
 from stable_sde_lab.harness import load_config, parse_config_text, run_experiment
 from stable_sde_lab.seeding import replicate_rng
@@ -166,12 +165,12 @@ def test_c05_clock_identities():
 
     params = StableParams.default(0.5)
     path = sample_truncated_path(params, 1.0, 0.01, np.random.default_rng(5))
-    clock = time_change_path(ARCTAN, 0.0, path, 0.5)[1]
+    clock = Clock(*solve_path(ARCTAN, 0.0, path, 0.5)[1:])
     exact_at_breakpoints = all(
         invert_clock(clock, float(v)) == float(u)
         for u, v in zip(clock.breakpoints[:-1], clock.values[:-1])
     )
-    unit = time_change_path(ConstantPhi(1.0), 0.0, path, 0.5)[1]
+    unit = Clock(*solve_path(ConstantPhi(1.0), 0.0, path, 0.5)[1:])
     unit_bitlevel = all(invert_clock(unit, t) == t for t in np.linspace(0.0, 0.999, 333))
 
     ok = residual_ok and exact_at_breakpoints and unit_bitlevel
@@ -195,7 +194,8 @@ def test_c06_pathwise_coupling_decay():
         gaps = np.empty(n)
         for r in range(n):
             rng = replicate_rng(20_260_808, r, f"acceptance-couple-{j}")
-            gaps[r] = coupled_pair_distance(ARCTAN, 0.0, params, horizon, eps, rng)
+            coarse, fine = build_ladder(ARCTAN, 0.0, params, horizon, (eps, eps / 2), rng).solutions
+            gaps[r] = sup_gap(fine, coarse)
         medians.append(float(np.median(gaps)))
     non_increasing = all(b <= a for a, b in zip(medians, medians[1:]))
     decay = medians[-1] / medians[0]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from references import clock_eval
 from stable_sde_lab import (
     BEYOND_HORIZON,
     SamplerIntegrityError,
@@ -30,7 +31,6 @@ from stable_sde_lab.counterexample import (
 )
 from stable_sde_lab.driver import GridPath, _grid_values, sample_grid_path
 from stable_sde_lab.phi import PowerPhi
-from stable_sde_lab.timechange import clock_eval
 
 
 class TestRunConstruction:
@@ -304,7 +304,7 @@ def _outcome(fn):
     """The value fn returns, or the type of the exception it raises."""
     try:
         return fn()
-    except (ValueError, SamplerIntegrityError) as exc:
+    except (ValueError, FloatingPointError, SamplerIntegrityError) as exc:
         return type(exc)
 
 
@@ -403,13 +403,12 @@ class TestLeanPaths:
             inc[int(position * (m - 1))] = np.nan
             expected = SamplerIntegrityError
         elif corruption == "inf":
-            # The clock's left-endpoint sums never read the last grid value,
-            # so the infinite step lands on one of the first m - 1.
             inc[int(position * (m - 2))] = np.inf
-            expected = ValueError
+            expected = SamplerIntegrityError
         elif corruption == "inf-last":
-            # Unread by the clock, read by the recovered noise: NaN residuals.
+            # Unread by the clock's left-endpoint sums, but a sampler failure.
             inc[-1] = np.inf
+            expected = SamplerIntegrityError
         elif corruption == "huge-last":
             # Finite, but past the bound that lets a run skip the noise sum
             # beyond t: the full sum decides the zero residual.
@@ -433,8 +432,6 @@ class TestLeanPaths:
             assert full is expected and total is expected and runs == [expected, expected]
             return
         assert _bits(total) == _bits(full.clock_total)
-        if corruption == "inf-last":
-            assert math.isnan(want[1]) and math.isnan(want[2])
         _assert_same_runs(runs, want)
 
     @pytest.mark.parametrize("replay", [False, True])
@@ -454,7 +451,7 @@ class TestLeanPaths:
 
         run(_grid_values(params, horizon, m, np.random.default_rng(1), buf[0]), buf[1:])
         buf[0, m // 2 :] = np.inf
-        with np.errstate(all="ignore"), pytest.raises(ValueError, match="finite"):
+        with np.errstate(all="ignore"), pytest.raises(SamplerIntegrityError, match="inf"):
             run(buf[0], buf[1:])
         z = _grid_values(params, horizon, m, np.random.default_rng(2), buf[0])
         total, outcome = run(z, buf[1:])

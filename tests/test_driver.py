@@ -9,12 +9,12 @@ from scipy.integrate import quad
 from scipy.special import erfc
 from scipy.stats import kstest
 
+from references import laplace_exponent
 from stable_sde_lab import (
     GridPath,
     JumpPath,
     SamplerIntegrityError,
     StableParams,
-    laplace_exponent,
     levy_tail_mass,
     sample_exact_increment,
     sample_grid_path,

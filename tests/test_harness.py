@@ -14,15 +14,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import stable_sde_lab
+from references import solve_path, sup_gap, x_at
 from stable_sde_lab import (
     StableParams,
     ladder_violations,
     sample_truncated_path,
     solve_ladders,
     solve_truncated,
-    sup_gap,
     thin_path,
-    time_change_path,
 )
 from stable_sde_lab import SamplerIntegrityError, cli, counterexample, driver, harness, timechange
 from stable_sde_lab.cli import main as cli_main
@@ -446,10 +445,12 @@ class TestExperiments:
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_corrupted_run_fails_both_invariants(self, tmp_path, monkeypatch):
         # One worker, so runs are made in spawn order and the second one is
-        # replicate 1.  Its last driver value, made inf after a clean first
-        # run, is never read by the clock: the last recovered-noise increment
-        # is inf, so the zero residual (0 * inf) and the replay residual
-        # (inf - inf) are NaN, and both must reach the rows.
+        # replicate 1.  After a clean first run, its driver values are scaled
+        # by 1e-300 and its last one, which the clock never reads, is made
+        # the largest double: the last recovered-noise increment overflows to
+        # inf, so the zero residual (0 * inf) is NaN and the replay residual
+        # inf, and both must reach the rows.  (An inf driver value is a
+        # sampler failure.)
         monkeypatch.setattr(counterexample.os, "sched_getaffinity", lambda pid: {0})
         real = counterexample._run_outcome
         calls = []
@@ -457,8 +458,8 @@ class TestExperiments:
         def corrupt_second(alpha, beta, times, ds, z, *args):
             calls.append(None)
             if len(calls) == 2:
-                z = z.copy()
-                z[-1] = np.inf
+                z = z * 1e-300
+                z[-1] = np.finfo(float).max
             return real(alpha, beta, times, ds, z, *args)
 
         monkeypatch.setattr(counterexample, "_run_outcome", corrupt_second)
@@ -472,7 +473,7 @@ class TestExperiments:
         zero = rows["zero-solution-residual"]
         replay = rows["sde-replay-relative-residual"]
         assert np.isnan(zero.value) and not zero.passed
-        assert np.isnan(replay.value) and not replay.passed
+        assert replay.value == np.inf and not replay.passed
         assert replay.detail.startswith("replicate 1 of ")
         assert result.exit_code == EXIT_INVARIANT
 
@@ -658,11 +659,8 @@ class TestExperiments:
 class TestGridRunNaming:
     """A failed grid run names its check, spawn index, stream tag and seed."""
 
-    @pytest.mark.parametrize(
-        "value, exit_code",
-        # NaN fails the driver's positivity check, inf the clock's growth check.
-        [(np.nan, EXIT_INVARIANT), (np.inf, EXIT_CRASH)],
-    )
+    # NaN and inf both fail the driver check of the clock.
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
     @pytest.mark.parametrize(
         "spawn_key, tag, run",
         [
@@ -670,9 +668,7 @@ class TestGridRunNaming:
             ((0, 17), "counterexample-driver-law", "driver-law run 17"),
         ],
     )
-    def test_failed_run_is_named(
-        self, tmp_path, monkeypatch, capsys, value, exit_code, spawn_key, tag, run
-    ):
+    def test_failed_run_is_named(self, tmp_path, monkeypatch, capsys, value, spawn_key, tag, run):
         # The sampler returns a bad increment in the run of one spawned
         # stream of one tag: child 3 of the scaling check's second horizon,
         # or child 17 of the runs that the driver-law check and the
@@ -689,8 +685,7 @@ class TestGridRunNaming:
 
         monkeypatch.setattr(driver, "sample_exact_increment", sampler)
         text = "experiment = counterexample\nreplicates = 1000\ngrid_m = 100\nseed = 5\n"
-        error = SamplerIntegrityError if np.isnan(value) else ValueError
-        with np.errstate(all="ignore"), pytest.raises(error) as info:
+        with np.errstate(all="ignore"), pytest.raises(SamplerIntegrityError) as info:
             run_experiment(parse_config_text(text), str(tmp_path / "api"))
         assert str(info.value).startswith(
             f"stream '{tag}' (seed {derive_seed(5, 0, tag)}): {run}: "
@@ -699,8 +694,8 @@ class TestGridRunNaming:
         cfg.write_text(text + f"out = {tmp_path / 'cli'}\n")
         capsys.readouterr()
         with np.errstate(all="ignore"):
-            assert cli_main(["run", "--config", str(cfg)]) == exit_code
-        assert str(info.value) in capsys.readouterr().err
+            assert cli_main(["run", "--config", str(cfg)]) == EXIT_INVARIANT
+        assert capsys.readouterr().err == f"invariant violation: {info.value}\n"
 
 
 def _reference_marginal(phi, x0, params, eps, t_eval, rng):
@@ -713,9 +708,9 @@ def _reference_marginal(phi, x0, params, eps, t_eval, rng):
     """
     path = sample_truncated_path(params, 2.0 * t_eval, eps, rng)
     for _ in range(64):
-        solution, clock = time_change_path(phi, x0, path, params.alpha)
-        if clock.total > t_eval:
-            return solution.value_at(t_eval)
+        states, _, _, values = solve_path(phi, x0, path, params.alpha)
+        if values[-1] > t_eval:
+            return x_at(states, values, t_eval)
         if len(path) > harness._EXTENSION_EVENTS:
             raise RuntimeError("past the events that may be extended")
         path = driver.extend_truncated_path(params, path, 2.0 * path.horizon, rng)
@@ -820,7 +815,7 @@ class TestTimeChangeSide:
             for r in range(cfg.replicates)
         ]
         assert sum(len(path) == 0 for path in drivers) == empty
-        totals = [time_change_path(phi, cfg.x0, path, cfg.alpha)[1].total for path in drivers]
+        totals = [solve_path(phi, cfg.x0, p, cfg.alpha)[3][-1] for p in drivers]
         assert sum(total <= cfg.horizon for total in totals) == extended
         want = np.array([scalar(r) for r in range(cfg.replicates)])
         assert got.tobytes() == want.tobytes()
@@ -967,6 +962,10 @@ class TestTimeChangeSide:
         )
         assert f"past the {budget} that may be extended" in str(info.value)
         assert extended and max(extended) <= budget
+
+
+# The smallest grid lab that the config check admits.
+_SMALL_GRID = "T = 1\ngrid_m = 100\nreplicates = 1000\n"
 
 
 class TestCLI:
@@ -1190,18 +1189,76 @@ class TestCLI:
         (line,) = capsys.readouterr().err.splitlines()
         assert f"replicate {first} (seed {seed}): jump size overflowed to inf" in line
 
-    # The grid runs sample on worker threads, outside any np.errstate here.
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_driver_exits_2(self, tmp_path, capsys):
         # At this alpha the exact sampler's scale underflows to 0 while its
-        # draws overflow to inf.
+        # draws overflow to inf.  The grid runs sample on worker threads,
+        # which no np.errstate set here reaches: the sampler and each worker
+        # set their own, so no numpy warning joins the one line on stderr.
         cfg = tmp_path / "nan.cfg"
         cfg.write_text(
             "experiment = counterexample\nalpha = 0.001953125\nreplicates = 1000\n"
             f"grid_m = 100\nseed = 4\nout = {tmp_path / 'out'}\n"
         )
-        assert cli_main(["run", "--config", str(cfg)]) == EXIT_INVARIANT
-        assert "sampler produced NaN" in capsys.readouterr().err
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli_main(["run", "--config", str(cfg)]) == EXIT_INVARIANT
+        assert not caught, [str(w.message) for w in caught]
+        (line,) = capsys.readouterr().err.splitlines()
+        seed = derive_seed(4, 0, "counterexample-scaling")
+        assert line.startswith(f"invariant violation: stream 'counterexample-scaling' (seed {seed}")
+        assert "sampler produced NaN" in line
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # An inf value in run 6's grid path: a sampler failure.
+            (
+                f"experiment = counterexample\nalpha = 0.01\nbeta = 0.5\n{_SMALL_GRID}",
+                "stream 'counterexample-scaling' (seed {scaling}): scaling-law t1=1 run 6: "
+                "driver hit a non-positive, NaN or inf value at a positive grid time",
+            ),
+            # The same run at a beta whose clock integrand is 1 at inf: the
+            # clock passed its checks and the rows read NaN, with no line.
+            (
+                f"experiment = counterexample\nalpha = 0.01\nbeta = 5e-324\n{_SMALL_GRID}",
+                "stream 'counterexample-scaling' (seed {scaling}): scaling-law t1=1 run 6: "
+                "driver hit a non-positive, NaN or inf value at a positive grid time",
+            ),
+            # The head fit at beta near 1 breaks the clock in one run, not all.
+            (
+                f"experiment = counterexample\nalpha = 0.5\nbeta = 0.9999999999999\n{_SMALL_GRID}",
+                "stream 'counterexample-scaling' (seed {scaling}): scaling-law t1=1 run 11: "
+                "singular clock must be finite and strictly increasing",
+            ),
+            (
+                f"experiment = counterexample\nalpha = 0.5\nbeta = 0.99999999999\n{_SMALL_GRID}",
+                "stream 'counterexample-scaling' (seed {scaling}): scaling-law t1=1 run 539: "
+                "singular clock must be finite and strictly increasing",
+            ),
+            # Slopes of about 9.3e299 over [0, 2e10]: the clock total overflows.
+            (
+                "experiment = weak-agree\nphi = constant(1e-300)\nalpha = 0.9999\nT = 1e10\n"
+                "cutoffs = 10\nx0 = 0\nreplicates = 2\nseed = 1\n",
+                "replicate 0 (seed {timechange}): time-change clock overflowed to inf, "
+                "with finite slopes up to 9.332543007969981e+299",
+            ),
+        ],
+        ids=["grid-inf", "grid-inf-tiny-beta", "head-fit-11", "head-fit-539", "clock-overflow"],
+    )
+    def test_floating_point_clock_exits_2(self, tmp_path, capsys, text, message):
+        # Each exited 4 with a ValueError traceback, but grid-inf-tiny-beta,
+        # which exited 2 with NaN rows and no line.
+        cfg = tmp_path / "clock.cfg"
+        cfg.write_text(text + f"out = {tmp_path / 'out'}\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli_main(["run", "--config", str(cfg)]) == EXIT_INVARIANT
+        assert not caught, [str(w.message) for w in caught]
+        seeds = {
+            "scaling": derive_seed(0, 0, "counterexample-scaling"),
+            "timechange": derive_seed(1, 0, "weak-agree-timechange"),
+        }
+        assert capsys.readouterr().err == f"invariant violation: {message.format(**seeds)}\n"
 
     def test_crash_exits_4(self, tmp_path, monkeypatch, capsys):
         def crash(cfg):
@@ -1288,9 +1345,17 @@ _FUZZ_KEYS = {
     "couple_decay_max": _edge(["5e-324", "0.1", "1"], ["0", "1.5", "nan"]),
 }
 
+# The grid lab's alpha and beta, both in (0, 1).
+_FUZZ_UNIT = _edge(
+    ["5e-324", "0.01", "0.5", "0.9999999999999", "0.9999999999999999"], ["0", "1", "nan"]
+)
+
 # A line that names a key the fuzzed configs set, or a replicate and its seed.
 _NAMES_A_KEY = r"\b(alpha|phi|x0|T|cutoffs?|replicates|seed|ks_p_threshold|couple_decay_max)\b"
 _NAMES_A_REPLICATE = r"replicate \d+ \(seed \d+\)"
+# The same for the grid lab's keys, and a grid run, its stream and the stream's seed.
+_NAMES_A_GRID_KEY = r"\b(alpha|beta|seed)\b"
+_NAMES_A_GRID_RUN = r"stream '[\w-]+' \(seed \d+\): [^:]* run \d+: "
 
 
 @st.composite
@@ -1307,6 +1372,32 @@ def _fuzz_configs(draw):
     return "\n".join(lines) + "\n"
 
 
+@st.composite
+def _fuzz_grid_configs(draw):
+    """The counterexample lab at the smallest grid that the config check admits."""
+    lines = [f"alpha = {draw(_FUZZ_UNIT)}", f"beta = {draw(_FUZZ_UNIT)}"]
+    if draw(st.booleans()):
+        lines.append(f"seed = {draw(_FUZZ_KEYS['seed'])}")
+    return "experiment = counterexample\n" + _SMALL_GRID + "\n".join(lines) + "\n"
+
+
+def _assert_exit_means_what_the_readme_says(tmp_path, capsys, text, names_a_key, names_a_run):
+    # No traceback (exit 4) from a config; a failure prints one line, with
+    # no numpy warning beside it, that names a key or a run and its seed.
+    cfg = tmp_path / "fuzz.cfg"
+    cfg.write_text(text + f"out = {tmp_path / 'out'}\n")
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli_main(["run", "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert code in (EXIT_PASS, EXIT_STATISTICAL, EXIT_INVARIANT, EXIT_CONFIG), err
+    assert not caught, [str(w.message) for w in caught]
+    if code in (EXIT_INVARIANT, EXIT_CONFIG):
+        (line,) = err.splitlines()
+        assert re.search(names_a_key if code == EXIT_CONFIG else names_a_run, line)
+
+
 class TestCLIFuzz:
     @given(text=_fuzz_configs())
     @settings(
@@ -1315,20 +1406,21 @@ class TestCLIFuzz:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     def test_exit_codes_mean_what_the_readme_says(self, tmp_path, capsys, text):
-        # No traceback (exit 4) from a config; a failure prints one line, with
-        # no numpy warning beside it, that names a key or a replicate and its seed.
-        cfg = tmp_path / "fuzz.cfg"
-        cfg.write_text(text + f"out = {tmp_path / 'out'}\n")
-        capsys.readouterr()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = cli_main(["run", "--config", str(cfg)])
-        err = capsys.readouterr().err
-        assert code in (EXIT_PASS, EXIT_STATISTICAL, EXIT_INVARIANT, EXIT_CONFIG), err
-        assert not caught, [str(w.message) for w in caught]
-        if code in (EXIT_INVARIANT, EXIT_CONFIG):
-            (line,) = err.splitlines()
-            assert re.search(_NAMES_A_KEY if code == EXIT_CONFIG else _NAMES_A_REPLICATE, line)
+        _assert_exit_means_what_the_readme_says(
+            tmp_path, capsys, text, _NAMES_A_KEY, _NAMES_A_REPLICATE
+        )
+
+    # About 0.3 s a run that passes its checks, so a dozen draws.
+    @given(text=_fuzz_grid_configs())
+    @settings(
+        max_examples=12,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_grid_lab_exit_codes_mean_what_the_readme_says(self, tmp_path, capsys, text):
+        _assert_exit_means_what_the_readme_says(
+            tmp_path, capsys, text, _NAMES_A_GRID_KEY, _NAMES_A_GRID_RUN
+        )
 
 
 class TestExports:

@@ -5,6 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from references import (
+    build_forward_clock,
+    clock_eval,
+    clock_roundtrip_residual,
+    solve_path,
+    x_at,
+)
 from stable_sde_lab import timechange
 from stable_sde_lab import (
     BEYOND_HORIZON,
@@ -18,14 +25,10 @@ from stable_sde_lab import (
     SoftRampPhi,
     SolutionPath,
     StableParams,
-    build_forward_clock,
-    clock_eval,
-    clock_roundtrip_residual,
     invert_clock,
     sample_truncated_path,
     solve_time_change,
     solve_truncated,
-    time_change_path,
 )
 
 ARCTAN = ShiftedArctanPhi(2.0, 2.0 / math.pi)
@@ -41,15 +44,15 @@ def make_path(times, sizes, horizon=1.0, cutoff=0.5):
 
 
 def single_jump_clock():
-    return time_change_path(ARCTAN, 0.0, make_path([0.5], [1.0]), 0.5)[1]
+    return Clock(*solve_path(ARCTAN, 0.0, make_path([0.5], [1.0]), 0.5)[1:])
 
 
 class TestBuildClock:
-    """The clock that time_change_path builds on the driver timeline."""
+    """The clock that solve_time_change builds on the driver timeline."""
 
     def test_unit_coefficient_gives_identity_clock(self):
         path = make_path([0.25, 0.75], [1.0, 2.0])
-        clock = time_change_path(ConstantPhi(1.0), 0.0, path, 0.5)[1]
+        clock = Clock(*solve_path(ConstantPhi(1.0), 0.0, path, 0.5)[1:])
         assert np.all(clock.slopes == 1.0)
         assert clock.total == 1.0
         for t in (0.1, 0.3, 0.9):
@@ -64,7 +67,7 @@ class TestBuildClock:
         assert clock.values[1] == pytest.approx(0.5 * 3.0**-0.5, rel=1e-14)
 
     def test_empty_driver_single_segment(self):
-        clock = time_change_path(ARCTAN, 1.0, make_path([], []), 0.5)[1]
+        clock = Clock(*solve_path(ARCTAN, 1.0, make_path([], []), 0.5)[1:])
         phi_at_x = ARCTAN.eval(1.0)
         assert clock.breakpoints.tolist() == [0.0, 1.0]
         assert clock.total == pytest.approx(phi_at_x**-0.5, rel=1e-14)
@@ -72,13 +75,13 @@ class TestBuildClock:
     def test_slopes_strictly_positive(self):
         params = StableParams.default(0.7)
         path = sample_truncated_path(params, 1.0, 0.01, np.random.default_rng(0))
-        clock = time_change_path(ARCTAN, 0.0, path, 0.7)[1]
+        clock = Clock(*solve_path(ARCTAN, 0.0, path, 0.7)[1:])
         assert np.all(clock.slopes > 0.0)
 
     @pytest.mark.filterwarnings("ignore:divide by zero")
     def test_vanishing_phi_is_rejected(self):
         # A phi that claims admissibility but vanishes: its zero state gives
-        # the clock an infinite slope, which Clock rejects.
+        # the clock an infinite slope, which Clock's checks reject.
         class VanishingPhi(MonotonePhi):
             assumption_ok = True
 
@@ -89,21 +92,22 @@ class TestBuildClock:
                 return "vanishing"
 
         with pytest.raises(ValueError, match="slopes must be positive and finite"):
-            time_change_path(VanishingPhi(), 0.0, make_path([0.5], [1.0]), 0.5)
+            solve_path(VanishingPhi(), 0.0, make_path([0.5], [1.0]), 0.5)
 
     def test_rejects_degenerate_phi(self):
         with pytest.raises(ValueError):
-            time_change_path(PowerPhi(0.5), 0.0, make_path([0.5], [1.0]), 0.5)
+            solve_path(PowerPhi(0.5), 0.0, make_path([0.5], [1.0]), 0.5)
 
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError):
-            time_change_path(ARCTAN, 0.0, make_path([0.5], [1.0]), 1.0)
+            solve_path(ARCTAN, 0.0, make_path([0.5], [1.0]), 1.0)
 
-    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
-    def test_each_call_checks_its_clock_once(self, monkeypatch):
-        # time_change_path checks its clock in Clock.  solve_time_change makes
-        # its own check, and calls Clock's only on a clock that fails it where
-        # phi is finite.
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value", "ignore:divide by zero")
+    def test_clocks_checks_run_only_on_a_clock_it_cannot_explain(self, monkeypatch):
+        # solve_time_change makes its own two checks.  It calls Clock's only
+        # on a clock that fails them where phi is finite and some slope is
+        # not positive and finite; a non-finite phi, or a total that
+        # overflowed from finite slopes, raises FloatingPointError first.
         checks = []
         real = timechange._check_clock
 
@@ -113,24 +117,26 @@ class TestBuildClock:
 
         monkeypatch.setattr(timechange, "_check_clock", counting)
         path = make_path([0.25, 0.75], [1.0, 2.0])
-        time_change_path(ARCTAN, 0.0, path, 0.5)
-        assert len(checks) == 1
         solve_time_change(ARCTAN, 0.0, path.times, path.sizes, 1.0, 0.5, 0.5)
-        assert len(checks) == 1
         with pytest.raises(FloatingPointError, match="non-finite"):
             solve_time_change(SoftRampPhi(1.0, 1e308), 0.0, path.times, path.sizes, 1.0, 0.5, 0.5)
-        assert len(checks) == 1
         # Finite slopes of about 1e270 over a length of 2**1000 overflow the values.
-        with pytest.raises(ValueError, match="replay tolerance"):
+        with pytest.raises(FloatingPointError, match="overflowed to inf"):
             solve_time_change(
                 ConstantPhi(1e-300), 0.0, np.array([2.0**999]), np.ones(1), 2.0**1000, 0.5, 0.9
             )
-        assert len(checks) == 2
+        assert not checks
+        # phi = 5e-324 is finite, but its slope phi**-alpha overflows to inf.
+        with pytest.raises(ValueError, match="slopes must be positive"):
+            solve_time_change(
+                ConstantPhi(5e-324), 0.0, path.times, path.sizes, 1.0, 0.5, 0.9999999
+            )
+        assert len(checks) == 1
 
 
 class TestInvertClock:
     def test_identity_clock_inverts_bitwise(self):
-        clock = time_change_path(ConstantPhi(1.0), 0.0, make_path([0.5], [1.0]), 0.5)[1]
+        clock = Clock(*solve_path(ConstantPhi(1.0), 0.0, make_path([0.5], [1.0]), 0.5)[1:])
         for t in (0.0, 0.125, 0.3, 0.99999):
             assert invert_clock(clock, t) == t
 
@@ -207,18 +213,17 @@ class TestClockValidation:
 class TestSolveTimeChange:
     def test_unit_coefficient_is_identity_time_change(self):
         path = make_path([0.25, 0.75], [1.0, 2.0])
-        sol, clock = time_change_path(ConstantPhi(1.0), 0.5, path, 0.5)
-        assert clock.total == 1.0
+        states, _, _, values = solve_path(ConstantPhi(1.0), 0.5, path, 0.5)
+        assert values[-1] == 1.0
         for t in (0.1, 0.25, 0.8, 0.999):
-            assert sol.value_at(t) == 0.5 + path.value_at(t)
+            assert x_at(states, values, t) == 0.5 + path.value_at(t)
 
     def test_single_jump_maps_to_clock_value(self):
-        path = make_path([0.5], [1.0])
-        sol, clock = time_change_path(ARCTAN, 0.0, path, 0.5)
+        states, _, _, values = solve_path(ARCTAN, 0.0, make_path([0.5], [1.0]), 0.5)
         jump_time = 0.5 * 3.0**-0.5
-        assert sol.times[0] == pytest.approx(jump_time, rel=1e-14)
-        assert sol.value_at(sol.times[0]) == 1.0
-        assert sol.value_at(0.5 * jump_time) == 0.0
+        assert values[1] == pytest.approx(jump_time, rel=1e-14)
+        assert x_at(states, values, values[1]) == 1.0
+        assert x_at(states, values, 0.5 * jump_time) == 0.0
 
     def test_jump_sizes_survive_the_time_change(self):
         # The time change relabels jump times but not jump sizes; the stored
@@ -226,33 +231,33 @@ class TestSolveTimeChange:
         # of the running value.
         params = StableParams.default(0.6)
         path = sample_truncated_path(params, 1.0, 0.02, np.random.default_rng(9))
-        sol, _ = time_change_path(ARCTAN, 0.0, path, 0.6)
-        gap = np.abs((sol.post_values - sol.pre_values) - path.sizes)
-        assert np.all(gap <= 4.0 * np.spacing(sol.post_values))
+        states = solve_path(ARCTAN, 0.0, path, 0.6)[0]
+        gap = np.abs(np.diff(states) - path.sizes)
+        assert np.all(gap <= 4.0 * np.spacing(states[1:]))
 
     def test_sde_form_cross_check(self):
         # The recovered driver dV = dX / phi(X-) turns the event-driven solver
         # into a reconstruction of the same path: X must replay exactly.
         params = StableParams.default(0.6)
         path = sample_truncated_path(params, 1.0, 0.02, np.random.default_rng(10))
-        sol, clock = time_change_path(ARCTAN, 0.25, path, 0.6)
-        dv = (sol.post_values - sol.pre_values) / ARCTAN.eval(sol.pre_values)
+        states, _, _, values = solve_path(ARCTAN, 0.25, path, 0.6)
+        dv = np.diff(states) / ARCTAN.eval(states[:-1])
         recovered = JumpPath(
-            horizon=clock.total, times=sol.times, sizes=dv, cutoff=float(dv.min())
+            horizon=values[-1], times=values[1 : len(path) + 1], sizes=dv, cutoff=float(dv.min())
         )
         replay = solve_truncated(ARCTAN, 0.25, recovered)
-        assert np.allclose(replay.post_values, sol.post_values, rtol=1e-12, atol=0.0)
+        assert np.allclose(replay.post_values, states[1:], rtol=1e-12, atol=0.0)
 
     def test_constant_phi_composition_identity(self):
         # For phi = c the solution clock is t * c**alpha: X_t = x + Z(t * c**alpha).
         c, alpha = 3.0, 0.5
         params = StableParams.default(alpha)
         path = sample_truncated_path(params, 1.0, 0.02, np.random.default_rng(12))
-        sol, clock = time_change_path(ConstantPhi(c), 0.0, path, alpha)
+        states, _, _, values = solve_path(ConstantPhi(c), 0.0, path, alpha)
         rate = c**alpha
         for t in (0.1, 0.2, 0.3):
-            if t < clock.total:
-                assert sol.value_at(t) == path.value_at(min(t * rate, 1.0))
+            if t < values[-1]:
+                assert x_at(states, values, t) == path.value_at(min(t * rate, 1.0))
 
 
 class TestRoundtrip:
@@ -276,10 +281,9 @@ class TestRoundtrip:
     def test_forward_clock_inverts_backward_clock(self):
         params = StableParams.default(0.5)
         path = sample_truncated_path(params, 1.0, 0.02, np.random.default_rng(6))
-        sol, clock = time_change_path(ARCTAN, 0.0, path, 0.5)
-        forward = build_forward_clock(ARCTAN, sol, 0.5)
-        assert np.allclose(forward.values, clock.breakpoints, rtol=0.0, atol=1e-12)
-
+        states, breakpoints, _, values = solve_path(ARCTAN, 0.0, path, 0.5)
+        forward = build_forward_clock(ARCTAN, states, values[1 : len(path) + 1], values[-1], 0.5)
+        assert np.allclose(forward.values, breakpoints, rtol=0.0, atol=1e-12)
 
 
 def _reference_time_change(phi, x, driver, alpha):
@@ -324,13 +328,20 @@ def _clock_checked_outcome(phi, x, times, sizes, horizon, cutoff, alpha):
     """The kernel's arrays as bytes, each clock checked in full, or what it raised.
 
     phi is checked finite at every state first, as solve_truncated checks it.
+    A total that is not finite over slopes that all are, positive too, can
+    only have overflowed: it raises FloatingPointError before Clock's checks.
     """
     def checked():
         arrays = timechange._time_change_arrays(phi, x, times, sizes, horizon, cutoff, alpha)
-        states, _, slopes, _ = arrays
+        states, _, slopes, values = arrays
         for k, state in enumerate(states[: slopes.size].tolist()):
             if not math.isfinite(phi.eval(state)):
                 raise FloatingPointError(f"phi evaluated non-finite at state {state!r} (event {k})")
+        slopes = slopes.tolist()
+        if all(0.0 < slope < math.inf for slope in slopes) and not math.isfinite(values[-1]):
+            raise FloatingPointError(
+                f"time-change clock overflowed to inf, with finite slopes up to {max(slopes)!r}"
+            )
         timechange._check_clock(*arrays[1:])
         return arrays
 
@@ -379,9 +390,7 @@ class TestTimeChangeKernel:
             times[-1] = horizon
         driver = JumpPath(horizon, times, sizes, eps)
         want, clock = _reference_time_change(phi, x, driver, alpha)
-        states, breakpoints, slopes, values = solve_time_change(
-            phi, x, times, sizes, horizon, eps, alpha
-        )
+        states, breakpoints, slopes, values = solve_path(phi, x, driver, alpha)
         assert states.tobytes() == want.states.tobytes()
         assert breakpoints.tobytes() == clock.breakpoints.tobytes()
         assert slopes.tobytes() == clock.slopes.tobytes()
@@ -389,12 +398,8 @@ class TestTimeChangeKernel:
         n = sizes.size
         assert values.size == n + 1 + (shape != "last-on-horizon" or n == 0)
         for t in np.linspace(0.0, clock.total, 9)[:-1]:
-            got = states[values[1 : n + 1].searchsorted(t, "right")]
+            got = x_at(states, values, t)
             assert np.float64(got).tobytes() == np.float64(want.value_at(t)).tobytes()
-        solution, path_clock = time_change_path(phi, x, driver, alpha)
-        assert solution.states.tobytes() == want.states.tobytes()
-        assert solution.times.tobytes() == want.times.tobytes()
-        assert path_clock.slopes.tobytes() == clock.slopes.tobytes()
 
     # The kernel tests only positive slopes and a finite total.  On every clock
     # it builds, that must decide as Clock's full check does: the same bytes
@@ -441,19 +446,21 @@ class TestTimeChangeKernel:
             # A NaN start makes every slope NaN.
             (ARCTAN, math.nan, [0.5], [1.0], 1.0, 0.5, "phi evaluated non-finite"),
             # Finite slopes of about 1e270 over a length of 2**1000 overflow the values.
-            (ConstantPhi(1e-300), 0.0, [2.0**999], [1.0], 2.0**1000, 0.9, "replay tolerance"),
+            (ConstantPhi(1e-300), 0.0, [2.0**999], [1.0], 2.0**1000, 0.9, "overflowed to inf"),
             # arctan(inf) is finite, so an inf size leaves a sound clock.
             (ARCTAN, 0.0, [0.5], [math.inf], 1.0, 0.5, None),
             (ARCTAN, -0.0, [], [], 1.0, 0.5, None),
             (ARCTAN, 0.0, [0.25, 1.0], [1.0, 2.0], 1.0, 0.5, None),
+            # A finite phi of 5e-324 whose slope phi**-alpha overflows.
+            (ConstantPhi(5e-324), 0.0, [0.5], [1.0], 1.0, 0.9999999, "positive and finite"),
         ],
     )
     def test_poisoned_clocks_fail_as_clock_fails(
         self, phi, x, times, sizes, horizon, alpha, message
     ):
-        # Where phi is not finite, FloatingPointError names the state; every
-        # other clock fails with Clock's ValueError.  time_change_path fails
-        # as the kernel does.
+        # Where phi is not finite, FloatingPointError names the state, and
+        # where the total overflowed from finite slopes, it says so; every
+        # other clock fails with Clock's ValueError.
         times, sizes = np.array(times, dtype=float), np.array(sizes, dtype=float)
         want = _clock_checked_outcome(phi, x, times, sizes, horizon, 0.5, alpha)
         got = _outcome(lambda: solve_time_change(phi, x, times, sizes, horizon, 0.5, alpha))
@@ -461,10 +468,8 @@ class TestTimeChangeKernel:
         if message is None:
             assert not isinstance(want[0], type)
             return
-        error = FloatingPointError if message.startswith("phi") else ValueError
+        error = ValueError if message == "positive and finite" else FloatingPointError
         assert want[0] is error and message in want[1]
-        driver = JumpPath(horizon, times, sizes, 0.5)
-        assert _outcome(lambda: time_change_path(phi, x, driver, alpha)) == want
 
     def test_negative_zero_start_is_kept(self):
         states = solve_time_change(ARCTAN, -0.0, np.empty(0), np.empty(0), 1.0, 0.5, 0.5)[0]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from references import sup_gap
 from stable_sde_lab import (
     ConstantPhi,
     JumpPath,
@@ -16,12 +17,10 @@ from stable_sde_lab import (
     SoftRampPhi,
     StableParams,
     build_ladder,
-    coupled_pair_distance,
     ladder_violations,
     sample_truncated_path,
     solve_ladders,
     solve_truncated,
-    sup_gap,
     thin_path,
 )
 
@@ -207,15 +206,19 @@ class TestLadder:
 
 
 class TestCoupledPairDistance:
+    """The eps and eps/2 solutions on one noise path: two levels of one ladder."""
+
     def test_constant_phi_closed_form(self):
         # For phi = c the two solutions differ by exactly c times the mass of
         # jumps in [eps/2, eps); reproduce that with the same seed.
         params = StableParams.default(0.5)
         c, eps = 2.0, 0.1
         seed = 77
-        distance = coupled_pair_distance(
-            ConstantPhi(c), 0.0, params, 1.0, eps, np.random.default_rng(seed)
+        ladder = build_ladder(
+            ConstantPhi(c), 0.0, params, 1.0, (eps, eps / 2.0), np.random.default_rng(seed)
         )
+        coarse, fine = ladder.solutions
+        distance = sup_gap(fine, coarse)
         base = sample_truncated_path(params, 1.0, eps / 2.0, np.random.default_rng(seed))
         band_mass = base.total - thin_path(base, eps).total
         assert distance == pytest.approx(c * band_mass, rel=1e-12)
@@ -228,8 +231,9 @@ class TestCoupledPairDistance:
 
     def test_nonnegative(self):
         params = StableParams.default(0.5)
-        d = coupled_pair_distance(ARCTAN, 0.0, params, 1.0, 0.1, np.random.default_rng(4))
-        assert d >= 0.0
+        ladder = build_ladder(ARCTAN, 0.0, params, 1.0, (0.1, 0.05), np.random.default_rng(4))
+        coarse, fine = ladder.solutions
+        assert sup_gap(fine, coarse) >= 0.0
 
 
 class TestSolutionCSV:
